@@ -74,18 +74,21 @@ fuzz-bytecode:
 
 # Two-backend differential suite under the race detector at -cpu=1,4:
 # detection runs, polybench kernels, step limits, a fault campaign, a
-# profile, sampled injection, and warm sessions must all be byte-identical
-# between the tree-walking interpreter and the bytecode VM, sequential and
-# 4-worker alike. A pd run of the Figure 2 program on each backend is then
-# diffed end to end. CI runs this as the vm-smoke job.
+# profile, sampled injection, warm sessions, served runs with metrics, and
+# Herbgrind runs must all be byte-identical between the tree-walking
+# interpreter and the bytecode VM, sequential and 4-worker alike. A pd run
+# of the Figure 2 program with a metrics dump on the default backend (the
+# VM) and on the tree-walker is then diffed end to end, report and dump
+# alike. CI runs this as the vm-smoke job.
 VMDIR ?= /tmp/pd-vm-smoke
 vm-smoke: build
 	$(GO) test -race -count=1 -cpu=1,4 -run TestBackendDiff .
 	mkdir -p $(VMDIR)
-	$(GO) run ./cmd/pd -backend=treewalk testdata/rootcount.pcl > $(VMDIR)/treewalk.txt
-	$(GO) run ./cmd/pd -backend=vm testdata/rootcount.pcl > $(VMDIR)/vm.txt
-	diff $(VMDIR)/treewalk.txt $(VMDIR)/vm.txt
-	@echo "vm-smoke: VM output byte-identical to tree-walker ✓"
+	$(GO) run ./cmd/pd -backend=treewalk -metrics $(VMDIR)/treewalk.prom testdata/rootcount.pcl > $(VMDIR)/treewalk.txt
+	$(GO) run ./cmd/pd -metrics $(VMDIR)/default.prom testdata/rootcount.pcl > $(VMDIR)/default.txt
+	diff $(VMDIR)/treewalk.txt $(VMDIR)/default.txt
+	diff $(VMDIR)/treewalk.prom $(VMDIR)/default.prom
+	@echo "vm-smoke: default-backend report and metrics byte-identical to tree-walker ✓"
 
 # End-to-end observability check: run Figure 2 under PositDebug with an
 # event trace, DAG export and metrics dump, plus a traced mini campaign,

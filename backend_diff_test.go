@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	positdebug "positdebug"
@@ -21,20 +22,20 @@ import (
 	"positdebug/internal/interp"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
+	"positdebug/internal/shadow/oracle"
 	"positdebug/internal/workloads"
 )
-
-var bothBackends = []backend.Kind{backend.Treewalk, backend.VM}
 
 // execOutcome is everything observable from one Exec, canonicalized for
 // byte comparison across backends.
 type execOutcome struct {
-	Value   uint64
-	Output  string
-	Steps   int64
-	Summary json.RawMessage
-	Trace   json.RawMessage
-	Err     string
+	Value      uint64
+	Output     string
+	Steps      int64
+	TraceNodes int
+	Summary    json.RawMessage
+	Trace      json.RawMessage
+	Err        string
 }
 
 func runOnBackend(t *testing.T, prog *positdebug.Program, k backend.Kind, extra ...positdebug.Option) execOutcome {
@@ -53,6 +54,7 @@ func runOnBackend(t *testing.T, prog *positdebug.Program, k backend.Kind, extra 
 	oc.Value = res.Value
 	oc.Output = res.Output
 	oc.Steps = res.Steps
+	oc.TraceNodes = res.TraceNodes
 	if res.Summary != nil {
 		oc.Summary = mustJSON(t, res.Summary)
 	}
@@ -83,6 +85,9 @@ func diffOutcomes(t *testing.T, name string, tw, vm execOutcome) {
 	if tw.Steps != vm.Steps {
 		t.Errorf("%s: steps diverged: treewalk %d, vm %d", name, tw.Steps, vm.Steps)
 	}
+	if tw.TraceNodes != vm.TraceNodes {
+		t.Errorf("%s: Herbgrind trace nodes diverged: treewalk %d, vm %d", name, tw.TraceNodes, vm.TraceNodes)
+	}
 	if !bytes.Equal(tw.Summary, vm.Summary) {
 		t.Errorf("%s: shadow summary diverged\n  treewalk: %s\n  vm:       %s", name, tw.Summary, vm.Summary)
 	}
@@ -91,9 +96,46 @@ func diffOutcomes(t *testing.T, name string, tw, vm execOutcome) {
 	}
 }
 
+// diffServedAndHerbgrind diffs two more kinds of run across backends.
+// First it runs prog the way pdserve serves a shadow request — bigfp-256,
+// no DAG tracing, one report, a metrics registry attached — then a
+// metered baseline run into the same registry; the results and the
+// Prometheus dump must match byte-for-byte across backends. Then the
+// Herbgrind-style runtime must see the same op stream on both: same value,
+// steps and trace-node count.
+func diffServedAndHerbgrind(t *testing.T, name string, prog *positdebug.Program) {
+	t.Helper()
+	served := func(k backend.Kind) (shadowed, base execOutcome, dump string) {
+		reg := obs.NewRegistry()
+		cfg := shadow.ConfigFor(oracle.BigFP, 256)
+		cfg.Tracing = false
+		cfg.MaxReports = 1
+		cfg.Metrics = reg
+		shadowed = runOnBackend(t, prog, k, positdebug.WithShadow(cfg))
+		base = runOnBackend(t, prog, k, positdebug.WithBaseline(), positdebug.WithMetrics(reg))
+		var sb strings.Builder
+		if err := reg.WriteProm(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return shadowed, base, sb.String()
+	}
+	twShadow, twBase, twDump := served(backend.Treewalk)
+	vmShadow, vmBase, vmDump := served(backend.VM)
+	diffOutcomes(t, name+"/served", twShadow, vmShadow)
+	diffOutcomes(t, name+"/metered-baseline", twBase, vmBase)
+	if twDump != vmDump {
+		t.Errorf("%s: metrics dump diverged\n  treewalk:\n%s\n  vm:\n%s", name, twDump, vmDump)
+	}
+
+	tw := runOnBackend(t, prog, backend.Treewalk, positdebug.WithHerbgrind(256))
+	vm := runOnBackend(t, prog, backend.VM, positdebug.WithHerbgrind(256))
+	diffOutcomes(t, name+"/herbgrind", tw, vm)
+}
+
 // TestBackendDiffDetectionSuite runs all 32 detection-suite programs with
 // the §5.1 thresholds on both backends and requires identical results,
-// summaries, and event streams.
+// summaries, and event streams, then diffs the served, metered and
+// Herbgrind runs of each (diffServedAndHerbgrind).
 func TestBackendDiffDetectionSuite(t *testing.T) {
 	for _, p := range workloads.Suite() {
 		p := p
@@ -118,13 +160,14 @@ func TestBackendDiffDetectionSuite(t *testing.T) {
 			tw := runOnBackend(t, prog, backend.Treewalk, positdebug.WithShadow(cfg))
 			vm := runOnBackend(t, prog, backend.VM, positdebug.WithShadow(cfg))
 			diffOutcomes(t, p.Name, tw, vm)
+			diffServedAndHerbgrind(t, p.Name, prog)
 		})
 	}
 }
 
 // TestBackendDiffKernels runs a spread of PolyBench/SPEC-like kernels —
-// FP original and posit refactor, baseline and shadowed — on both
-// backends.
+// FP original and posit refactor, baseline, shadowed, served, metered and
+// Herbgrind — on both backends.
 func TestBackendDiffKernels(t *testing.T) {
 	kernels := []string{"gemm", "atax", "durbin", "cholesky", "spec_equake"}
 	for _, name := range kernels {
@@ -155,6 +198,8 @@ func TestBackendDiffKernels(t *testing.T) {
 				tw = runOnBackend(t, prog, backend.Treewalk, positdebug.WithShadow(shadow.DefaultConfig()))
 				vm = runOnBackend(t, prog, backend.VM, positdebug.WithShadow(shadow.DefaultConfig()))
 				diffOutcomes(t, name+"/"+v.arch+"/shadow", tw, vm)
+
+				diffServedAndHerbgrind(t, name+"/"+v.arch, prog)
 			}
 		})
 	}

@@ -13,8 +13,9 @@
 //
 // writes a structured JSON-lines event trace (run framing, detections,
 // degradations), the error DAGs as Graphviz DOT, and a Prometheus text
-// metrics dump (detections by kind, ULP-error histograms, per-opcode
-// timing) alongside the normal report.
+// metrics dump (detections by kind, ULP-error histograms, executed steps)
+// alongside the normal report. For time attributed to source lines, use
+// pdprof record -timing.
 //
 // Environment (mirroring the paper's prototype):
 //
@@ -45,7 +46,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSON-lines event trace to this file ('-' = stdout)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' = stdout)")
 	dotPath := flag.String("dot", "", "write the error DAGs as Graphviz DOT to this file ('-' = stdout)")
-	backendFlag := flag.String("backend", "", "execution backend: treewalk|vm (default treewalk)")
+	backendFlag := flag.String("backend", "", "execution backend: vm|treewalk (default vm; treewalk is the reference interpreter)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: pd [flags] program.pcl")

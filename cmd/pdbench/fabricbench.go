@@ -342,4 +342,3 @@ func ringBench() (*RingBenchReport, error) {
 	rep.ModHashMovedFraction = float64(modMoved) / kernels
 	return rep, nil
 }
-

@@ -68,7 +68,7 @@ func main() {
 	traceWorkers := flag.Bool("trace-workers", false, "include worker lifecycle events in the trace (scheduling-dependent)")
 	metricsPath := flag.String("metrics", "", "write a Prometheus text metrics dump to this file ('-' = stderr)")
 	list := flag.Bool("list", false, "list available workloads and exit")
-	backendFlag := flag.String("backend", "", "execution backend: treewalk|vm (default treewalk)")
+	backendFlag := flag.String("backend", "", "execution backend: vm|treewalk (default vm; treewalk is the reference interpreter)")
 	flag.Parse()
 
 	if *list {

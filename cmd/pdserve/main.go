@@ -93,7 +93,7 @@ func main() {
 	profileReqs := flag.Bool("profile", false, "aggregate per-instruction numerical-error profiles at /debug/profile")
 	profileSample := flag.Int("profile-sample", 1, "shadow sampling stride for request profiling (1 = full shadow)")
 	pprofFlag := flag.Bool("pprof", false, "mount Go runtime profiling at /debug/pprof/")
-	backendFlag := flag.String("backend", "", "execution backend for every served run: treewalk|vm (default treewalk)")
+	backendFlag := flag.String("backend", "", "execution backend for every served run: vm|treewalk (default vm; treewalk is the reference interpreter)")
 	coordinator := flag.String("coordinator", "", "fabric coordinator registrar base URL to self-register with (pdcoord -listen)")
 	advertise := flag.String("advertise", "", "base URL the coordinator should dial this worker at (default: derived from -addr)")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "registration heartbeat interval when -coordinator is set")

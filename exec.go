@@ -108,7 +108,8 @@ func WithTrace(sink obs.Sink) Option {
 
 // WithMetrics accumulates counters and histograms into the registry:
 // detections by kind, shadowed ops, per-instruction error-bits
-// distributions, executed steps, and per-opcode timing attribution.
+// distributions, and executed steps. For time per source line, record a
+// profile with a timing collector (WithProfile; pdprof record -timing).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(ec *execConfig) { ec.metrics = reg; ec.metricsSet = true }
 }
@@ -170,13 +171,11 @@ func WithShadowOracle(kind oracle.Kind) Option {
 }
 
 // WithBackend selects the execution engine for the run or session: the
-// tree-walking reference interpreter (backend.Treewalk, the default) or the
-// fused-bytecode VM (backend.VM). The two produce byte-identical detection
-// reports, traces, campaign artifacts, and merged profiles; the VM is the
-// fast path for shadow execution, the tree-walker the differential-testing
-// oracle. Runs that need per-IR-instruction granularity (instruction
-// tracing, per-opcode timing via WithMetrics) fall back to the tree-walker
-// transparently.
+// fused-bytecode VM (backend.VM, the default) or the tree-walking
+// reference interpreter (backend.Treewalk). The two produce byte-identical
+// detection reports, traces, metrics, campaign artifacts, and merged
+// profiles; the VM is the fast path, the tree-walker the
+// differential-testing oracle.
 func WithBackend(k backend.Kind) Option {
 	return func(ec *execConfig) { ec.backend = k; ec.backendSet = true }
 }
@@ -228,11 +227,10 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 // Exec runs the program's named function. With no options it is shadow
 // execution under shadow.DefaultConfig(); options select the baseline or
 // Herbgrind runtimes, pass arguments, bound the run, decorate hooks, and
-// attach event tracing and metrics. Exec subsumes the deprecated Debug*
-// entry points: shadow runs always honor execution limits and, when
-// shadow.Config.MaxShadowBytes is set, retry at degraded precision
-// (halving down to shadow.MinPrecision) instead of failing, flagging the
-// result Degraded.
+// attach event tracing and metrics. Shadow runs always honor execution
+// limits and, when shadow.Config.MaxShadowBytes is set, retry at degraded
+// precision (halving down to shadow.MinPrecision) instead of failing,
+// flagging the result Degraded.
 func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
 	ec, err := buildExecConfig(opts)
 	if err != nil {
@@ -318,20 +316,13 @@ func emitRunEnd(sink obs.Sink, outcome string, steps int64, precision uint) {
 }
 
 // flushRunMetrics records the per-run interpreter-side metrics: executed
-// steps and, when profiling ran, per-opcode counts and time.
-func flushRunMetrics(reg *obs.Registry, steps int64, prof *interp.OpProfile) {
+// steps and the run count.
+func flushRunMetrics(reg *obs.Registry, steps int64) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("pd_steps_total").Add(steps)
 	reg.Counter("pd_runs_total").Inc()
-	if prof == nil {
-		return
-	}
-	for _, s := range prof.Stats() {
-		reg.Counter(`pd_op_count{op="` + s.Op.String() + `"}`).Add(s.Count)
-		reg.Counter(`pd_op_nanos{op="` + s.Op.String() + `"}`).Add(s.Nanos)
-	}
 }
 
 func execBaseline(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
@@ -339,14 +330,11 @@ func execBaseline(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
 	m.Backend = ec.backend
 	var out bytes.Buffer
 	m.Out = &out
-	if ec.metrics != nil {
-		m.Prof = &interp.OpProfile{}
-	}
 	emitRunStart(ec.trace, fn, 0)
 	sp := ec.spans.Start("exec")
 	v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 	sp.End()
-	flushRunMetrics(ec.metrics, m.Steps(), m.Prof)
+	flushRunMetrics(ec.metrics, m.Steps())
 	if err != nil {
 		emitRunEnd(ec.trace, "error", m.Steps(), 0)
 		return nil, err
@@ -362,14 +350,11 @@ func execHerbgrind(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
 	m.Hooks = rt
 	var out bytes.Buffer
 	m.Out = &out
-	if ec.metrics != nil {
-		m.Prof = &interp.OpProfile{}
-	}
 	emitRunStart(ec.trace, fn, ec.herbPrec)
 	sp := ec.spans.Start("exec")
 	v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 	sp.End()
-	flushRunMetrics(ec.metrics, m.Steps(), m.Prof)
+	flushRunMetrics(ec.metrics, m.Steps())
 	if err != nil {
 		emitRunEnd(ec.trace, "error", m.Steps(), ec.herbPrec)
 		return nil, err
@@ -413,13 +398,10 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 		m.Hooks = shadowHooks(rt, cfg, ec)
 		var out bytes.Buffer
 		m.Out = &out
-		if cfg.Metrics != nil {
-			m.Prof = &interp.OpProfile{}
-		}
 		sp := ec.spans.Start("shadow-exec")
 		v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 		sp.End()
-		flushRunMetrics(cfg.Metrics, m.Steps(), m.Prof)
+		flushRunMetrics(cfg.Metrics, m.Steps())
 		if err != nil {
 			var re *interp.ResourceExhausted
 			// Only the bigfp oracle has a precision knob to degrade; a
@@ -567,21 +549,12 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	} else {
 		d.m.Hooks = base
 	}
-	if d.cfg.Metrics != nil {
-		if d.m.Prof == nil {
-			d.m.Prof = &interp.OpProfile{}
-		} else {
-			d.m.Prof.Reset()
-		}
-	} else {
-		d.m.Prof = nil
-	}
 	d.out.Reset()
 	emitRunStart(d.cfg.Events, fn, d.cfg.Precision)
 	sp := ec.spans.Start("shadow-exec")
 	v, err := d.m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 	sp.End()
-	flushRunMetrics(d.cfg.Metrics, d.m.Steps(), d.m.Prof)
+	flushRunMetrics(d.cfg.Metrics, d.m.Steps())
 	if err != nil {
 		var re *interp.ResourceExhausted
 		if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&

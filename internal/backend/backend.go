@@ -13,21 +13,22 @@ import "fmt"
 type Kind uint8
 
 const (
-	// Treewalk executes ir.Module directly, one instruction struct at a
-	// time. It is the reference implementation: simplest, most debuggable,
-	// and the oracle the VM is differentially tested against.
-	Treewalk Kind = iota
 	// VM compiles the module to a flat bytecode chunk (internal/bytecode)
 	// and executes it in a threaded-dispatch loop with fused op+shadow
-	// superinstructions. Byte-identical observable behavior, lower ns/op.
-	VM
+	// superinstructions. It is the zero value, so every run that names no
+	// backend takes it.
+	VM Kind = iota
+	// Treewalk executes ir.Module directly, one instruction struct at a
+	// time. It is the reference implementation: simplest, most debuggable,
+	// and the oracle the VM is differentially tested against. Select it
+	// with -backend=treewalk.
+	Treewalk
 )
 
-// Default is the backend used when nothing selects one explicitly. The
-// tree-walker stays the default until a release's differential suite has
-// proven the VM on every workload; callers opt in per run, per session, or
-// per process with -backend=vm.
-const Default = Treewalk
+// Default is the backend used when nothing selects one explicitly: the VM,
+// whose observable behavior the differential suite holds byte-identical
+// to the tree-walker's.
+const Default = VM
 
 func (k Kind) String() string {
 	switch k {

@@ -9,8 +9,8 @@ import (
 // Options configures compilation.
 type Options struct {
 	// Fuse turns adjacent base-op/shadow-hook pairs into superinstructions.
-	// Disable it when per-IR-instruction granularity matters (instruction
-	// tracing, per-opcode timing) — the unfused chunk maps 1:1 to the IR.
+	// Disable it when per-IR-instruction granularity matters — the unfused
+	// chunk maps 1:1 to the IR.
 	Fuse bool
 }
 

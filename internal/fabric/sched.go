@@ -64,9 +64,9 @@ type workerState struct {
 	busy         bool
 	consecFails  int
 	ejections    int
-	offlineUntil time.Time // ejection or Retry-After throttle window
-	lastErr      error     // most recent failure, for the fleet post-mortem
-	removed      bool      // left the roster (drain, expiry, eviction, death)
+	offlineUntil time.Time          // ejection or Retry-After throttle window
+	lastErr      error              // most recent failure, for the fleet post-mortem
+	removed      bool               // left the roster (drain, expiry, eviction, death)
 	cancel       context.CancelFunc // in-flight attempt teardown (drain migration)
 }
 

@@ -166,7 +166,7 @@ type RunResult struct {
 	Degraded  bool     `json:"degraded"`
 	Precision uint     `json:"precision"`
 	Oracle    string   `json:"oracle,omitempty"` // non-bigfp shadow backend, if any
-	Injected  int      `json:"injected"` // faults actually injected
+	Injected  int      `json:"injected"`         // faults actually injected
 	Schedule  []Record `json:"schedule,omitempty"`
 	Error     string   `json:"error,omitempty"`
 

@@ -50,7 +50,7 @@ func (c CampaignConfig) Wire() WireConfig {
 		TimeoutNS: int64(c.Timeout), MaxSteps: c.MaxSteps,
 		Precision: c.Precision, Oracle: string(c.Oracle),
 		MaxShadowBytes: c.MaxShadowBytes,
-		MaskedBits: c.MaskedBits, KeepSchedules: c.KeepSchedules,
+		MaskedBits:     c.MaskedBits, KeepSchedules: c.KeepSchedules,
 	}
 }
 
@@ -62,7 +62,7 @@ func (w WireConfig) Campaign() CampaignConfig {
 		Timeout: durationNS(w.TimeoutNS), MaxSteps: w.MaxSteps,
 		Precision: w.Precision, Oracle: oracle.Kind(w.Oracle),
 		MaxShadowBytes: w.MaxShadowBytes,
-		MaskedBits: w.MaskedBits, KeepSchedules: w.KeepSchedules,
+		MaskedBits:     w.MaskedBits, KeepSchedules: w.KeepSchedules,
 	}
 }
 

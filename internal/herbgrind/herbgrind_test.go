@@ -3,6 +3,7 @@ package herbgrind
 import (
 	"testing"
 
+	"positdebug/internal/backend"
 	"positdebug/internal/codegen"
 	"positdebug/internal/instrument"
 	"positdebug/internal/interp"
@@ -11,7 +12,7 @@ import (
 	"positdebug/internal/posit"
 )
 
-func build(t *testing.T, src string) (*Runtime, *interp.Machine) {
+func build(t *testing.T, k backend.Kind, src string) (*Runtime, *interp.Machine) {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -28,14 +29,24 @@ func build(t *testing.T, src string) (*Runtime, *interp.Machine) {
 	inst := instrument.Instrument(mod, instrument.Options{})
 	rt := New(inst, 128)
 	m := interp.New(inst)
+	m.Backend = k
 	m.Hooks = rt
 	return rt, m
+}
+
+// eachBackend runs f as one subtest per backend.
+func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
+	t.Helper()
+	for _, k := range backend.Kinds() {
+		t.Run(k.String(), func(t *testing.T) { f(t, k) })
+	}
 }
 
 // TestTraceGrowthLinear: the defining property — trace metadata grows
 // with the dynamic instruction count.
 func TestTraceGrowthLinear(t *testing.T) {
-	rt, m := build(t, `
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		rt, m := build(t, k, `
 func main(n: i64): f64 {
 	var s: f64 = 0.0;
 	for (var i: i64 = 0; i < n; i += 1) {
@@ -44,26 +55,28 @@ func main(n: i64): f64 {
 	return s;
 }
 `)
-	if _, err := m.Run("main", 50); err != nil {
-		t.Fatal(err)
-	}
-	small := rt.TraceNodes()
-	if _, err := m.Run("main", 500); err != nil {
-		t.Fatal(err)
-	}
-	large := rt.TraceNodes()
-	if small == 0 || large < small*8 {
-		t.Fatalf("trace nodes %d → %d; expected ~10× growth", small, large)
-	}
-	if rt.TotalOps() == 0 {
-		t.Fatal("ops not counted")
-	}
+		if _, err := m.Run("main", 50); err != nil {
+			t.Fatal(err)
+		}
+		small := rt.TraceNodes()
+		if _, err := m.Run("main", 500); err != nil {
+			t.Fatal(err)
+		}
+		large := rt.TraceNodes()
+		if small == 0 || large < small*8 {
+			t.Fatalf("trace nodes %d → %d; expected ~10× growth", small, large)
+		}
+		if rt.TotalOps() == 0 {
+			t.Fatal("ops not counted")
+		}
+	})
 }
 
 // TestInfluencePropagation: influence sets accumulate through arithmetic
 // and survive stores/loads.
 func TestInfluencePropagation(t *testing.T) {
-	rt, m := build(t, `
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		rt, m := build(t, k, `
 var g: f64;
 
 func main(): f64 {
@@ -74,30 +87,32 @@ func main(): f64 {
 	return c;
 }
 `)
-	if _, err := m.Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	// The final addition's influence set must contain at least the two
-	// constants, the multiplication and the addition itself.
-	found := 0
-	for _, f := range rt.frames {
-		_ = f
-	}
-	// Frames are gone after Run; inspect via memory metadata of g instead.
-	for _, mm := range rt.mem {
-		if len(mm.infl) >= 2 {
-			found++
+		if _, err := m.Run("main"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if found == 0 {
-		t.Fatal("no influence sets of size ≥ 2 reached memory")
-	}
+		// The final addition's influence set must contain at least the two
+		// constants, the multiplication and the addition itself.
+		found := 0
+		for _, f := range rt.frames {
+			_ = f
+		}
+		// Frames are gone after Run; inspect via memory metadata of g instead.
+		for _, mm := range rt.mem {
+			if len(mm.infl) >= 2 {
+				found++
+			}
+		}
+		if found == 0 {
+			t.Fatal("no influence sets of size ≥ 2 reached memory")
+		}
+	})
 }
 
 // TestReprAntiUnification: repeated executions of the same static
 // instruction generalize into one representative expression.
 func TestReprAntiUnification(t *testing.T) {
-	rt, m := build(t, `
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		rt, m := build(t, k, `
 func main(): f64 {
 	var s: f64 = 0.0;
 	for (var i: i64 = 0; i < 10; i += 1) {
@@ -106,24 +121,25 @@ func main(): f64 {
 	return s;
 }
 `)
-	if _, err := m.Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	if rt.ReprSize() == 0 {
-		t.Fatal("no representative expressions built")
-	}
-	// The accumulator add's representative must have become generalized:
-	// its left child alternates between "value/const" (iteration 1) and
-	// the add itself (later iterations) → anti-unified to "?".
-	generalized := false
-	for _, n := range rt.repr {
-		if hasOp(n, "?") {
-			generalized = true
+		if _, err := m.Run("main"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !generalized {
-		t.Fatal("anti-unification never generalized a loop-carried operand")
-	}
+		if rt.ReprSize() == 0 {
+			t.Fatal("no representative expressions built")
+		}
+		// The accumulator add's representative must have become generalized:
+		// its left child alternates between "value/const" (iteration 1) and
+		// the add itself (later iterations) → anti-unified to "?".
+		generalized := false
+		for _, n := range rt.repr {
+			if hasOp(n, "?") {
+				generalized = true
+			}
+		}
+		if !generalized {
+			t.Fatal("anti-unification never generalized a loop-carried operand")
+		}
+	})
 }
 
 func hasOp(n *TraceNode, op string) bool {
@@ -159,7 +175,8 @@ func TestAntiUnifyBudget(t *testing.T) {
 // TestQuireMirroring: the Herbgrind runtime mirrors quire ops so fused
 // programs still shadow correctly.
 func TestQuireMirroring(t *testing.T) {
-	_, m := build(t, `
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		_, m := build(t, k, `
 func main(): p32 {
 	qclear();
 	qmadd(2.0, 3.0);
@@ -169,11 +186,12 @@ func main(): p32 {
 	return qround_p32();
 }
 `)
-	v, err := m.Run("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ir.P32.PositConfig().ToFloat64(posit.Bits(v)); got != 6.25 {
-		t.Fatalf("fused result %v, want 6.25", got)
-	}
+		v, err := m.Run("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ir.P32.PositConfig().ToFloat64(posit.Bits(v)); got != 6.25 {
+			t.Fatalf("fused result %v, want 6.25", got)
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"positdebug/internal/backend"
 	"positdebug/internal/codegen"
 	"positdebug/internal/instrument"
 	"positdebug/internal/ir"
@@ -38,17 +39,39 @@ func compile(t *testing.T, src string) *ir.Module {
 	return mod
 }
 
+// run executes fn on every backend and returns the first backend's (the
+// tree-walker's) result and output, failing if any backend disagrees.
 func run(t *testing.T, src, fn string, args ...uint64) (uint64, string) {
 	t.Helper()
 	mod := compile(t, src)
-	m := New(mod)
-	var out bytes.Buffer
-	m.Out = &out
-	v, err := m.Run(fn, args...)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	var v0 uint64
+	var out0 string
+	for i, k := range backend.Kinds() {
+		m := New(mod)
+		m.Backend = k
+		var out bytes.Buffer
+		m.Out = &out
+		v, err := m.Run(fn, args...)
+		if err != nil {
+			t.Fatalf("run on %v: %v", k, err)
+		}
+		if i == 0 {
+			v0, out0 = v, out.String()
+		} else if v != v0 || out.String() != out0 {
+			t.Fatalf("%v diverged from %v: %#x %q vs %#x %q", k, backend.Kinds()[0], v, out.String(), v0, out0)
+		}
 	}
-	return v, out.String()
+	return v0, out0
+}
+
+// eachBackend runs f as one subtest per backend: the zero-value machine
+// runs the VM, so tests that build machines directly name the backend to
+// keep the tree-walker under test too.
+func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
+	t.Helper()
+	for _, k := range backend.Kinds() {
+		t.Run(k.String(), func(t *testing.T) { f(t, k) })
+	}
 }
 
 func TestArithmeticAndControlFlow(t *testing.T) {
@@ -166,10 +189,6 @@ func both(n: i64): i64 {
 	return 0;
 }
 `
-	mod := compile(t, src)
-	m := New(mod)
-	var out bytes.Buffer
-	m.Out = &out
 	cfg := posit.Config32
 	// First populate, then compute — exercising globals persisting between
 	// calls requires a single Run, so drive it via a main-like function.
@@ -181,21 +200,15 @@ func main(): i64 {
 	return both(32);
 }
 `
-	mod = compile(t, src2)
-	m = New(mod)
-	m.Out = &out
-	v, err := m.Run("main")
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, out := run(t, src2, "main")
 	// Exact: sum 3·(i+0.125) for i<32 = 3·(496 + 4) = 1500, representable.
 	want := cfg.FromFloat64(1500)
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if lines[1] != cfg.Format(want) {
 		t.Fatalf("fused dot = %s, want %s", lines[1], cfg.Format(want))
 	}
 	if v != 1 {
-		t.Fatalf("naive and fused disagree on an exactly representable case: %s", out.String())
+		t.Fatalf("naive and fused disagree on an exactly representable case: %s", out)
 	}
 }
 
@@ -289,27 +302,33 @@ func TestTraps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mod := compile(t, tc.src)
-			m := New(mod)
-			_, err := m.Run(tc.fn, tc.args...)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want trap containing %q, got %v", tc.want, err)
-			}
+			eachBackend(t, func(t *testing.T, k backend.Kind) {
+				m := New(mod)
+				m.Backend = k
+				_, err := m.Run(tc.fn, tc.args...)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("want trap containing %q, got %v", tc.want, err)
+				}
+			})
 		})
 	}
 }
 
 func TestStepLimit(t *testing.T) {
 	mod := compile(t, `func f(): i64 { var i: i64 = 0; while (true) { i += 1; } return i; }`)
-	m := New(mod)
-	m.MaxSteps = 10000
-	_, err := m.Run("f")
-	if !errors.Is(err, ErrStepLimit) {
-		t.Fatalf("want ErrStepLimit, got %v", err)
-	}
-	var re *ResourceExhausted
-	if !errors.As(err, &re) || re.Resource != ResSteps || re.Limit != 10000 || re.Func != "f" {
-		t.Fatalf("want structured *ResourceExhausted{steps, 10000, f}, got %#v", err)
-	}
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		m := New(mod)
+		m.Backend = k
+		m.MaxSteps = 10000
+		_, err := m.Run("f")
+		if !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("want ErrStepLimit, got %v", err)
+		}
+		var re *ResourceExhausted
+		if !errors.As(err, &re) || re.Resource != ResSteps || re.Limit != 10000 || re.Func != "f" {
+			t.Fatalf("want structured *ResourceExhausted{steps, 10000, f}, got %#v", err)
+		}
+	})
 }
 
 func TestNaRPropagationThroughProgram(t *testing.T) {
@@ -391,30 +410,17 @@ func TestInstrumentedWithoutHooks(t *testing.T) {
 	// correctly (shadow instructions become no-ops via NopHooks).
 	mod := compile(t, `func f(a: p32): p32 { return a * a + 1.0; }`)
 	instrumented := instrumentForTest(mod)
-	m := New(instrumented)
-	v, err := m.Run("f", uint64(posit.Config32.FromFloat64(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := posit.Config32.ToFloat64(posit.Bits(v)); got != 10 {
-		t.Fatalf("result = %v", got)
-	}
-}
-
-func TestTraceMode(t *testing.T) {
-	mod := compile(t, `func f(): i64 { return 1 + 2; }`)
-	m := New(mod)
-	var trace bytes.Buffer
-	m.Trace = &trace
-	if _, err := m.Run("f"); err != nil {
-		t.Fatal(err)
-	}
-	s := trace.String()
-	for _, frag := range []string{"f b0:", "const.i64", "ret"} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("trace missing %q:\n%s", frag, s)
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		m := New(instrumented)
+		m.Backend = k
+		v, err := m.Run("f", uint64(posit.Config32.FromFloat64(3)))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if got := posit.Config32.ToFloat64(posit.Bits(v)); got != 10 {
+			t.Fatalf("result = %v", got)
+		}
+	})
 }
 
 // TestNopHooksFullDispatch runs an instrumented program exercising every
@@ -445,13 +451,16 @@ func main(): i64 {
 }
 `
 	mod := instrumentForTest(compile(t, src))
-	m := New(mod)
-	var out bytes.Buffer
-	m.Out = &out
-	if _, err := m.Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() == 0 {
-		t.Fatal("no output")
-	}
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		m := New(mod)
+		m.Backend = k
+		var out bytes.Buffer
+		m.Out = &out
+		if _, err := m.Run("main"); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() == 0 {
+			t.Fatal("no output")
+		}
+	})
 }

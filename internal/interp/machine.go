@@ -39,16 +39,10 @@ type Machine struct {
 	Mod      *ir.Module
 	Hooks    Hooks
 	Out      io.Writer // print destination; nil discards
-	Trace    io.Writer // when set, every executed instruction is logged
 	MaxSteps int64     // instruction budget; 0 means DefaultMaxSteps
-	// Prof, when set, accumulates per-opcode counts and wall time (see
-	// OpProfile). Nil disables the two clock reads per instruction.
-	Prof *OpProfile
-	// Backend selects the execution engine: the tree-walking reference
-	// interpreter (default) or the fused-bytecode VM. Both produce
-	// byte-identical observable behavior; per-instruction tracing and
-	// opcode profiling need per-IR-step granularity, so runs with Trace or
-	// Prof set always take the tree-walker regardless of Backend.
+	// Backend selects the execution engine: the fused-bytecode VM (the
+	// zero value) or the tree-walking reference interpreter. Both produce
+	// byte-identical observable behavior.
 	Backend backend.Kind
 
 	mem    []byte
@@ -294,7 +288,7 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		m.Hooks = NopHooks{}
 	}
 	m.inj, _ = m.Hooks.(Injector)
-	useVM := m.Backend == backend.VM && m.Trace == nil && m.Prof == nil
+	useVM := m.Backend == backend.VM
 	var chunk *bytecode.Module
 	if useVM {
 		var cerr error
@@ -475,13 +469,6 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 		m.curBlk, m.curIdx = b, i
 		in := &fn.Blocks[b].Instrs[i]
 		i++
-		if m.Trace != nil {
-			fmt.Fprintf(m.Trace, "%s b%d: %s\n", fn.Name, b, in)
-		}
-		var opStart time.Time
-		if m.Prof != nil {
-			opStart = time.Now()
-		}
 		switch in.Op {
 		case ir.OpNop:
 		case ir.OpConst:
@@ -647,9 +634,6 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 				regs[in.Dst], regs[in.Args[0]], regs[in.Args[1]], regs[in.Args[2]])
 		default:
 			return 0, m.trap(fn, "unknown opcode %v", in.Op)
-		}
-		if m.Prof != nil {
-			m.Prof.observe(in.Op, time.Since(opStart))
 		}
 	}
 }

@@ -106,7 +106,7 @@ func WriteFleetChromeTrace(w io.Writer, coordLabel string, coord []Event, worker
 	}
 	meta(coordinatorPID, coordLabel)
 	for i, wt := range ws {
-		meta(coordinatorPID + 1 + i, wt.Label)
+		meta(coordinatorPID+1+i, wt.Label)
 	}
 
 	// Coordinator row: spans emitted at their begin position in seq

@@ -130,9 +130,9 @@ type Config struct {
 	// (net/http/pprof) under /debug/pprof/.
 	EnablePprof bool
 	// Backend selects the execution engine for every served run
-	// (default backend.Default, the tree-walking interpreter). The VM
-	// backend produces byte-identical responses at lower ns/op; flip it
-	// service-wide with pdserve -backend=vm.
+	// (default backend.Default, the VM). The tree-walking reference
+	// interpreter produces byte-identical responses at higher ns/op;
+	// select it service-wide with pdserve -backend=treewalk.
 	Backend backend.Kind
 }
 

@@ -53,7 +53,7 @@ func warmAllocsPerRun(t *testing.T, m *interp.Machine, k backend.Kind) float64 {
 // warm Session reuse — and even switching backends between runs — costs
 // nothing at steady state.
 func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
-	for _, k := range []backend.Kind{backend.Treewalk, backend.VM} {
+	for _, k := range backend.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) { f(t, k) })
 	}

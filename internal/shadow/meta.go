@@ -39,11 +39,11 @@ func (r mdRef) valid() bool { return r.md != nil && r.lock != nil && *r.lock == 
 // loop.
 type TempMeta struct {
 	Real  oracle.Value // shadow value (in-place, storage reused across updates)
-	Undef bool      // shadow value undefined (NaR/NaN territory)
-	Prog  uint64    // program bits at write time
-	Inst  int32     // producing instruction id (−1 unknown)
-	Err   int32     // bits of error recorded when produced
-	Time  uint64    // update timestamp
+	Undef bool         // shadow value undefined (NaR/NaN territory)
+	Prog  uint64       // program bits at write time
+	Inst  int32        // producing instruction id (−1 unknown)
+	Err   int32        // bits of error recorded when produced
+	Time  uint64       // update timestamp
 	Op1   mdRef
 	Op2   mdRef
 

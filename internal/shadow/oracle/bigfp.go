@@ -60,7 +60,7 @@ func (o *bigFPOracle) Neg(z, x *Value) { o.ctx.Neg(&z.Big, &x.Big) }
 func (o *bigFPOracle) Abs(z, x *Value) { o.ctx.Abs(&z.Big, &x.Big) }
 
 func (o *bigFPOracle) FMA(z, a, b, c *Value) {
-	o.fmaProd.SetPrec(2 * o.prec).Mul(&a.Big, &b.Big)
+	o.fmaProd.SetPrec(2*o.prec).Mul(&a.Big, &b.Big)
 	o.ctx.Add(&z.Big, &o.fmaProd, &c.Big)
 }
 

@@ -261,7 +261,7 @@ func (o *ddOracle) SetBig(z *Value, x *big.Float) {
 		return
 	}
 	o.bs1.SetFloat64(hi)
-	o.bs2.SetPrec(x.Prec() + 64).Sub(x, &o.bs1)
+	o.bs2.SetPrec(x.Prec()+64).Sub(x, &o.bs1)
 	lo, _ := o.bs2.Float64()
 	z.Hi, z.Lo = hi, lo
 }

@@ -2,10 +2,12 @@ package shadow
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"positdebug/internal/backend"
 	"positdebug/internal/codegen"
 	"positdebug/internal/instrument"
 	"positdebug/internal/interp"
@@ -41,17 +43,37 @@ func buildPipeline(tb testing.TB, src string, cfg Config) (*Runtime, *interp.Mac
 }
 
 // pipeline compiles, instruments and runs a source under the shadow
-// runtime, returning the result, the printed output and the summary.
+// runtime on every backend, returning the first backend's (the
+// tree-walker's) result, printed output and summary; it fails if any
+// backend disagrees on one of them.
 func pipeline(t *testing.T, src string, cfg Config, fn string, args ...uint64) (uint64, string, *Summary) {
 	t.Helper()
-	rt, m := buildPipeline(t, src, cfg)
-	var out bytes.Buffer
-	m.Out = &out
-	v, err := m.Run(fn, args...)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	var v0 uint64
+	var out0 string
+	var sum0 *Summary
+	var json0 []byte
+	for i, k := range backend.Kinds() {
+		rt, m := buildPipeline(t, src, cfg)
+		m.Backend = k
+		var out bytes.Buffer
+		m.Out = &out
+		v, err := m.Run(fn, args...)
+		if err != nil {
+			t.Fatalf("run on %v: %v", k, err)
+		}
+		sum := rt.Summary()
+		js, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			v0, out0, sum0, json0 = v, out.String(), sum, js
+		} else if v != v0 || out.String() != out0 || !bytes.Equal(js, json0) {
+			t.Fatalf("%v diverged from %v:\n  %#x %q %s\n  %#x %q %s",
+				k, backend.Kinds()[0], v, out.String(), js, v0, out0, json0)
+		}
 	}
-	return v, out.String(), rt.Summary()
+	return v0, out0, sum0
 }
 
 const rootCountSrc = `
@@ -351,24 +373,27 @@ func main(): p32 {
 		t.Fatal(err)
 	}
 	inst := instrument.Instrument(mod, instrument.Options{Skip: map[string]bool{"libwrite": true}})
-	rt := NewRuntime(inst, DefaultConfig())
-	m := interp.New(inst)
-	m.Hooks = rt
-	v, err := m.Run("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if posit.Config32.ToFloat64(posit.Bits(v)) != 42.5 {
-		t.Fatalf("result = %v", posit.Config32.ToFloat64(posit.Bits(v)))
-	}
-	sum := rt.Summary()
-	if sum.UninstrumentedWrites == 0 {
-		t.Fatalf("uninstrumented write not detected: %s", sum)
-	}
-	// And no spurious error: the shadow adopted the program's value.
-	if sum.OutputMaxErrBits > 1 {
-		t.Fatalf("interfacing produced phantom error: %d bits", sum.OutputMaxErrBits)
-	}
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		rt := NewRuntime(inst, DefaultConfig())
+		m := interp.New(inst)
+		m.Backend = k
+		m.Hooks = rt
+		v, err := m.Run("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if posit.Config32.ToFloat64(posit.Bits(v)) != 42.5 {
+			t.Fatalf("result = %v", posit.Config32.ToFloat64(posit.Bits(v)))
+		}
+		sum := rt.Summary()
+		if sum.UninstrumentedWrites == 0 {
+			t.Fatalf("uninstrumented write not detected: %s", sum)
+		}
+		// And no spurious error: the shadow adopted the program's value.
+		if sum.OutputMaxErrBits > 1 {
+			t.Fatalf("interfacing produced phantom error: %d bits", sum.OutputMaxErrBits)
+		}
+	})
 }
 
 // TestLockAndKeyAcrossFrames: a returned value's operand pointers refer to
@@ -506,18 +531,21 @@ func TestOnErrorCallback(t *testing.T) {
 	chk, _ := lang.Check(prog)
 	mod, _ := codegen.Compile(chk)
 	inst := instrument.Instrument(mod, instrument.Options{})
-	cfg := DefaultConfig()
-	fired := 0
-	cfg.OnError = func(r *Report) { fired++ }
-	rt := NewRuntime(inst, cfg)
-	m := interp.New(inst)
-	m.Hooks = rt
-	if _, err := m.Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Fatal("OnError never fired")
-	}
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		cfg := DefaultConfig()
+		fired := 0
+		cfg.OnError = func(r *Report) { fired++ }
+		rt := NewRuntime(inst, cfg)
+		m := interp.New(inst)
+		m.Backend = k
+		m.Hooks = rt
+		if _, err := m.Run("main"); err != nil {
+			t.Fatal(err)
+		}
+		if fired == 0 {
+			t.Fatal("OnError never fired")
+		}
+	})
 }
 
 var _ = ir.OpNop // keep import for helper usage in future edits
@@ -562,23 +590,26 @@ func main(): p32 {
 func TestBreakOn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BreakOn = func(r *Report) bool { return r.Kind == KindCancellation }
-	rt, m := buildPipeline(t, rootCountSrc, cfg)
-	_, err := m.Run("main")
-	var stopped *interp.Stopped
-	if !errorsAs(err, &stopped) {
-		t.Fatalf("want *interp.Stopped, got %v", err)
-	}
-	rep, ok := stopped.Reason.(*Report)
-	if !ok || rep.Kind != KindCancellation {
-		t.Fatalf("breakpoint payload: %#v", stopped.Reason)
-	}
-	if rep.DAG == nil {
-		t.Fatal("breakpoint report must carry the DAG")
-	}
-	// Branch flips after the break point must not have been reached.
-	if rt.Summary().BranchFlips != 0 {
-		t.Fatal("execution must have stopped before the comparison")
-	}
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		rt, m := buildPipeline(t, rootCountSrc, cfg)
+		m.Backend = k
+		_, err := m.Run("main")
+		var stopped *interp.Stopped
+		if !errorsAs(err, &stopped) {
+			t.Fatalf("want *interp.Stopped, got %v", err)
+		}
+		rep, ok := stopped.Reason.(*Report)
+		if !ok || rep.Kind != KindCancellation {
+			t.Fatalf("breakpoint payload: %#v", stopped.Reason)
+		}
+		if rep.DAG == nil {
+			t.Fatal("breakpoint report must carry the DAG")
+		}
+		// Branch flips after the break point must not have been reached.
+		if rt.Summary().BranchFlips != 0 {
+			t.Fatal("execution must have stopped before the comparison")
+		}
+	})
 }
 
 func errorsAs(err error, target **interp.Stopped) bool {
@@ -666,34 +697,37 @@ func main(): p32 {
 // independent; running them concurrently must be race-free (the posit and
 // bigfp layers are pure, all runtime state is per-instance).
 func TestConcurrentRuntimes(t *testing.T) {
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- fmt.Errorf("panic: %v", r)
-					return
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+						return
+					}
+				}()
+				rt, m := buildPipeline(t, rootCountSrc, DefaultConfig())
+				m.Backend = k
+				for i := 0; i < 5; i++ {
+					if _, err := m.Run("main"); err != nil {
+						done <- err
+						return
+					}
+					if !rt.Summary().Has(KindCancellation) {
+						done <- fmt.Errorf("missing detection")
+						return
+					}
 				}
+				done <- nil
 			}()
-			rt, m := buildPipeline(t, rootCountSrc, DefaultConfig())
-			for i := 0; i < 5; i++ {
-				if _, err := m.Run("main"); err != nil {
-					done <- err
-					return
-				}
-				if !rt.Summary().Has(KindCancellation) {
-					done <- fmt.Errorf("missing detection")
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
-	}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestSummaryByFunctionAndWorst(t *testing.T) {

@@ -25,7 +25,7 @@
 // WithHooksWrapper, WithTrace, WithMetrics, WithHerbgrind, WithBaseline,
 // WithArgs — so cross-cutting concerns compose instead of multiplying
 // entry points. Warm sessions (Program.Session / Debugger.Exec) accept the
-// same options. The Debug* methods remain as deprecated wrappers.
+// same options.
 package positdebug
 
 import (
@@ -38,9 +38,9 @@ import (
 	"positdebug/internal/ir"
 	"positdebug/internal/lang"
 	"positdebug/internal/posit"
-	"positdebug/internal/shadow/oracle"
 	"positdebug/internal/refactor"
 	"positdebug/internal/shadow"
+	"positdebug/internal/shadow/oracle"
 )
 
 // Program is a compiled PCL program, ready to run uninstrumented
@@ -138,31 +138,6 @@ func (p *Program) Run(fn string, args ...uint64) (*Result, error) {
 	return p.Exec(fn, WithBaseline(), WithArgs(args...))
 }
 
-// Debug executes the program under PositDebug/FPSanitizer shadow
-// execution and returns the detections alongside the program result.
-//
-// Deprecated: use Exec(fn, WithShadow(cfg), WithArgs(args...)).
-func (p *Program) Debug(cfg shadow.Config, fn string, args ...uint64) (*Result, error) {
-	return p.Exec(fn, WithShadow(cfg), WithArgs(args...))
-}
-
-// DebugPartial is Debug with selected functions left uninstrumented — the
-// paper's incremental-deployment mode (§4.1).
-//
-// Deprecated: use Exec(fn, WithShadow(cfg), WithSkip(skip...), WithArgs(args...)).
-func (p *Program) DebugPartial(skip []string, cfg shadow.Config, fn string, args ...uint64) (*Result, error) {
-	return p.Exec(fn, WithShadow(cfg), WithSkip(skip...), WithArgs(args...))
-}
-
-// DebugWithLimits executes under shadow execution with hardened execution
-// limits and graceful precision degradation.
-//
-// Deprecated: use Exec(fn, WithShadow(cfg), WithLimits(lim),
-// WithHooksWrapper(wrap), WithArgs(args...)).
-func (p *Program) DebugWithLimits(cfg shadow.Config, lim interp.Limits, wrap func(interp.Hooks) interp.Hooks, fn string, args ...uint64) (*Result, error) {
-	return p.Exec(fn, WithShadow(cfg), WithLimits(lim), WithHooksWrapper(wrap), WithArgs(args...))
-}
-
 // Debugger is a reusable shadow-execution session: one runtime and one
 // machine kept warm across runs. After the first run, the shadow-memory
 // trie, frame pools, register frames and big.Float mantissas are all
@@ -184,36 +159,6 @@ type Debugger struct {
 	// per-run option rebinds the profile collector or the stride.
 	sampleN int64
 	sampler *interp.Sampling
-}
-
-// NewDebugger builds a warm-reusable session for the program.
-//
-// Deprecated: use Session(WithShadow(cfg)).
-func (p *Program) NewDebugger(cfg shadow.Config) (*Debugger, error) {
-	return p.Session(WithShadow(cfg))
-}
-
-// DebugWithLimits runs the session's program with limits, hook decoration
-// and graceful degradation on the warm runtime and machine.
-//
-// Deprecated: use Exec(fn, WithLimits(lim), WithHooksWrapper(wrap),
-// WithArgs(args...)).
-func (d *Debugger) DebugWithLimits(lim interp.Limits, wrap func(interp.Hooks) interp.Hooks, fn string, args ...uint64) (*Result, error) {
-	return d.Exec(fn, WithLimits(lim), WithHooksWrapper(wrap), WithArgs(args...))
-}
-
-// DebugHerbgrind executes under the Herbgrind-style baseline runtime
-// (per-dynamic-op trace metadata) for the §5.4 comparison. It returns the
-// result and the number of trace nodes the run accumulated.
-//
-// Deprecated: use Exec(fn, WithHerbgrind(precision), WithArgs(args...))
-// and read Result.TraceNodes.
-func (p *Program) DebugHerbgrind(precision uint, fn string, args ...uint64) (*Result, int, error) {
-	res, err := p.Exec(fn, WithHerbgrind(precision), WithArgs(args...))
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.TraceNodes, nil
 }
 
 // P32Arg encodes a float64 as a ⟨32,2⟩ posit argument.
