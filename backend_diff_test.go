@@ -315,10 +315,11 @@ func TestBackendDiffProfile(t *testing.T) {
 	}
 }
 
-// TestBackendDiffSampledInjection exercises the seams the VM must keep
-// working: a sampling wrapper (which breaks the FastShadow assertion) and
-// a fault injector (which must see identical dynamic instruction streams
-// to corrupt identically).
+// TestBackendDiffSampledInjection exercises the two seams the VM must keep
+// working: the shadow runtime's sampling gate (on the fused FastShadow
+// path) and the machine's fault injector (which forces the event path and
+// must see identical dynamic instruction streams to corrupt identically),
+// alone and combined.
 func TestBackendDiffSampledInjection(t *testing.T) {
 	k, _ := workloads.KernelByName("gemm")
 	src, err := positdebug.RefactorToPosit(k.Source(6))
@@ -329,21 +330,30 @@ func TestBackendDiffSampledInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := faultinject.Model{Kind: faultinject.BitFlip, BitPos: -1, Rate: 0.01, MaxInjections: 4}
 	for _, stride := range []int{1, 3, 7} {
 		tw := runOnBackend(t, prog, backend.Treewalk,
 			positdebug.WithShadow(shadow.DefaultConfig()), positdebug.WithSampling(stride))
 		vm := runOnBackend(t, prog, backend.VM,
 			positdebug.WithShadow(shadow.DefaultConfig()), positdebug.WithSampling(stride))
 		diffOutcomes(t, "sampled", tw, vm)
+
+		injected := func(k backend.Kind) execOutcome {
+			return runOnBackend(t, prog, k,
+				positdebug.WithShadow(shadow.DefaultConfig()), positdebug.WithSampling(stride),
+				positdebug.WithInjector(faultinject.NewInjector(model, int64(stride))))
+		}
+		diffOutcomes(t, "sampled+injected", injected(backend.Treewalk), injected(backend.VM))
 	}
 }
 
 // TestBackendDiffSampledSuite runs every detection-suite program sampled at
-// several strides on both backends. Since Sampling implements FastShadow,
-// the VM delivers sampled compute events through the fused
-// superinstruction path; this test pins that the sampler's take() decisions
-// and skip semantics (stale metadata, program result still computed) are
-// byte-identical to the tree-walker's, detection verdicts included.
+// several strides on both backends. The shadow runtime gates its FastShadow
+// compute methods exactly like its Hooks ones, so the VM delivers sampled
+// compute events through the fused superinstruction path; this test pins
+// that the runtime's take() decisions and skip semantics (stale metadata,
+// program result still computed) are byte-identical to the tree-walker's,
+// detection verdicts included.
 func TestBackendDiffSampledSuite(t *testing.T) {
 	for _, p := range workloads.Suite() {
 		p := p

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	positdebug "positdebug"
+	"positdebug/internal/interp"
 	"positdebug/internal/profile"
 	"positdebug/internal/shadow"
 	"positdebug/internal/workloads"
@@ -20,8 +22,11 @@ import (
 type ProfileBenchRow struct {
 	Name string `json:"name"`
 	// Sample is the stride: 0 = uninstrumented baseline, 1 = full shadow.
-	Sample  int     `json:"sample"`
+	Sample int `json:"sample"`
+	// NsPerOp is the median over profileReps interleaved repetitions.
 	NsPerOp float64 `json:"ns_per_op"`
+	// SpreadPct is the repetitions' range (max − min) over that median.
+	SpreadPct float64 `json:"spread_pct"`
 	// Slowdown is NsPerOp over the uninstrumented baseline's.
 	Slowdown float64 `json:"slowdown_vs_baseline"`
 	// CheckedOps / TotalOps are per-run dynamic compute instances checked
@@ -42,10 +47,17 @@ type ProfileReport struct {
 	Rows       []ProfileBenchRow `json:"rows"`
 }
 
+// profileReps is how many times each variant is timed. The variants take
+// turns, so a stretch of host noise lands on neighbouring samples of every
+// variant and the per-variant median drops it.
+const profileReps = 5
+
 // profileBench measures the full-shadow vs sampled-shadow overhead
 // tradeoff on one PolyBench kernel: uninstrumented baseline, plain shadow
-// execution, and shadow execution with the profiler at strides 1/4/16/64,
-// all on warm sessions so the numbers isolate per-run cost.
+// execution, and shadow execution with the profiler at strides 1/4/16/64.
+// Every row reuses one warm machine (the baseline) or session (the rest)
+// on the default backend, so the numbers compare per-run cost like for
+// like.
 func profileBench(out, kernel string, n int) error {
 	k, ok := workloads.KernelByName(kernel)
 	if !ok {
@@ -65,43 +77,22 @@ func profileBench(out, kernel string, n int) error {
 	cfg.Tracing = false
 	cfg.MaxReports = 1
 
-	rep := &ProfileReport{
-		Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Kernel: kernel, N: n,
+	type variant struct {
+		row ProfileBenchRow
+		run func() error
+		col *profile.Collector // profiled variants only
+		ns  []float64
+		n   int // runs in the last timed round
 	}
-	emit := func(row ProfileBenchRow) {
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(os.Stderr, "%-26s %14.2f ns/op %8.2fx baseline", row.Name, row.NsPerOp, row.Slowdown)
-		if row.TotalOps > 0 {
-			fmt.Fprintf(os.Stderr, "  checked %5.1f%% of ops", row.CheckedPct)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-
-	base := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Exec("main", positdebug.WithBaseline()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	baseNs := float64(base.T.Nanoseconds()) / float64(base.N)
-	emit(ProfileBenchRow{Name: "baseline", Sample: 0, NsPerOp: baseNs, Slowdown: 1})
-
+	bm := interp.New(prog.Module)
 	plain, err := prog.Session(positdebug.WithShadow(cfg))
 	if err != nil {
 		return err
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := plain.Exec("main"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	emit(ProfileBenchRow{Name: "shadow", Sample: 1, NsPerOp: ns, Slowdown: ns / baseNs})
-
+	variants := []*variant{
+		{row: ProfileBenchRow{Name: "baseline"}, run: func() error { _, err := bm.Run("main"); return err }},
+		{row: ProfileBenchRow{Name: "shadow", Sample: 1}, run: func() error { _, err := plain.Exec("main"); return err }},
+	}
 	for _, stride := range []int{1, 4, 16, 64} {
 		col := profile.NewCollector()
 		dbg, err := prog.Session(
@@ -112,29 +103,64 @@ func profileBench(out, kernel string, n int) error {
 		if err != nil {
 			return err
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dbg.Exec("main"); err != nil {
-					b.Fatal(err)
-				}
-			}
+		variants = append(variants, &variant{
+			row: ProfileBenchRow{Name: fmt.Sprintf("profile/sample-%d", stride), Sample: stride},
+			run: func() error { _, err := dbg.Exec("main"); return err },
+			col: col,
 		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		snap := col.Snapshot(mod, kernel, "posit32", int64(r.N), int64(stride))
-		var checked, total int64
-		for _, ip := range snap.Insts {
-			checked += ip.Checked
-			total += ip.Count
+	}
+	for range profileReps {
+		for _, v := range variants {
+			r := testing.Benchmark(func(b *testing.B) {
+				// testing.Benchmark calls this once per round with a
+				// growing b.N: start each round empty, so the collector
+				// ends up holding exactly the final round's r.N runs.
+				if v.col != nil {
+					v.col.Reset()
+				}
+				for i := 0; i < b.N; i++ {
+					if err := v.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			v.ns = append(v.ns, float64(r.T.Nanoseconds())/float64(r.N))
+			v.n = r.N
 		}
-		row := ProfileBenchRow{
-			Name: fmt.Sprintf("profile/sample-%d", stride), Sample: stride,
-			NsPerOp: ns, Slowdown: ns / baseNs,
-			CheckedOps: checked, TotalOps: total,
+	}
+
+	rep := &ProfileReport{
+		Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), Kernel: kernel, N: n,
+	}
+	var baseNs float64
+	for _, v := range variants {
+		row := v.row
+		sort.Float64s(v.ns)
+		row.NsPerOp = v.ns[len(v.ns)/2]
+		row.SpreadPct = 100 * (v.ns[len(v.ns)-1] - v.ns[0]) / row.NsPerOp
+		if baseNs == 0 {
+			baseNs = row.NsPerOp
 		}
-		if total > 0 {
-			row.CheckedPct = 100 * float64(checked) / float64(total)
+		row.Slowdown = row.NsPerOp / baseNs
+		if v.col != nil {
+			snap := v.col.Snapshot(mod, kernel, "posit32", int64(v.n), int64(row.Sample))
+			for _, ip := range snap.Insts {
+				row.CheckedOps += ip.Checked
+				row.TotalOps += ip.Count
+			}
+			row.CheckedOps /= int64(v.n)
+			row.TotalOps /= int64(v.n)
+			if row.TotalOps > 0 {
+				row.CheckedPct = 100 * float64(row.CheckedOps) / float64(row.TotalOps)
+			}
 		}
-		emit(row)
+		rep.Rows = append(rep.Rows, row)
+		fmt.Fprintf(os.Stderr, "%-26s %14.2f ns/op (spread %4.1f%%) %8.2fx baseline", row.Name, row.NsPerOp, row.SpreadPct, row.Slowdown)
+		if row.TotalOps > 0 {
+			fmt.Fprintf(os.Stderr, "  checked %5.1f%% of ops", row.CheckedPct)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 
 	j, err := json.MarshalIndent(rep, "", "  ")

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"positdebug/internal/backend"
 	"positdebug/internal/herbgrind"
@@ -31,7 +30,7 @@ type execConfig struct {
 	skip       []string
 	limits     interp.Limits
 	limitsSet  bool
-	wrap       func(interp.Hooks) interp.Hooks
+	inj        interp.Injector
 	trace      obs.Sink
 	traceSet   bool
 	metrics    *obs.Registry
@@ -90,12 +89,14 @@ func WithLimits(lim interp.Limits) Option {
 	return func(ec *execConfig) { ec.limits = lim; ec.limitsSet = true }
 }
 
-// WithHooksWrapper decorates the shadow runtime's hooks before they attach
-// to the machine — the seam fault injectors plug into. The wrapper runs
-// once per attempt, so a deterministic decorator replays its schedule on a
-// degraded retry.
-func WithHooksWrapper(w func(interp.Hooks) interp.Hooks) Option {
-	return func(ec *execConfig) { ec.wrap = w }
+// WithInjector attaches a fault injector to the run's machine
+// (interp.Machine.Injector): it corrupts values at instrumented shadow
+// events, and the shadow runtime judges each corruption against its clean
+// shadow. The machine resets the injector at every attempt's start, so a
+// deterministic injector replays its schedule on a degraded retry. This is
+// a per-run option: pass it to Exec or Debugger.Exec.
+func WithInjector(inj interp.Injector) Option {
+	return func(ec *execConfig) { ec.inj = inj }
 }
 
 // WithTrace streams structured events (run lifecycle, detections,
@@ -203,8 +204,8 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 		return nil, fmt.Errorf("positdebug: WithHerbgrind conflicts with WithShadow")
 	case (ec.baseline || ec.herb) && len(ec.skip) > 0:
 		return nil, fmt.Errorf("positdebug: WithSkip requires shadow execution")
-	case (ec.baseline || ec.herb) && ec.wrap != nil:
-		return nil, fmt.Errorf("positdebug: WithHooksWrapper requires shadow execution")
+	case (ec.baseline || ec.herb) && ec.inj != nil:
+		return nil, fmt.Errorf("positdebug: WithInjector requires shadow execution")
 	case (ec.baseline || ec.herb) && (ec.profSet || ec.sampleSet):
 		return nil, fmt.Errorf("positdebug: WithProfile/WithSampling require shadow execution")
 	case (ec.baseline || ec.herb) && ec.oracleSet:
@@ -226,7 +227,7 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 
 // Exec runs the program's named function. With no options it is shadow
 // execution under shadow.DefaultConfig(); options select the baseline or
-// Herbgrind runtimes, pass arguments, bound the run, decorate hooks, and
+// Herbgrind runtimes, pass arguments, bound the run, inject faults, and
 // attach event tracing and metrics. Shadow runs always honor execution
 // limits and, when shadow.Config.MaxShadowBytes is set, retry at degraded
 // precision (halving down to shadow.MinPrecision) instead of failing,
@@ -238,59 +239,43 @@ func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
 	}
 	switch {
 	case ec.baseline:
-		return execBaseline(p.Module, ec, fn)
+		return execPlain(p.Module, ec, fn)
 	case ec.herb:
-		return execHerbgrind(p.Instrumented(), ec, fn)
+		return execPlain(p.Instrumented(), ec, fn)
 	}
-	mod := p.Instrumented()
-	if len(ec.skip) > 0 {
-		skipSet := make(map[string]bool, len(ec.skip))
-		for _, s := range ec.skip {
-			skipSet[s] = true
-		}
-		mod = instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
-	}
-	return execShadowModule(mod, ec, fn)
+	cfg := ec.boundShadowConfig()
+	emitRunStart(cfg.Events, fn, cfg.Precision)
+	return execShadowLoop(p.shadowModule(ec.skip), cfg, ec, fn, cfg.Precision)
 }
 
-// monoBase anchors the monotonic clock behind shadow-op latency timing.
-var monoBase = time.Now()
-
-// monoNanos returns monotonic nanoseconds since a process-local base.
-func monoNanos() int64 { return int64(time.Since(monoBase)) }
-
-// samplingFor returns the sampling/timing decorator a run needs — non-nil
-// when the stride subsamples (n > 1) or the collector wants latency
-// timing — with its callbacks bound to the collector. The caller sets
-// Inner.
-func samplingFor(c *profile.Collector, n int64) *interp.Sampling {
-	if n <= 1 && (c == nil || !c.Timing) {
-		return nil
+// shadowModule returns the module shadow runs execute: the Program's
+// cached instrumentation, or a fresh one leaving the skipped functions
+// uninstrumented.
+func (p *Program) shadowModule(skip []string) *ir.Module {
+	if len(skip) == 0 {
+		return p.Instrumented()
 	}
-	s := interp.NewSampling(nil, n)
-	if c != nil {
-		s.OnSkip = c.Skipped
-		if c.Timing {
-			s.Clock = monoNanos
-			s.OnTime = c.Latency
-		}
+	skipSet := make(map[string]bool, len(skip))
+	for _, s := range skip {
+		skipSet[s] = true
 	}
-	return s
+	return instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
 }
 
-// shadowHooks builds one attempt's hooks chain: runtime innermost, then
-// the sampling/timing decorator, then the user wrapper (fault injectors)
-// outermost — so injected faults still reach the oracle on sampled runs.
-func shadowHooks(rt *shadow.Runtime, cfg shadow.Config, ec *execConfig) interp.Hooks {
-	var hooks interp.Hooks = rt
-	if s := samplingFor(cfg.Profile, ec.sample); s != nil {
-		s.Inner = hooks
-		hooks = s
+// boundShadowConfig is the shadow configuration with the option-level
+// sinks (WithTrace, WithMetrics, WithProfile) bound into it.
+func (ec *execConfig) boundShadowConfig() shadow.Config {
+	cfg := ec.shadowCfg
+	if ec.traceSet {
+		cfg.Events = ec.trace
 	}
-	if ec.wrap != nil {
-		hooks = ec.wrap(hooks)
+	if ec.metricsSet {
+		cfg.Metrics = ec.metrics
 	}
-	return hooks
+	if ec.profSet {
+		cfg.Profile = ec.prof
+	}
+	return cfg
 }
 
 // emitRunStart/emitRunEnd bracket one execution in the event stream.
@@ -325,29 +310,17 @@ func flushRunMetrics(reg *obs.Registry, steps int64) {
 	reg.Counter("pd_runs_total").Inc()
 }
 
-func execBaseline(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
+// execPlain runs mod without the shadow runtime: uninstrumented for the
+// baseline, or under the Herbgrind-style runtime, whose trace-node count
+// lands in the result.
+func execPlain(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
 	m := interp.New(mod)
 	m.Backend = ec.backend
-	var out bytes.Buffer
-	m.Out = &out
-	emitRunStart(ec.trace, fn, 0)
-	sp := ec.spans.Start("exec")
-	v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
-	sp.End()
-	flushRunMetrics(ec.metrics, m.Steps())
-	if err != nil {
-		emitRunEnd(ec.trace, "error", m.Steps(), 0)
-		return nil, err
+	var herb *herbgrind.Runtime
+	if ec.herb {
+		herb = herbgrind.New(mod, ec.herbPrec)
+		m.Hooks = herb
 	}
-	emitRunEnd(ec.trace, "ok", m.Steps(), 0)
-	return &Result{Value: v, Output: out.String(), Steps: m.Steps()}, nil
-}
-
-func execHerbgrind(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	rt := herbgrind.New(mod, ec.herbPrec)
-	m := interp.New(mod)
-	m.Backend = ec.backend
-	m.Hooks = rt
 	var out bytes.Buffer
 	m.Out = &out
 	emitRunStart(ec.trace, fn, ec.herbPrec)
@@ -360,42 +333,50 @@ func execHerbgrind(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
 		return nil, err
 	}
 	emitRunEnd(ec.trace, "ok", m.Steps(), ec.herbPrec)
-	return &Result{
-		Value: v, Output: out.String(), Steps: m.Steps(),
-		TraceNodes: rt.TraceNodes(),
-	}, nil
+	res := &Result{Value: v, Output: out.String(), Steps: m.Steps()}
+	if herb != nil {
+		res.TraceNodes = herb.TraceNodes()
+	}
+	return res, nil
 }
 
-// execShadowModule runs the degradation loop on fresh runtimes: when a run
+// degrade returns cfg at half its bigfp precision (floored at
+// shadow.MinPrecision) when err is a shadow-memory budget trip a lower
+// precision can retry, emitting the EvDegrade event. Only the bigfp oracle
+// has a precision knob; a fixed-precision oracle tripping the budget
+// surfaces the structured error (the server-side watchdog degrades across
+// oracles instead).
+func degrade(cfg shadow.Config, err error) (shadow.Config, bool) {
+	var re *interp.ResourceExhausted
+	if !errors.As(err, &re) || re.Resource != interp.ResShadowMemory ||
+		cfg.OracleKind() != oracle.BigFP || cfg.Precision <= shadow.MinPrecision {
+		return cfg, false
+	}
+	cfg.Precision = max(cfg.Precision/2, shadow.MinPrecision)
+	if cfg.Events != nil {
+		e := obs.NewEvent(obs.EvDegrade)
+		e.Precision = cfg.Precision
+		cfg.Events.Emit(e)
+	}
+	return cfg, true
+}
+
+// execShadowLoop runs the degradation loop on fresh runtimes: when a run
 // exceeds the shadow-memory budget, retry at half the precision down to
-// shadow.MinPrecision, flagging the result Degraded.
-func execShadowModule(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	cfg := ec.shadowCfg
-	if ec.traceSet {
-		cfg.Events = ec.trace
-	}
-	if ec.metricsSet {
-		cfg.Metrics = ec.metrics
-	}
-	if ec.profSet {
-		cfg.Profile = ec.prof
-	}
-	emitRunStart(cfg.Events, fn, cfg.Precision)
-	return execShadowLoop(mod, cfg, ec, fn, cfg.Precision)
-}
-
-// execShadowLoop is the degradation loop proper; requested is the
-// precision Degraded is judged against (the warm-session retry path enters
-// below the originally requested precision).
+// shadow.MinPrecision, flagging the result Degraded against requested (the
+// warm-session retry path enters below the originally requested
+// precision).
 func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string, requested uint) (*Result, error) {
 	for {
 		rt, err := shadow.New(mod, cfg)
 		if err != nil {
 			return nil, err
 		}
+		rt.SetSampling(ec.sample)
 		m := interp.New(mod)
 		m.Backend = ec.backend
-		m.Hooks = shadowHooks(rt, cfg, ec)
+		m.Hooks = rt
+		m.Injector = ec.inj
 		var out bytes.Buffer
 		m.Out = &out
 		sp := ec.spans.Start("shadow-exec")
@@ -403,22 +384,8 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 		sp.End()
 		flushRunMetrics(cfg.Metrics, m.Steps())
 		if err != nil {
-			var re *interp.ResourceExhausted
-			// Only the bigfp oracle has a precision knob to degrade; a
-			// fixed-precision oracle tripping the budget surfaces the
-			// structured error (the server-side watchdog degrades across
-			// oracles instead).
-			if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
-				cfg.OracleKind() == oracle.BigFP && cfg.Precision > shadow.MinPrecision {
-				cfg.Precision /= 2
-				if cfg.Precision < shadow.MinPrecision {
-					cfg.Precision = shadow.MinPrecision
-				}
-				if cfg.Events != nil {
-					e := obs.NewEvent(obs.EvDegrade)
-					e.Precision = cfg.Precision
-					cfg.Events.Emit(e)
-				}
+			var retry bool
+			if cfg, retry = degrade(cfg, err); retry {
 				continue
 			}
 			emitRunEnd(cfg.Events, "error", m.Steps(), cfg.Precision)
@@ -444,9 +411,8 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 // options: WithShadow selects the configuration (default
 // shadow.DefaultConfig()), WithSkip instruments with functions left out,
 // and WithTrace/WithMetrics/WithProfile/WithSampling bind session-level
-// sinks and sampled-shadow state. Baseline/Herbgrind
-// and per-run options (limits, hook wrappers, args) are rejected — pass
-// those to Debugger.Exec.
+// sinks and the sampling stride. Baseline/Herbgrind and per-run options
+// (limits, injectors, args) are rejected — pass those to Debugger.Exec.
 //
 // The instrumented module is built (and, without WithSkip, cached on the
 // Program) here, so concurrent workers construct sessions only after one
@@ -460,40 +426,26 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 	if ec.baseline || ec.herb {
 		return nil, fmt.Errorf("positdebug: Session supports shadow execution only")
 	}
-	if ec.wrap != nil || len(ec.args) > 0 || ec.limitsSet || ec.ctx != nil {
-		return nil, fmt.Errorf("positdebug: WithHooksWrapper/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
+	if ec.inj != nil || len(ec.args) > 0 || ec.limitsSet || ec.ctx != nil {
+		return nil, fmt.Errorf("positdebug: WithInjector/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
 	}
-	cfg := ec.shadowCfg
-	if ec.traceSet {
-		cfg.Events = ec.trace
-	}
-	if ec.metricsSet {
-		cfg.Metrics = ec.metrics
-	}
-	if ec.profSet {
-		cfg.Profile = ec.prof
-	}
-	mod := p.Instrumented()
-	if len(ec.skip) > 0 {
-		skipSet := make(map[string]bool, len(ec.skip))
-		for _, s := range ec.skip {
-			skipSet[s] = true
-		}
-		mod = instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
-	}
+	cfg := ec.boundShadowConfig()
+	mod := p.shadowModule(ec.skip)
 	rt, err := shadow.New(mod, cfg)
 	if err != nil {
 		return nil, err
 	}
+	rt.SetSampling(ec.sample)
 	m := interp.New(mod)
 	m.Backend = ec.backend
+	m.Hooks = rt
 	d := &Debugger{prog: p, cfg: cfg, mod: mod, rt: rt, m: m, sampleN: ec.sample}
 	m.Out = &d.out
 	return d, nil
 }
 
 // Exec runs the session's program on the warm runtime and machine.
-// Accepted options: WithLimits, WithHooksWrapper, WithArgs, WithTrace,
+// Accepted options: WithLimits, WithInjector, WithArgs, WithTrace,
 // WithMetrics, WithProfile, WithSampling, WithSpans (sink-like options
 // rebind the session's sinks — campaign workers point each run at its own
 // buffer). Options that change the
@@ -525,30 +477,16 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	if ec.profSet {
 		d.rt.SetProfile(ec.prof)
 		d.cfg.Profile = ec.prof
-		d.sampler = nil
 	}
 	if ec.sampleSet {
 		d.sampleN = ec.sample
-		d.sampler = nil
+		d.rt.SetSampling(ec.sample)
 	}
 	if ec.backendSet {
 		d.m.Backend = ec.backend
 	}
-	if d.sampler == nil {
-		d.sampler = samplingFor(d.cfg.Profile, d.sampleN)
-		if d.sampler != nil {
-			d.sampler.Inner = d.rt
-		}
-	}
-	var base interp.Hooks = d.rt
-	if d.sampler != nil {
-		base = d.sampler
-	}
-	if ec.wrap != nil {
-		d.m.Hooks = ec.wrap(base)
-	} else {
-		d.m.Hooks = base
-	}
+	// Assigned on every run, so an injector never leaks into the next one.
+	d.m.Injector = ec.inj
 	d.out.Reset()
 	emitRunStart(d.cfg.Events, fn, d.cfg.Precision)
 	sp := ec.spans.Start("shadow-exec")
@@ -556,24 +494,12 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 	sp.End()
 	flushRunMetrics(d.cfg.Metrics, d.m.Steps())
 	if err != nil {
-		var re *interp.ResourceExhausted
-		if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
-			d.cfg.OracleKind() == oracle.BigFP && d.cfg.Precision > shadow.MinPrecision {
-			cfg := d.cfg
-			cfg.Precision /= 2
-			if cfg.Precision < shadow.MinPrecision {
-				cfg.Precision = shadow.MinPrecision
-			}
-			if cfg.Events != nil {
-				e := obs.NewEvent(obs.EvDegrade)
-				e.Precision = cfg.Precision
-				cfg.Events.Emit(e)
-			}
+		if cfg, retry := degrade(d.cfg, err); retry {
 			// Retry on transient runtimes at the reduced precision; the loop
 			// carries the session's sinks (with any per-run overrides already
 			// applied) and emits the closing run-end itself.
 			res, err := execShadowLoop(d.mod, cfg, &execConfig{
-				ctx: ec.ctx, limits: ec.limits, wrap: ec.wrap, args: ec.args,
+				ctx: ec.ctx, limits: ec.limits, inj: ec.inj, args: ec.args,
 				sample: d.sampleN, spans: ec.spans, backend: d.m.Backend,
 			}, fn, d.cfg.Precision)
 			if res != nil {

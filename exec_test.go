@@ -5,9 +5,17 @@ import (
 	"testing"
 
 	"positdebug/internal/interp"
+	"positdebug/internal/ir"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
 )
+
+// nopInjector is an interp.Injector that never corrupts anything.
+type nopInjector struct{}
+
+func (nopInjector) Reset() {}
+
+func (nopInjector) Mutate(int32, ir.Op, ir.Type, uint64) (uint64, bool) { return 0, false }
 
 // TestExecOptionConflicts: incompatible option combinations fail loudly
 // instead of silently picking a mode.
@@ -21,7 +29,7 @@ func TestExecOptionConflicts(t *testing.T) {
 		{WithBaseline(), WithShadow(shadow.DefaultConfig())},
 		{WithHerbgrind(256), WithShadow(shadow.DefaultConfig())},
 		{WithBaseline(), WithSkip("f")},
-		{WithHerbgrind(256), WithHooksWrapper(func(h interp.Hooks) interp.Hooks { return h })},
+		{WithHerbgrind(256), WithInjector(nopInjector{})},
 	}
 	for i, opts := range bad {
 		if _, err := prog.Exec("main", opts...); err == nil {
@@ -33,6 +41,9 @@ func TestExecOptionConflicts(t *testing.T) {
 	}
 	if _, err := prog.Session(WithLimits(interp.Limits{})); err == nil {
 		t.Fatal("Session must reject per-run options")
+	}
+	if _, err := prog.Session(WithInjector(nopInjector{})); err == nil {
+		t.Fatal("Session must reject WithInjector")
 	}
 	dbg, err := prog.Session()
 	if err != nil {

@@ -152,12 +152,9 @@ func FuzzInjector(f *testing.F) {
 		cfg := shadow.Config{Precision: 128, MaxReports: 2}
 		lim := interp.Limits{MaxSteps: 2_000_000, Timeout: 5 * time.Second}
 		run := func() (*positdebug.Result, []faultinject.Record, error) {
-			inj := faultinject.NewInjector(nil, model, seed)
+			inj := faultinject.NewInjector(model, seed)
 			res, err := prog.Exec("main", positdebug.WithShadow(cfg), positdebug.WithLimits(lim),
-				positdebug.WithHooksWrapper(func(h interp.Hooks) interp.Hooks {
-					inj.Inner = h
-					return inj
-				}))
+				positdebug.WithInjector(inj))
 			return res, inj.Schedule(), err
 		}
 		res1, sched1, err1 := run()

@@ -98,13 +98,20 @@ func NewWeightedRing(capacities map[string]int, vnodes int) *Ring {
 	return r
 }
 
-// ringHash is FNV-1a 64: stable across processes and Go versions, which
-// matters because affinity is only worth anything if a restarted
-// coordinator maps the same kernels to the same workers.
+// ringHash is FNV-1a 64 followed by the splitmix64 finalizer: stable
+// across processes and Go versions, which matters because affinity is only
+// worth anything if a restarted coordinator maps the same kernels to the
+// same workers. FNV-1a alone barely mixes the short "#i" vnode suffix, so
+// a member's vnodes cluster and the share of keys a join moves depends on
+// the members' port numbers; the finalizer spreads every vnode over the
+// whole ring.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Members returns the ring's distinct member URLs, sorted.

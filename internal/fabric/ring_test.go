@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -109,6 +111,39 @@ func TestRingBalance(t *testing.T) {
 			t.Fatalf("member %s owns %d of %d keys (fair share %d); distribution badly skewed: %v", w, c, len(keys), fair, counts)
 		}
 	}
+}
+
+// TestRingJoinMovesFairShare bounds the placement property over many
+// fleets instead of one lucky draw: across 200 seeded synthetic fleets of
+// three loopback workers on random ports, a fourth member joining should
+// take about its fair quarter of the keyspace. The 5th and 95th
+// percentiles of the moved fraction must both lie in [0.15, 0.35]. An
+// unmixed vnode hash clusters a member's points, so its moved fraction
+// swings with the port numbers far outside that band.
+func TestRingJoinMovesFairShare(t *testing.T) {
+	const fleets = 200
+	keys := ringKeys(2000)
+	rng := rand.New(rand.NewSource(1))
+	port := func() string { return fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64512)) }
+	moved := make([]float64, fleets)
+	for f := range moved {
+		members := []string{port(), port(), port()}
+		before := NewRing(members, 0)
+		after := NewRing(append(members, port()), 0)
+		n := 0
+		for _, k := range keys {
+			if before.Owner(k) != after.Owner(k) {
+				n++
+			}
+		}
+		moved[f] = float64(n) / float64(len(keys))
+	}
+	sort.Float64s(moved)
+	p5, p95 := moved[fleets*5/100], moved[fleets*95/100]
+	if p5 < 0.15 || p95 > 0.35 {
+		t.Fatalf("a 3→4 join moved %.3f (p5) to %.3f (p95) of keys; want both in [0.15, 0.35]", p5, p95)
+	}
+	t.Logf("3→4 join moved fraction over %d fleets: p5 %.3f, p95 %.3f", fleets, p5, p95)
 }
 
 // TestWeightedRingCapacityProportional: arc share tracks advertised

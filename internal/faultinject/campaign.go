@@ -372,15 +372,12 @@ func prepArch(ctx context.Context, cfg CampaignConfig, arch, fpSrc string) (*arc
 	scfg.Metrics = cfg.Metrics
 	lim := interp.Limits{Timeout: cfg.Timeout, MaxSteps: cfg.MaxSteps}
 
-	counter := NewInjector(nil, cfg.Model, 0)
+	counter := NewInjector(cfg.Model, 0)
 	counter.CountOnly = true
 	golden, err := prog.Exec("main",
 		positdebug.WithContext(ctx), positdebug.WithBackend(cfg.Backend),
 		positdebug.WithShadow(scfg), positdebug.WithLimits(lim),
-		positdebug.WithHooksWrapper(func(h interp.Hooks) interp.Hooks {
-			counter.Inner = h
-			return counter
-		}))
+		positdebug.WithInjector(counter))
 	if err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)
 	}
@@ -543,15 +540,12 @@ func oneRun(ctx context.Context, cfg CampaignConfig, dbg *positdebug.Debugger, s
 		model.Occurrence = 1 + int64(rng.next()%uint64(candidates))
 		model.MaxInjections = 1
 	}
-	inj := NewInjector(nil, model, runSeed)
+	inj := NewInjector(model, runSeed)
 
 	opts := []positdebug.Option{
 		positdebug.WithContext(ctx),
 		positdebug.WithLimits(lim),
-		positdebug.WithHooksWrapper(func(h interp.Hooks) interp.Hooks {
-			inj.Inner = h
-			return inj
-		}),
+		positdebug.WithInjector(inj),
 	}
 	var buf *obs.Buffer
 	if cfg.Trace != nil {

@@ -1,7 +1,7 @@
 // Package faultinject turns PositDebug from a passive debugger into an
 // active resilience-analysis tool: a deterministic fault injector that
-// decorates any interp.Hooks (the shadow runtime, the no-op hooks, …) and
-// corrupts the program's architectural values at configurable sites, plus
+// plugs into the machine's interp.Injector seam and corrupts the program's
+// architectural values at configurable sites, plus
 // a campaign runner that sweeps faults across workloads and classifies
 // each run's outcome with the shadow oracle — masked, silent data
 // corruption, detected, or crashed/hung.
@@ -62,9 +62,9 @@ type OpClass uint32
 // Instruction classes. Register moves and comparisons are deliberately not
 // injectable: corrupting them would make the shadow runtime re-seed its
 // metadata from the corrupted value and blind the oracle. Loads, stores
-// and call returns carry the same hazard, so the injector announces those
-// corruptions to inner hooks implementing interp.InjectionObserver, which
-// lets the shadow runtime flag the divergence instead of resyncing.
+// and call returns carry the same hazard, so the machine announces every
+// corruption to hooks implementing interp.InjectionObserver, which lets
+// the shadow runtime flag the divergence instead of resyncing.
 const (
 	ClassArith OpClass = 1 << iota // binary/unary/fma/quire-round results
 	ClassConst                     // literal materialization
@@ -201,12 +201,12 @@ func Mix(seed int64, run int) int64 {
 	return int64(s.next())
 }
 
-// Injector decorates an interp.Hooks with deterministic fault injection.
-// It implements both interp.Hooks (pure pass-through to Inner) and
-// interp.Injector (the machine-side mutation seam). Reset re-seeds the
-// PRNG, so two runs of the same machine replay the same schedule.
+// Injector is a deterministic fault injector implementing the machine's
+// interp.Injector seam (attach it with positdebug.WithInjector or
+// interp.Machine.Injector). The machine calls Reset at every run start,
+// which re-seeds the PRNG, so two runs of the same machine replay the same
+// schedule.
 type Injector struct {
-	Inner interp.Hooks
 	model Model
 	seed  int64
 
@@ -226,25 +226,23 @@ type Injector struct {
 	Events obs.Sink
 }
 
-var (
-	_ interp.Hooks    = (*Injector)(nil)
-	_ interp.Injector = (*Injector)(nil)
-)
+var _ interp.Injector = (*Injector)(nil)
 
-// NewInjector wraps inner with the fault model, seeded for determinism.
-func NewInjector(inner interp.Hooks, model Model, seed int64) *Injector {
-	if inner == nil {
-		inner = interp.NopHooks{}
-	}
+// NewInjector returns an injector for the fault model, seeded for
+// determinism.
+func NewInjector(model Model, seed int64) *Injector {
 	if model.FlipBits <= 0 {
 		model.FlipBits = 2
 	}
-	j := &Injector{Inner: inner, model: model, seed: seed}
-	j.reseed()
+	j := &Injector{model: model, seed: seed}
+	j.Reset()
 	return j
 }
 
-func (j *Injector) reseed() {
+// Reset implements interp.Injector: it re-seeds the PRNG and clears the
+// schedule, so a rerun (or a precision-degraded retry) replays the
+// identical fault schedule.
+func (j *Injector) Reset() {
 	j.rng = splitmix64{state: uint64(j.seed) ^ 0x5851f42d4c957f2d}
 	j.candidates = 0
 	j.injected = 0
@@ -300,12 +298,6 @@ func (j *Injector) Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (uint64,
 		e.Before = fmt.Sprintf("0x%x", bits)
 		e.After = fmt.Sprintf("0x%x", after)
 		j.Events.Emit(e)
-	}
-	// Announce the corruption before the machine forwards the event, so
-	// metadata-propagating hooks (load/store/post-call) treat their clean
-	// shadow state as the reference instead of resyncing from the fault.
-	if o, ok := j.Inner.(interp.InjectionObserver); ok {
-		o.ObserveInjection(id, op, typ, bits, after)
 	}
 	return after, true
 }

@@ -45,13 +45,10 @@ func injectedRun(t *testing.T, prog *positdebug.Program, model Model, seed int64
 	cfg.MaxReports = 0
 	cfg.Tracing = false
 	cfg.MaxShadowBytes = budget
-	inj := NewInjector(nil, model, seed)
+	inj := NewInjector(model, seed)
 	res, err := prog.Exec("main", positdebug.WithShadow(cfg),
 		positdebug.WithLimits(interp.Limits{Timeout: 10 * time.Second}),
-		positdebug.WithHooksWrapper(func(h interp.Hooks) interp.Hooks {
-			inj.Inner = h
-			return inj
-		}))
+		positdebug.WithInjector(inj))
 	if err != nil {
 		t.Fatalf("injected run: %v", err)
 	}
@@ -108,19 +105,48 @@ func TestInjectorSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestSessionInjectorPerRun: an injector passed to one Debugger.Exec
+// corrupts that run only; the session's next run without one is clean.
+func TestSessionInjectorPerRun(t *testing.T) {
+	prog := compileAccum(t)
+	cfg := shadow.DefaultConfig()
+	cfg.MaxReports = 0
+	clean, err := prog.Exec("main", positdebug.WithShadow(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := prog.Session(positdebug.WithShadow(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(Model{Kind: StuckNaR, Rate: 1, MaxInjections: 1}, 1)
+	faulty, err := d.Exec("main", positdebug.WithInjector(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inj.Schedule()) != 1 || faulty.Value == clean.Value {
+		t.Fatalf("injected run: %d faults, value %#x (clean %#x)", len(inj.Schedule()), faulty.Value, clean.Value)
+	}
+	after, err := d.Exec("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Value != clean.Value || !reflect.DeepEqual(after.Summary.Counts, clean.Summary.Counts) {
+		t.Fatalf("injector leaked into the next run: value %#x counts %v, want %#x %v",
+			after.Value, after.Summary.Counts, clean.Value, clean.Summary.Counts)
+	}
+}
+
 // TestCountOnly: the calibration pass counts eligible events without
 // corrupting anything, and the count matches what a real run sees.
 func TestCountOnly(t *testing.T) {
 	prog := compileAccum(t)
-	counter := NewInjector(nil, Model{Kind: BitFlip, Rate: 1}, 0)
+	counter := NewInjector(Model{Kind: BitFlip, Rate: 1}, 0)
 	counter.CountOnly = true
 	cfg := shadow.DefaultConfig()
 	cfg.MaxReports = 0
 	res, err := prog.Exec("main", positdebug.WithShadow(cfg),
-		positdebug.WithHooksWrapper(func(h interp.Hooks) interp.Hooks {
-			counter.Inner = h
-			return counter
-		}))
+		positdebug.WithInjector(counter))
 	if err != nil {
 		t.Fatalf("count-only run: %v", err)
 	}

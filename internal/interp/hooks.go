@@ -53,38 +53,39 @@ type Hooks interface {
 	QVal(id int32, typ ir.Type, dst int32, bits uint64)
 }
 
-// Injector is an optional interface a Hooks implementation may satisfy to
-// mutate architectural state — the mechanism behind fault injection. When
-// the machine's hooks implement it, Mutate is consulted immediately before
-// each value-producing shadow event (const, bin, un, cast, load, store,
+// Injector mutates architectural state — the mechanism behind fault
+// injection. A machine with an Injector (Machine.Injector) resets it at the
+// start of every run and consults Mutate immediately before each
+// value-producing shadow event (const, bin, un, cast, load, store,
 // post-call, qval, fma) with the instruction's registry id, opcode, type
 // and the destination's current bits. Returning (newBits, true) rewrites
 // the destination register — or, for stores, the stored memory bytes —
-// before the event is delivered to the hooks, so a decorated shadow
-// runtime observes the corrupted program value against its clean
-// high-precision shadow and can flag the divergence.
+// before the event is delivered to the hooks, so the shadow runtime
+// observes the corrupted program value against its clean high-precision
+// shadow and can flag the divergence.
 //
 // Injection therefore only reaches instrumented instructions; register
 // moves and comparisons are deliberately excluded (corrupting them would
 // re-seed the shadow from the corrupted value and blind the oracle).
 // Events whose hooks propagate metadata rather than recompute it — loads,
-// stores, call returns — carry the same re-seed hazard: without extra
-// signalling the runtime would mistake the corruption for an
-// uninstrumented write and resync from it. An injecting decorator must
-// therefore announce each injection to inner hooks implementing
-// InjectionObserver before the corrupted event is forwarded.
+// stores, call returns — carry the same re-seed hazard, so after every hit
+// the machine announces the corruption to hooks implementing
+// InjectionObserver before it delivers the corrupted event.
 type Injector interface {
+	// Reset is called at the start of every Machine.Run, so a rerun (or a
+	// precision-degraded retry) replays the same schedule.
+	Reset()
 	Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (mutated uint64, inject bool)
 }
 
-// InjectionObserver is an optional interface the hooks wrapped by an
-// injecting decorator may implement to be told, immediately before the
-// corresponding event fires, that the value it is about to observe was
-// corrupted by fault injection: before is the pre-corruption bit pattern,
-// after the corrupted bits the event will deliver. The shadow runtime uses
-// the announcement to keep its clean metadata as the reference — flagging
-// the divergence — instead of mistaking the corruption for an
-// uninstrumented write and re-seeding the shadow from it.
+// InjectionObserver is an optional interface Hooks may implement to be
+// told, immediately before the corresponding event fires, that the value
+// it is about to observe was corrupted by the machine's Injector: before
+// is the pre-corruption bit pattern, after the corrupted bits the event
+// will deliver. The shadow runtime uses the announcement to keep its clean
+// metadata as the reference — flagging the divergence — instead of
+// mistaking the corruption for an uninstrumented write and re-seeding the
+// shadow from it.
 type InjectionObserver interface {
 	ObserveInjection(id int32, op ir.Op, typ ir.Type, before, after uint64)
 }

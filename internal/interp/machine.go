@@ -36,8 +36,12 @@ const (
 
 // Machine executes one module. Not safe for concurrent use.
 type Machine struct {
-	Mod      *ir.Module
-	Hooks    Hooks
+	Mod   *ir.Module
+	Hooks Hooks
+	// Injector, when set, corrupts values at the shadow events of
+	// instrumented code (fault injection; see Injector). A run with an
+	// injector delivers every event through Hooks, never FastShadow.
+	Injector Injector
 	Out      io.Writer // print destination; nil discards
 	MaxSteps int64     // instruction budget; 0 means DefaultMaxSteps
 	// Backend selects the execution engine: the fused-bytecode VM (the
@@ -62,7 +66,7 @@ type Machine struct {
 	// tree-walker's mask check, which fused two-step ops may straddle).
 	nextPoll int64
 	// fastHooks is non-nil when the current run's hooks implement
-	// FastShadow and no injector is active; fused superinstructions then
+	// FastShadow and no Injector is set; fused superinstructions then
 	// deliver events through it.
 	fastHooks FastShadow
 
@@ -86,8 +90,6 @@ type Machine struct {
 	// method call per instruction.
 	runCtx  context.Context
 	ctxDone <-chan struct{}
-
-	inj Injector
 
 	argScratch []uint64
 	// regPool recycles register frames across calls; depth is bounded by
@@ -287,7 +289,6 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 	if m.Hooks == nil {
 		m.Hooks = NopHooks{}
 	}
-	m.inj, _ = m.Hooks.(Injector)
 	useVM := m.Backend == backend.VM
 	var chunk *bytecode.Module
 	if useVM {
@@ -297,7 +298,7 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		}
 	}
 	m.fastHooks = nil
-	if useVM && m.inj == nil {
+	if useVM && m.Injector == nil {
 		m.fastHooks, _ = m.Hooks.(FastShadow)
 	}
 	if lim.Timeout > 0 {
@@ -327,8 +328,9 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 	for _, q := range m.quires {
 		q.Clear()
 	}
-	if m.Hooks != nil {
-		m.Hooks.Reset()
+	m.Hooks.Reset()
+	if m.Injector != nil {
+		m.Injector.Reset()
 	}
 	fn := m.Mod.FuncByName(name)
 	if fn == nil {
@@ -587,10 +589,11 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 			m.Hooks.Load(in.ID, in.Type, in.Dst, uint32(regs[in.A]), regs[in.Dst])
 		case ir.OpShadowStore:
 			stored := regs[in.B]
-			if m.inj != nil {
-				if nb, ok := m.inj.Mutate(in.ID, in.Op, in.Type, stored); ok {
+			if m.Injector != nil {
+				if nb, ok := m.Injector.Mutate(in.ID, in.Op, in.Type, stored); ok {
 					// A store fault corrupts the memory cell, not the
 					// register: rewrite the bytes the OpStore just wrote.
+					m.injected(in.ID, in.Op, in.Type, stored, nb)
 					stored = nb
 					if err := m.store(fn, in.Type, uint32(regs[in.A]), stored); err != nil {
 						return 0, err
@@ -638,17 +641,30 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 	}
 }
 
-// mutate consults the injector (when the hooks implement Injector) right
-// before a value-producing shadow event is delivered, rewriting the
-// destination register with the corrupted bits. The inner hooks then
-// observe the corrupted program value against a clean shadow value, which
-// is exactly what lets the shadow oracle detect the fault.
+// mutate consults the Injector right before a value-producing shadow event
+// is delivered, rewriting the destination register with the corrupted
+// bits. The hooks then observe the corrupted program value against a clean
+// shadow value, which is exactly what lets the shadow oracle detect the
+// fault.
 func (m *Machine) mutate(in *ir.Instr, regs []uint64) {
-	if m.inj == nil {
+	if m.Injector == nil {
 		return
 	}
-	if nb, ok := m.inj.Mutate(in.ID, in.Op, in.Type, regs[in.Dst]); ok {
+	if nb, ok := m.Injector.Mutate(in.ID, in.Op, in.Type, regs[in.Dst]); ok {
+		m.injected(in.ID, in.Op, in.Type, regs[in.Dst], nb)
 		regs[in.Dst] = nb
+	}
+}
+
+// injected announces a corruption the Injector just applied to hooks that
+// implement InjectionObserver, before the corrupted event is delivered. It
+// runs only on a hit and stays out of line, so the mutate path that every
+// event of an injected run takes does not grow.
+//
+//go:noinline
+func (m *Machine) injected(id int32, op ir.Op, typ ir.Type, before, after uint64) {
+	if o, ok := m.Hooks.(InjectionObserver); ok {
+		o.ObserveInjection(id, op, typ, before, after)
 	}
 }
 

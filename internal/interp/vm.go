@@ -12,22 +12,21 @@ import (
 )
 
 // FastShadow is an optional interface a Hooks implementation may satisfy to
-// receive shadow events through the VM's fused superinstructions without an
-// injector in the loop. The methods mirror the corresponding Hooks methods
-// exactly and MUST produce byte-identical observable behavior (reports,
-// traces, profiles, panics); what they may additionally assume is that the
-// delivered program value is the uncorrupted result of the base operation
-// that just executed, which lets a runtime reuse one decode of that result
-// for conversion, exponent and precision-geometry checks instead of
-// re-deriving each from the raw bits.
+// receive shadow events through the VM's fused superinstructions. The
+// methods mirror the corresponding Hooks methods exactly and MUST produce
+// byte-identical observable behavior (reports, traces, profiles, panics);
+// what they may additionally assume is that the delivered program value is
+// the uncorrupted result of the base operation that just executed, which
+// lets a runtime reuse one decode of that result for conversion, exponent
+// and precision-geometry checks instead of re-deriving each from the raw
+// bits.
 //
-// The machine binds FastShadow only when the run has no Injector and the
-// Hooks value implements it directly. Sampling composes: it implements
-// FastShadow as an adapter, gating fused compute events with the same
-// take() decision it applies on the tree-walker path. Other wrapping
-// decorators (injectors, user hooks) naturally break the type assertion
-// and fall back to the generic mutate-then-Hooks path the tree-walker
-// uses.
+// The machine binds FastShadow when the run has no Injector and the Hooks
+// value implements it. An Injector forces every event through the generic
+// mutate-then-Hooks path the tree-walker uses, since a corrupted value
+// breaks the uncorrupted-result assumption. Sampling and latency timing
+// live inside the shadow runtime, which gates its Fast* compute methods
+// exactly like its Hooks ones, so sampled runs keep the fused path.
 type FastShadow interface {
 	FastConst(id int32, typ ir.Type, dst int32, bits uint64)
 	FastMov(id int32, typ ir.Type, dst, src int32, bits uint64)
@@ -78,14 +77,15 @@ func (m *Machine) zeroDirtyMem() {
 	m.lowWater = uint32(len(m.mem))
 }
 
-// vmMutate is mutate for bytecode instructions: consult the injector right
+// vmMutate is mutate for bytecode instructions: consult the Injector right
 // before a value-producing shadow event and rewrite the destination
 // register with the corrupted bits.
 func (m *Machine) vmMutate(id int32, op ir.Op, t ir.Type, regs []uint64, dst int32) {
-	if m.inj == nil {
+	if m.Injector == nil {
 		return
 	}
-	if nb, ok := m.inj.Mutate(id, op, t, regs[dst]); ok {
+	if nb, ok := m.Injector.Mutate(id, op, t, regs[dst]); ok {
+		m.injected(id, op, t, regs[dst], nb)
 		regs[dst] = nb
 	}
 }
@@ -482,10 +482,11 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			m.Hooks.Load(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
 		case bytecode.OpShStore:
 			stored := regs[in.B]
-			if m.inj != nil {
-				if nb, ok := m.inj.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
+			if m.Injector != nil {
+				if nb, ok := m.Injector.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
 					// A store fault corrupts the memory cell, not the
 					// register: rewrite the bytes the store just wrote.
+					m.injected(in.ID, ir.OpShadowStore, ir.Type(in.T), stored, nb)
 					stored = nb
 					if err := m.vmStore(ch, f.Name, ir.Type(in.T).Size(), uint32(regs[in.A]), stored); err != nil {
 						return 0, err
@@ -696,8 +697,9 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				fh.FastStore(in.ID, ir.Type(in.T), uint32(regs[in.A]), in.B, regs[in.B])
 			} else {
 				stored := regs[in.B]
-				if m.inj != nil {
-					if nb, ok := m.inj.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
+				if m.Injector != nil {
+					if nb, ok := m.Injector.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
+						m.injected(in.ID, ir.OpShadowStore, ir.Type(in.T), stored, nb)
 						stored = nb
 						if err := m.vmStore(ch, f.Name, ir.Type(in.T).Size(), uint32(regs[in.A]), stored); err != nil {
 							return 0, err

@@ -11,10 +11,12 @@ import (
 )
 
 // This file implements interp.FastShadow: the VM's fused superinstructions
-// deliver shadow events here when no injector or sampler wraps the
-// runtime. The contract is byte-identity with the regular Hooks methods —
-// same reports, same counters, same DAGs, same panics — which the
-// differential suite (backend_diff_test.go) enforces end to end. What the
+// deliver shadow events here when the run has no fault injector. Sampled
+// and timed runs keep this path, since the compute events apply the same
+// take and timer gates as their Hooks counterparts. The contract is
+// byte-identity with the regular Hooks methods — same reports, same
+// counters, same DAGs, same panics — which the differential suite
+// (backend_diff_test.go) enforces end to end. What the
 // fast path buys is a single posit decode per program value: the regular
 // detection pass re-derives the float64 conversion, the binary exponent
 // (cancellation check) and the regime/fraction geometry (precision-loss
@@ -140,7 +142,12 @@ func (r *Runtime) FastMov(id int32, typ ir.Type, dst, src int32, bits uint64) {
 
 // FastBin implements interp.FastShadow.
 func (r *Runtime) FastBin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.binImpl(id, kind, typ, dst, a, b, dstVal, aVal, bVal, true)
+	r.stopTimer(id, t0)
 }
 
 // FastBinP32 implements interp.FastShadow: the ⟨32,2⟩ add/sub/mul
@@ -152,6 +159,10 @@ func (r *Runtime) FastBin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int3
 // (fastpath_test.go drives the equivalence over random and special
 // operands).
 func (r *Runtime) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64 {
+	if !r.take(id) {
+		return skippedP32(kind, aVal, bVal)
+	}
+	t0 := r.startTimer()
 	const typ = ir.P32
 	cfg := posit.Config32
 	// ensure(a); ensure(b) with the frame fetched once — this runs once
@@ -199,17 +210,43 @@ func (r *Runtime) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, b
 		}
 	}
 	r.binCore(id, kind, typ, dst, uint64(res), ta, tb, true)
+	r.stopTimer(id, t0)
 	return uint64(res)
+}
+
+// skippedP32 computes the program result of a sampled-out FastBinP32 —
+// bit-identical to the VM's unfused path — leaving shadow metadata
+// untouched, as a skipped Bin on the tree-walker does.
+func skippedP32(kind ir.BinKind, aVal, bVal uint64) uint64 {
+	a, b := posit.Bits(aVal), posit.Bits(bVal)
+	switch kind {
+	case ir.BinAdd:
+		return uint64(posit.Config32.Add(a, b))
+	case ir.BinSub:
+		return uint64(posit.Config32.Sub(a, b))
+	default: // BinMul — the only other fused kind
+		return uint64(posit.Config32.Mul(a, b))
+	}
 }
 
 // FastUn implements interp.FastShadow.
 func (r *Runtime) FastUn(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.unImpl(id, kind, typ, dst, a, dstVal, aVal, true)
+	r.stopTimer(id, t0)
 }
 
 // FastCast implements interp.FastShadow.
 func (r *Runtime) FastCast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.castImpl(id, from, to, dst, src, dstVal, srcVal, true)
+	r.stopTimer(id, t0)
 }
 
 // FastLoad implements interp.FastShadow. Beyond the regular Load it keeps

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"time"
 
 	"positdebug/internal/interp"
 	"positdebug/internal/ir"
@@ -194,6 +195,14 @@ type Runtime struct {
 	// prof, when non-nil, receives per-instruction error statistics from
 	// checkOp (see Config.Profile).
 	prof *profile.Collector
+
+	// Sampled shadow execution (SetSampling): sample is the stride and
+	// occur the per-static-id occurrence counters, reset every run.
+	// timing caches prof.Timing at run start, so an untimed run pays one
+	// bool test per compute event for latency timing.
+	sample int64
+	occur  []int64
+	timing bool
 }
 
 // shadowQuire mirrors the program's quire with a wide accumulator; 768
@@ -326,6 +335,83 @@ func (r *Runtime) SetProfile(c *profile.Collector) {
 	r.prof = c
 }
 
+// SetSampling sets the sampling stride: every nth dynamic instance of each
+// static compute instruction (Bin, Un, Cast, FMA, QVal and their Fast*
+// forms) is shadowed and the rest are skipped, cutting shadow cost roughly
+// by n. n ≤ 1 shadows everything. Structural events (constants, moves,
+// comparisons, memory, calls, prints, quire accumulation) always run, so
+// metadata propagation and the branch-flip and output oracles stay exact.
+//
+// The decision is a pure function of (static id, per-id occurrence count),
+// and the counts reset every run, so a sampled run shadows the same
+// dynamic instances on either backend and under any worker count. The
+// first instance of every static instruction is always shadowed, so every
+// instruction appears in the profile; each skipped instance is counted
+// through the bound collector's Skipped.
+//
+// A skipped instance leaves its destination's metadata stale. The next
+// consumer's program-value check re-seeds it from the program bits, so
+// downstream comparisons measure error accumulated since the last sampled
+// point, and detections on the skipped instance itself are missed. A
+// fault injected at a skipped instance stays announced until a matching
+// event consumes it.
+func (r *Runtime) SetSampling(n int64) { r.sample = n }
+
+// take reports whether this dynamic instance of a compute event is
+// shadowed. An unsampled run pays the one inlined comparison.
+func (r *Runtime) take(id int32) bool {
+	return r.sample <= 1 || r.takeSampled(id)
+}
+
+// takeSampled is take's stride > 1 path: count the occurrence, and feed
+// each skipped one to the profiler.
+func (r *Runtime) takeSampled(id int32) bool {
+	if id < 0 {
+		return true
+	}
+	if int(id) >= len(r.occur) {
+		grown := make([]int64, int(id)+16)
+		copy(grown, r.occur)
+		r.occur = grown
+	}
+	c := r.occur[id]
+	r.occur[id] = c + 1
+	if c%r.sample == 0 {
+		return true
+	}
+	if r.prof != nil {
+		r.prof.Skipped(id)
+	}
+	return false
+}
+
+// monoBase anchors the monotonic clock behind shadow-op latency timing.
+var monoBase = time.Now()
+
+// monoNanos returns monotonic nanoseconds since a process-local base.
+func monoNanos() int64 { return int64(time.Since(monoBase)) }
+
+// startTimer reads the clock when the bound collector records latency
+// (profile.Collector.Timing); an untimed run pays one inlined bool test.
+func (r *Runtime) startTimer() int64 {
+	if r.timing {
+		return monoNanos()
+	}
+	return 0
+}
+
+// stopTimer feeds the latency of the compute event timed from t0 to the
+// collector.
+func (r *Runtime) stopTimer(id int32, t0 int64) {
+	if r.timing {
+		r.recordLatency(id, t0)
+	}
+}
+
+func (r *Runtime) recordLatency(id int32, t0 int64) {
+	r.prof.Latency(id, monoNanos()-t0)
+}
+
 func (r *Runtime) bindMetrics(reg *obs.Registry) {
 	r.reg = reg
 	if reg == nil {
@@ -355,16 +441,6 @@ func (r *Runtime) instHistFor(id int32) *obs.Histogram {
 	return h
 }
 
-// NewRuntime is the legacy constructor; it panics on an invalid
-// configuration. Prefer New, which reports the validation error.
-func NewRuntime(mod *ir.Module, cfg Config) *Runtime {
-	r, err := New(mod, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Reset clears all state at the start of a run. It reuses the shadow-memory
 // trie, the frame pool, the quire accumulators and the counts map in place,
 // so a Runtime kept warm across runs (one per campaign worker) reaches a
@@ -379,6 +455,8 @@ func (r *Runtime) Reset() {
 	r.retValid = false
 	r.flipEpoch = 0
 	r.pendInj.valid = false
+	clear(r.occur)
+	r.timing = r.prof != nil && r.prof.Timing
 	for _, q := range r.quires {
 		q.acc.SetInt64(0)
 		q.undef = false
@@ -622,7 +700,12 @@ func (r *Runtime) Mov(id int32, typ ir.Type, dst, src int32, bits uint64) {
 // Bin performs the shadow binary operation and runs error detection
 // (§3.3 "posit binary and unary operations", §3.4).
 func (r *Runtime) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.binImpl(id, kind, typ, dst, a, b, dstVal, aVal, bVal, false)
+	r.stopTimer(id, t0)
 }
 
 // binImpl is Bin with the detection pass selectable: the regular decode-
@@ -679,7 +762,12 @@ func opSub(kind ir.BinKind) bool { return kind == ir.BinSub || kind == ir.BinAdd
 
 // Un performs the shadow unary operation.
 func (r *Runtime) Un(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.unImpl(id, kind, typ, dst, a, dstVal, aVal, false)
+	r.stopTimer(id, t0)
 }
 
 func (r *Runtime) unImpl(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64, fast bool) {
@@ -796,7 +884,12 @@ func (r *Runtime) typeOfInst(id int32) ir.Type {
 // Cast propagates metadata through conversions and checks numeric→integer
 // casts against the shadow execution (§3.4 "casts to integers").
 func (r *Runtime) Cast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	r.castImpl(id, from, to, dst, src, dstVal, srcVal, false)
+	r.stopTimer(id, t0)
 }
 
 func (r *Runtime) castImpl(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64, fast bool) {
@@ -1072,6 +1165,10 @@ func (r *Runtime) checkOutput(typ ir.Type, s *TempMeta) {
 // shadow precision the product+add rounds once, matching the program's
 // single-rounding semantics.
 func (r *Runtime) FMA(id int32, typ ir.Type, dst, a, b, c int32, dstVal, aVal, bVal, cVal uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	ta := r.ensure(a, typ, aVal)
 	tb := r.ensure(b, typ, bVal)
 	tc := r.ensure(c, typ, cVal)
@@ -1095,6 +1192,7 @@ func (r *Runtime) FMA(id int32, typ ir.Type, dst, a, b, c int32, dstVal, aVal, b
 	}
 	r.totalOps++
 	r.checkOp(id, typ, true, d, ta, tc)
+	r.stopTimer(id, t0)
 }
 
 // QClear resets all shadow quires.
@@ -1152,6 +1250,10 @@ func (r *Runtime) QMAdd(typ ir.Type, a, b int32, aVal, bVal uint64, negate bool)
 
 // QVal seeds the rounded quire value's metadata and checks its error.
 func (r *Runtime) QVal(id int32, typ ir.Type, dst int32, bits uint64) {
+	if !r.take(id) {
+		return
+	}
+	t0 := r.startTimer()
 	q := r.squire(typ)
 	d := r.temp(dst)
 	if q.undef {
@@ -1171,6 +1273,7 @@ func (r *Runtime) QVal(id int32, typ ir.Type, dst int32, bits uint64) {
 	d.written = true
 	r.totalOps++
 	r.checkOp(id, typ, false, d, nil, nil)
+	r.stopTimer(id, t0)
 }
 
 func maxInt(a, b int32) int {

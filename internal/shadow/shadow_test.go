@@ -36,7 +36,10 @@ func buildPipeline(tb testing.TB, src string, cfg Config) (*Runtime, *interp.Mac
 	if err := inst.Verify(); err != nil {
 		tb.Fatalf("verify instrumented: %v", err)
 	}
-	rt := NewRuntime(inst, cfg)
+	rt, err := New(inst, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	m := interp.New(inst)
 	m.Hooks = rt
 	return rt, m
@@ -374,7 +377,10 @@ func main(): p32 {
 	}
 	inst := instrument.Instrument(mod, instrument.Options{Skip: map[string]bool{"libwrite": true}})
 	eachBackend(t, func(t *testing.T, k backend.Kind) {
-		rt := NewRuntime(inst, DefaultConfig())
+		rt, err := New(inst, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := interp.New(inst)
 		m.Backend = k
 		m.Hooks = rt
@@ -535,7 +541,10 @@ func TestOnErrorCallback(t *testing.T) {
 		cfg := DefaultConfig()
 		fired := 0
 		cfg.OnError = func(r *Report) { fired++ }
-		rt := NewRuntime(inst, cfg)
+		rt, err := New(inst, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := interp.New(inst)
 		m.Backend = k
 		m.Hooks = rt

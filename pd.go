@@ -22,7 +22,7 @@
 //	}
 //
 // Exec takes functional options — WithShadow, WithSkip, WithLimits,
-// WithHooksWrapper, WithTrace, WithMetrics, WithHerbgrind, WithBaseline,
+// WithInjector, WithTrace, WithMetrics, WithHerbgrind, WithBaseline,
 // WithArgs — so cross-cutting concerns compose instead of multiplying
 // entry points. Warm sessions (Program.Session / Debugger.Exec) accept the
 // same options.
@@ -154,11 +154,9 @@ type Debugger struct {
 	m    *interp.Machine
 	out  bytes.Buffer
 
-	// sampleN and sampler carry the session's sampled-shadow state: the
-	// stride (WithSampling) and the warm decorator, rebuilt lazily when a
-	// per-run option rebinds the profile collector or the stride.
+	// sampleN is the session's sampling stride (WithSampling), which a
+	// degraded retry carries onto its transient runtimes.
 	sampleN int64
-	sampler *interp.Sampling
 }
 
 // P32Arg encodes a float64 as a ⟨32,2⟩ posit argument.
