@@ -335,12 +335,9 @@ func compareOracles(rep *Report, canonical oracle.Kind) bool {
 			// that is where dd's 2x-over-bigfp-256 contract is enforced; the
 			// end-to-end gemm rows (interpreter dispatch + metadata
 			// bookkeeping shared by every oracle) are gated below at
-			// "not slower" like any other warm row.
+			// "not slower", warm and exec rows alike.
 			mark = "  ** dd arithmetic lost its 2x advantage over bigfp-256 **"
 			regressed = true
-		case strings.Contains(b.Name, "cold"):
-			// Cold runs are dominated by identical-across-oracles allocation
-			// work and too noisy to gate; the row is informational.
 		case b.NsPerOp > base.NsPerOp*(1+regressPct/100.0):
 			mark = fmt.Sprintf("  ** %s slower than bigfp by > %d%% **", kind, regressPct)
 			regressed = true
@@ -442,10 +439,12 @@ func codecBenches(add func(string, func(b *testing.B))) {
 	})
 }
 
-// shadowBenches: shadow execution of a small posit kernel, cold (fresh
-// runtime + machine per run, the pre-PR shape) vs warm (one reusable
-// Debugger, the campaign-worker shape). cfg picks the shadow oracle the
-// rows are measured under (see benchShadowConfig).
+// shadowBenches: shadow execution of a small posit kernel, one
+// Program.Exec per run (the served shape: a new machine and runtime built
+// from recycled memory images, shadow pages and the program's cached
+// bytecode) vs warm (one reusable Debugger, the campaign-worker shape).
+// cfg picks the shadow oracle the rows are measured under (see
+// benchShadowConfig).
 func shadowBenches(add func(string, func(b *testing.B)), bk backend.Kind, cfg shadow.Config, suffix string) {
 	k, ok := workloads.KernelByName("gemm")
 	if !ok {
@@ -459,7 +458,7 @@ func shadowBenches(add func(string, func(b *testing.B)), bk backend.Kind, cfg sh
 	if err != nil {
 		fatal(err)
 	}
-	add("shadow/gemm8-cold-run"+suffix, func(b *testing.B) {
+	add("shadow/gemm8-exec-run"+suffix, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := prog.Exec("main", positdebug.WithShadow(cfg), positdebug.WithBackend(bk)); err != nil {
 				b.Fatal(err)

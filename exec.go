@@ -239,27 +239,42 @@ func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
 	}
 	switch {
 	case ec.baseline:
-		return execPlain(p.Module, ec, fn)
+		return execPlain(p.Module, &p.plainChunk, ec, fn)
 	case ec.herb:
-		return execPlain(p.Instrumented(), ec, fn)
+		return execPlain(p.Instrumented(), &p.instChunk, ec, fn)
 	}
 	cfg := ec.boundShadowConfig()
 	emitRunStart(cfg.Events, fn, cfg.Precision)
-	return execShadowLoop(p.shadowModule(ec.skip), cfg, ec, fn, cfg.Precision)
+	mod, chunks := p.shadowModule(ec.skip)
+	return execShadowLoop(mod, chunks, cfg, ec, fn, cfg.Precision)
 }
 
-// shadowModule returns the module shadow runs execute: the Program's
-// cached instrumentation, or a fresh one leaving the skipped functions
-// uninstrumented.
-func (p *Program) shadowModule(skip []string) *ir.Module {
+// shadowModule returns the module shadow runs execute and its bytecode
+// cache: the Program's cached instrumentation, or a fresh one leaving the
+// skipped functions uninstrumented, which has no cache (nil).
+func (p *Program) shadowModule(skip []string) (*ir.Module, *chunkCache) {
 	if len(skip) == 0 {
-		return p.Instrumented()
+		return p.Instrumented(), &p.instChunk
 	}
 	skipSet := make(map[string]bool, len(skip))
 	for _, s := range skip {
 		skipSet[s] = true
 	}
-	return instrument.Instrument(p.Module, instrument.Options{Skip: skipSet})
+	return instrument.Instrument(p.Module, instrument.Options{Skip: skipSet}), nil
+}
+
+// newMachine returns a machine for mod on the backend, its memory image
+// drawn from the ones finished runs released, and its bytecode from
+// chunks when mod has a cache.
+func newMachine(mod *ir.Module, chunks *chunkCache, k backend.Kind) *interp.Machine {
+	m := interp.New(mod)
+	m.Backend = k
+	if k == backend.VM && chunks != nil {
+		if ch := chunks.get(mod); ch != nil {
+			_ = m.UseChunk(ch) // compiled from mod, so accepted
+		}
+	}
+	return m
 }
 
 // boundShadowConfig is the shadow configuration with the option-level
@@ -313,9 +328,9 @@ func flushRunMetrics(reg *obs.Registry, steps int64) {
 // execPlain runs mod without the shadow runtime: uninstrumented for the
 // baseline, or under the Herbgrind-style runtime, whose trace-node count
 // lands in the result.
-func execPlain(mod *ir.Module, ec *execConfig, fn string) (*Result, error) {
-	m := interp.New(mod)
-	m.Backend = ec.backend
+func execPlain(mod *ir.Module, chunks *chunkCache, ec *execConfig, fn string) (*Result, error) {
+	m := newMachine(mod, chunks, ec.backend)
+	defer m.Release()
 	var herb *herbgrind.Runtime
 	if ec.herb {
 		herb = herbgrind.New(mod, ec.herbPrec)
@@ -365,16 +380,18 @@ func degrade(cfg shadow.Config, err error) (shadow.Config, bool) {
 // exceeds the shadow-memory budget, retry at half the precision down to
 // shadow.MinPrecision, flagging the result Degraded against requested (the
 // warm-session retry path enters below the originally requested
-// precision).
-func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string, requested uint) (*Result, error) {
+// precision). Every attempt releases its machine and runtime before the
+// next one starts or the result returns; nothing in a Result points into
+// them, since the summary's reports are rendered strings and the output a
+// copy.
+func execShadowLoop(mod *ir.Module, chunks *chunkCache, cfg shadow.Config, ec *execConfig, fn string, requested uint) (*Result, error) {
 	for {
 		rt, err := shadow.New(mod, cfg)
 		if err != nil {
 			return nil, err
 		}
 		rt.SetSampling(ec.sample)
-		m := interp.New(mod)
-		m.Backend = ec.backend
+		m := newMachine(mod, chunks, ec.backend)
 		m.Hooks = rt
 		m.Injector = ec.inj
 		var out bytes.Buffer
@@ -382,19 +399,25 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 		sp := ec.spans.Start("shadow-exec")
 		v, err := m.RunContext(ec.context(), fn, ec.limits, ec.args...)
 		sp.End()
-		flushRunMetrics(cfg.Metrics, m.Steps())
+		steps := m.Steps()
+		flushRunMetrics(cfg.Metrics, steps)
+		var summary *shadow.Summary
+		if err == nil {
+			rp := ec.spans.Start("report")
+			summary = rt.Summary()
+			rp.End()
+		}
+		m.Release()
+		rt.Release()
 		if err != nil {
 			var retry bool
 			if cfg, retry = degrade(cfg, err); retry {
 				continue
 			}
-			emitRunEnd(cfg.Events, "error", m.Steps(), cfg.Precision)
+			emitRunEnd(cfg.Events, "error", steps, cfg.Precision)
 			return nil, err
 		}
-		rp := ec.spans.Start("report")
-		summary := rt.Summary()
-		rp.End()
-		res := &Result{Value: v, Output: out.String(), Steps: m.Steps(), Summary: summary}
+		res := &Result{Value: v, Output: out.String(), Steps: steps, Summary: summary}
 		res.ShadowOracle = cfg.OracleKind()
 		res.ShadowPrecision = oracle.NominalPrecision(res.ShadowOracle, cfg.Precision)
 		res.Degraded = cfg.Precision != requested
@@ -402,7 +425,7 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 		if res.Degraded {
 			outcome = "degraded"
 		}
-		emitRunEnd(cfg.Events, outcome, m.Steps(), cfg.Precision)
+		emitRunEnd(cfg.Events, outcome, steps, cfg.Precision)
 		return res, nil
 	}
 }
@@ -413,11 +436,6 @@ func execShadowLoop(mod *ir.Module, cfg shadow.Config, ec *execConfig, fn string
 // and WithTrace/WithMetrics/WithProfile/WithSampling bind session-level
 // sinks and the sampling stride. Baseline/Herbgrind and per-run options
 // (limits, injectors, args) are rejected — pass those to Debugger.Exec.
-//
-// The instrumented module is built (and, without WithSkip, cached on the
-// Program) here, so concurrent workers construct sessions only after one
-// call has populated the cache — or sequentially, as parallel.MapWorker
-// does.
 func (p *Program) Session(opts ...Option) (*Debugger, error) {
 	ec, err := buildExecConfig(opts)
 	if err != nil {
@@ -430,7 +448,7 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 		return nil, fmt.Errorf("positdebug: WithInjector/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
 	}
 	cfg := ec.boundShadowConfig()
-	mod := p.shadowModule(ec.skip)
+	mod, _ := p.shadowModule(ec.skip)
 	rt, err := shadow.New(mod, cfg)
 	if err != nil {
 		return nil, err
@@ -498,7 +516,7 @@ func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
 			// Retry on transient runtimes at the reduced precision; the loop
 			// carries the session's sinks (with any per-run overrides already
 			// applied) and emits the closing run-end itself.
-			res, err := execShadowLoop(d.mod, cfg, &execConfig{
+			res, err := execShadowLoop(d.mod, nil, cfg, &execConfig{
 				ctx: ec.ctx, limits: ec.limits, inj: ec.inj, args: ec.args,
 				sample: d.sampleN, spans: ec.spans, backend: d.m.Backend,
 			}, fn, d.cfg.Precision)

@@ -86,7 +86,7 @@ func RecordProfileContext(ctx context.Context, o ProfileOptions) (*profile.Profi
 		return nil, fmt.Errorf("harness: compile %s: %w", k.Name, err)
 	}
 	prog.SetSourceName(k.Name)
-	mod := prog.Instrumented() // populate the cache before workers race for it
+	mod := prog.Instrumented()
 
 	runs := o.Runs
 	if runs <= 0 {

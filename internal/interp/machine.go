@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"positdebug/internal/backend"
@@ -102,17 +104,70 @@ func New(mod *ir.Module) *Machine {
 	return NewWithStack(mod, DefaultStackSize)
 }
 
-// NewWithStack returns a machine with an explicit stack size in bytes.
+// NewWithStack returns a machine with an explicit stack size in bytes. Its
+// memory image comes from the images released by finished machines
+// (Release) when one is large enough, and is freshly allocated otherwise.
 func NewWithStack(mod *ir.Module, stack uint32) *Machine {
 	total := mod.GlobalBase + mod.GlobalSize
 	total = (total + 7) / 8 * 8
 	total += stack
 	return &Machine{
 		Mod:      mod,
-		mem:      make([]byte, total),
+		mem:      newImage(total),
 		quires:   map[ir.Type]*posit.Quire{},
-		lowWater: total, // fresh memory is all zero: nothing dirty
+		lowWater: total, // the image is all zero: nothing dirty
 	}
+}
+
+// images is the free list behind Release: memory images of finished
+// machines, at most GOMAXPROCS of them. Every image on it is zero up to its
+// capacity, so handing one out is a reslice, never a clear.
+var images struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// imageGranule rounds a fresh image's capacity up, so a recycled image also
+// fits modules whose globals are a few KiB larger than its first owner's.
+const imageGranule = 64 << 10
+
+// newImage returns an all-zero image of exactly n bytes: the most recently
+// released one, or a fresh allocation when the list is empty or its image
+// is too small (which is then dropped).
+func newImage(n uint32) []byte {
+	images.Lock()
+	var img []byte
+	if k := len(images.free); k > 0 {
+		img = images.free[k-1]
+		images.free[k-1] = nil
+		images.free = images.free[:k-1]
+	}
+	images.Unlock()
+	if uint64(cap(img)) < uint64(n) {
+		img = make([]byte, n, (uint64(n)+imageGranule-1)/imageGranule*imageGranule)
+	}
+	return img[:n]
+}
+
+// Release returns the machine's memory image to the free list New draws
+// from, sparing the next machine a 4 MiB allocation and clear. It zeroes
+// only what runs dirtied — the module's globals and the stack from the
+// low-water mark up (all of it after a tree-walk run) — which keeps the
+// list's zero-image invariant. The list holds at most GOMAXPROCS images;
+// past that the image is left to the garbage collector. Call Release once
+// the run's results have been read, and do not run the machine again.
+func (m *Machine) Release() {
+	if m.mem == nil {
+		return
+	}
+	m.zeroDirtyMem()
+	img := m.mem
+	m.mem = nil
+	images.Lock()
+	if len(images.free) < runtime.GOMAXPROCS(0) {
+		images.free = append(images.free, img)
+	}
+	images.Unlock()
 }
 
 // Trap is a runtime error raised by the executing program.
@@ -220,10 +275,6 @@ func (s *Stopped) Error() string { return "execution stopped by shadow hook" }
 // Steps returns the number of instructions executed by the last Run.
 func (m *Machine) Steps() int64 { return m.steps }
 
-// Mem exposes the memory image (tests and the shadow runtime's re-init path
-// read it; the program mutates it only through stores).
-func (m *Machine) Mem() []byte { return m.mem }
-
 // Run executes the module's __init function and then the named function
 // with the given argument bit patterns, returning the function's result.
 // If a hook panics with *Stopped (a debugger breakpoint), Run recovers it
@@ -318,9 +369,7 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		m.zeroDirtyMem()
 		m.nextPoll = deadlineCheckMask + 1
 	} else {
-		for i := range m.mem {
-			m.mem[i] = 0
-		}
+		clear(m.mem)
 		// A tree-walk run dirties the stack without low-water tracking;
 		// make the next VM run on this machine re-zero the whole stack.
 		m.lowWater = m.Mod.GlobalBase + m.Mod.GlobalSize

@@ -3,6 +3,7 @@ package interp
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -43,27 +44,53 @@ type FastShadow interface {
 	FastStore(id int32, typ ir.Type, addr uint32, src int32, bits uint64)
 }
 
-// ensureChunk lazily compiles the module to fused bytecode, once per
-// machine. Compile verifies the chunk before returning it, so execution
-// never sees an unverified program.
+// Compile lowers mod to the fused bytecode the VM backend executes.
+// bytecode.Compile verifies the chunk before returning it, so execution
+// never sees an unverified program. Execution only reads a chunk, so one
+// chunk may serve any number of machines running mod at once (UseChunk).
+func Compile(mod *ir.Module) (*bytecode.Module, error) {
+	ch, err := bytecode.Compile(mod, bytecode.Options{Fuse: true})
+	if err != nil {
+		return nil, fmt.Errorf("interp: vm backend: %w", err)
+	}
+	return ch, nil
+}
+
+// UseChunk hands the machine a chunk Compile built from the machine's own
+// module, sparing its VM runs the compile. A chunk compiled from any other
+// module is rejected: its functions call back into that module's IR.
+func (m *Machine) UseChunk(ch *bytecode.Module) error {
+	ok := len(ch.Funcs) == len(m.Mod.Funcs)
+	for i := 0; ok && i < len(ch.Funcs); i++ {
+		ok = ch.Funcs[i].IR == m.Mod.Funcs[i]
+	}
+	if !ok {
+		return errors.New("interp: chunk was not compiled from the machine's module")
+	}
+	m.chunk = ch
+	return nil
+}
+
+// ensureChunk compiles the module to fused bytecode on the machine's first
+// VM run, unless UseChunk supplied it.
 func (m *Machine) ensureChunk() (*bytecode.Module, error) {
 	if m.chunk != nil {
 		return m.chunk, nil
 	}
-	ch, err := bytecode.Compile(m.Mod, bytecode.Options{Fuse: true})
+	ch, err := Compile(m.Mod)
 	if err != nil {
-		return nil, fmt.Errorf("interp: vm backend: %w", err)
+		return nil, err
 	}
 	m.chunk = ch
 	return ch, nil
 }
 
-// zeroDirtyMem prepares memory for a VM run by zeroing globals plus only
-// the dirty region of the stack — everything at or above lowWater is
-// untouched since the last reset and still zero. Frame pushes and stores
-// maintain lowWater, and tree-walk runs poison it to "whole stack dirty",
-// so the optimization is exact: a VM run always starts from the same
-// all-zero image a full memclr would produce.
+// zeroDirtyMem prepares memory for a VM run, and a released image for the
+// free list, by zeroing globals plus only the dirty region of the stack —
+// everything below lowWater is untouched since the last reset and still
+// zero. Frame pushes and stores maintain lowWater, and tree-walk runs
+// poison it to "whole stack dirty", so the optimization is exact: the
+// image ends up as all-zero as a full memclr would leave it.
 func (m *Machine) zeroDirtyMem() {
 	gb, gs := m.Mod.GlobalBase, m.Mod.GlobalSize
 	clear(m.mem[gb : gb+gs])
@@ -119,11 +146,12 @@ func (m *Machine) vmStore(ch *bytecode.Module, fname string, size, addr uint32, 
 	if addr < ch.GlobalBase || uint64(addr)+uint64(size) > uint64(len(m.mem)) {
 		return m.memTrap(fname, size, addr)
 	}
-	// Only stack addresses move the low-water mark: the globals region is
-	// unconditionally cleared by zeroDirtyMem, and letting a global store
-	// drag lowWater below the stack base would degenerate the next reset
-	// into a full-stack memclr.
-	if sb := ch.GlobalBase + ch.GlobalSize; addr >= sb && addr < m.lowWater {
+	// Only stores that reach the stack move the low-water mark: the globals
+	// region is unconditionally cleared by zeroDirtyMem, and letting a
+	// store inside it drag lowWater below the stack base would degenerate
+	// the next reset into a full-stack memclr. A store straddling the end
+	// of the globals (PCL does not bounds-check indexing) does count.
+	if sb := ch.GlobalBase + ch.GlobalSize; addr+size > sb && addr < m.lowWater {
 		m.lowWater = addr
 	}
 	switch size {
@@ -387,7 +415,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			if a < ch.GlobalBase || uint64(a)+4 > uint64(len(m.mem)) {
 				return 0, m.memTrap(f.Name, 4, a)
 			}
-			if sb := ch.GlobalBase + ch.GlobalSize; a >= sb && a < m.lowWater {
+			if sb := ch.GlobalBase + ch.GlobalSize; a+4 > sb && a < m.lowWater {
 				m.lowWater = a
 			}
 			binary.LittleEndian.PutUint32(m.mem[a:], uint32(regs[in.B]))
@@ -396,7 +424,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			if a < ch.GlobalBase || uint64(a)+8 > uint64(len(m.mem)) {
 				return 0, m.memTrap(f.Name, 8, a)
 			}
-			if sb := ch.GlobalBase + ch.GlobalSize; a >= sb && a < m.lowWater {
+			if sb := ch.GlobalBase + ch.GlobalSize; a+8 > sb && a < m.lowWater {
 				m.lowWater = a
 			}
 			binary.LittleEndian.PutUint64(m.mem[a:], regs[in.B])
@@ -679,7 +707,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			if saddr < ch.GlobalBase || uint64(saddr)+uint64(ssz) > uint64(len(m.mem)) {
 				return 0, m.memTrap(f.Name, ssz, saddr)
 			}
-			if sb := ch.GlobalBase + ch.GlobalSize; saddr >= sb && saddr < m.lowWater {
+			if sb := ch.GlobalBase + ch.GlobalSize; saddr+ssz > sb && saddr < m.lowWater {
 				m.lowWater = saddr
 			}
 			sv := regs[in.B]

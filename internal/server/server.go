@@ -773,9 +773,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // progCache is a small LRU of compiled programs keyed by source text — the
-// warm-session path of the service. Entries are published only after
-// Instrumented() has run, so a cached *positdebug.Program is read-only and
-// safe to Exec from any number of concurrent requests.
+// warm-session path of the service. A cached *positdebug.Program is safe to
+// Exec from any number of concurrent requests: it builds its instrumented
+// module and bytecode once, on first use.
 type progCache struct {
 	mu   sync.Mutex
 	cap  int
@@ -809,12 +809,11 @@ func (c *progCache) get(src string) (*positdebug.Program, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// Name the program by source hash before freezing: profile keys and
-	// report positions render as src-<hash>:line:col, stable across
+	// Name the program by source hash before publishing it: profile keys
+	// and report positions render as src-<hash>:line:col, stable across
 	// requests and server restarts.
 	sum := sha256.Sum256([]byte(src))
 	prog.SetSourceName("src-" + hex.EncodeToString(sum[:6]))
-	prog.Instrumented() // freeze the lazy cache before publishing
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

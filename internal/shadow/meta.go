@@ -13,6 +13,9 @@
 package shadow
 
 import (
+	"runtime"
+	"sync"
+
 	"positdebug/internal/ir"
 	"positdebug/internal/shadow/oracle"
 )
@@ -103,6 +106,49 @@ type shadowPage struct {
 	cells [pageSize]MemMeta
 }
 
+// invalidate drops every cell's metadata, writer references included, and
+// keeps the cells' allocated mantissas.
+func (pg *shadowPage) invalidate() {
+	for i := range pg.cells {
+		c := &pg.cells[i]
+		c.set = false
+		c.Writer = mdRef{}
+	}
+}
+
+// freePages is the free list behind Runtime.Release: pages of finished
+// runtimes, at most pagesPerProc·GOMAXPROCS of them, which a runtime takes
+// before allocating a page. A listed page is invalidated when it is taken,
+// so until then it may still reference its last runtime's temporaries.
+var freePages struct {
+	sync.Mutex
+	pages []*shadowPage
+}
+
+// pagesPerProc is how many free pages the list keeps per GOMAXPROCS: a
+// typical run touches two (its globals' page and the top of its stack).
+const pagesPerProc = 2
+
+// takePage returns a page for an empty trie slot: a released one,
+// invalidated the way a new generation's first touch invalidates a kept
+// page, or a fresh one.
+func takePage(gen uint64) *shadowPage {
+	freePages.Lock()
+	var pg *shadowPage
+	if n := len(freePages.pages); n > 0 {
+		pg = freePages.pages[n-1]
+		freePages.pages[n-1] = nil
+		freePages.pages = freePages.pages[:n-1]
+	}
+	freePages.Unlock()
+	if pg == nil {
+		return &shadowPage{gen: gen}
+	}
+	pg.invalidate()
+	pg.gen = gen
+	return pg
+}
+
 type shadowMem struct {
 	pages     []*shadowPage
 	gen       uint64
@@ -153,17 +199,13 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 	pg := s.pages[p]
 	switch {
 	case pg == nil:
-		pg = &shadowPage{gen: s.gen}
+		pg = takePage(s.gen)
 		s.pages[p] = pg
 		s.allocated++
 	case pg.gen != s.gen:
 		// First touch this generation: invalidate every cell in place,
 		// dropping writer references but preserving allocated mantissas.
-		for i := range pg.cells {
-			c := &pg.cells[i]
-			c.set = false
-			c.Writer = mdRef{}
-		}
+		pg.invalidate()
 		pg.gen = s.gen
 		s.allocated++
 	}
@@ -174,6 +216,25 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 // pageCount reports second-level pages touched this generation (tests,
 // stats, and the shadow-memory budget).
 func (s *shadowMem) pageCount() int { return s.allocated }
+
+// release empties the trie onto the free list, up to the list's bound;
+// pages past it are left to the garbage collector.
+func (s *shadowMem) release() {
+	s.last = nil
+	freePages.Lock()
+	defer freePages.Unlock()
+	room := pagesPerProc*runtime.GOMAXPROCS(0) - len(freePages.pages)
+	for i, pg := range s.pages {
+		if pg == nil {
+			continue
+		}
+		s.pages[i] = nil
+		if room > 0 {
+			freePages.pages = append(freePages.pages, pg)
+			room--
+		}
+	}
+}
 
 // shadowFrame holds the temporary metadata of one activation. Frames are
 // pooled: the paper bounds stack-side metadata by the static temporary

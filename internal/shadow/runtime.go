@@ -502,6 +502,14 @@ func (r *Runtime) Summary() *Summary {
 	}
 }
 
+// Release returns the runtime's shadow pages to a package-level free list
+// that later runtimes take pages from before allocating; a taken page is
+// invalidated the way a new run's first touch invalidates a kept one. Call
+// it once the run's Summary has been taken: the runtime stays usable, but
+// its next run starts with an empty trie. ShadowMemPages and
+// ShadowMemBytes keep reporting the last run.
+func (r *Runtime) Release() { r.mem.release() }
+
 // ShadowMemPages reports allocated shadow pages (ablation instrumentation).
 func (r *Runtime) ShadowMemPages() int { return r.mem.pageCount() }
 

@@ -31,7 +31,9 @@ package positdebug
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
+	"positdebug/internal/bytecode"
 	"positdebug/internal/codegen"
 	"positdebug/internal/instrument"
 	"positdebug/internal/interp"
@@ -44,13 +46,31 @@ import (
 )
 
 // Program is a compiled PCL program, ready to run uninstrumented
-// (baseline) or under shadow execution.
+// (baseline) or under shadow execution. Its lazily built caches are safe
+// for concurrent use, so any number of goroutines may Exec one Program.
 type Program struct {
-	Source  string
-	Checked *lang.Checked
-	Module  *ir.Module // uninstrumented IR
+	Source string
+	Module *ir.Module // uninstrumented IR
 
+	instOnce     sync.Once
 	instrumented *ir.Module
+	// plainChunk and instChunk hold Module and Instrumented() compiled to
+	// verified bytecode for the VM backend, each built on first use.
+	plainChunk, instChunk chunkCache
+}
+
+// chunkCache builds one module's bytecode once, safely for concurrent use.
+type chunkCache struct {
+	once sync.Once
+	ch   *bytecode.Module
+}
+
+// get returns mod's bytecode, compiling it on the first call. A module the
+// compiler rejects caches nil; a machine then compiles it itself and
+// reports the error from its run, as it would with no cache.
+func (c *chunkCache) get(mod *ir.Module) *bytecode.Module {
+	c.once.Do(func() { c.ch, _ = interp.Compile(mod) })
+	return c.ch
 }
 
 // Compile parses, type-checks, lowers and verifies a PCL source.
@@ -70,7 +90,7 @@ func Compile(src string) (*Program, error) {
 	if err := mod.Verify(); err != nil {
 		return nil, fmt.Errorf("positdebug: internal error: %w", err)
 	}
-	return &Program{Source: src, Checked: chk, Module: mod}, nil
+	return &Program{Source: src, Module: mod}, nil
 }
 
 // RefactorToPosit rewrites an FP program source into a ⟨32,2⟩ posit
@@ -79,11 +99,12 @@ func RefactorToPosit(src string) (string, error) {
 	return refactor.Source(src, refactor.Options{})
 }
 
-// Instrumented returns (and caches) the shadow-instrumented module.
+// Instrumented returns the shadow-instrumented module, built on the first
+// call.
 func (p *Program) Instrumented() *ir.Module {
-	if p.instrumented == nil {
+	p.instOnce.Do(func() {
 		p.instrumented = instrument.Instrument(p.Module, instrument.Options{})
-	}
+	})
 	return p.instrumented
 }
 
