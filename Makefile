@@ -104,8 +104,6 @@ trace-smoke: build
 	grep -q '^pd_detections_total' $(TRACEDIR)/metrics.prom
 	@echo "trace-smoke: schema-valid trace, parsable DAG, metrics present ✓"
 
-# A ~30-second mini resilience campaign: posit vs float under single bit
-# flips, verified deterministic by running it twice and diffing the JSON.
 # End-to-end profiler check: the parallel-determinism test under the race
 # detector at -cpu=1,4 (profiles and Chrome traces must be byte-identical
 # sequential vs 4 workers), then a real pdprof record whose profile is
@@ -122,12 +120,29 @@ profile-smoke: build
 	$(GO) run ./cmd/pdprof top -n 5 $(PROFDIR)/seq.pdprof
 	@echo "profile-smoke: deterministic profile, valid Chrome trace ✓"
 
+# A ~15-second mini resilience campaign: posit vs float under single bit
+# flips, verified deterministic by running it twice and diffing the JSON.
+# Then two sweeps run on the reference tree-walker with -schedules and are
+# diffed against the default VM, fault schedules included: the default
+# single-fault sweep, and a multi-fault rate sweep over loads, stores and
+# call returns. CI runs this in the test job.
+CAMPAIGNDIR ?= /tmp/pd-campaign-smoke
+CAMPAIGN = $(CAMPAIGNDIR)/pdfault -workload polybench/gemm -seed 42 -runs 200 -arch both
+MULTIFLIP = -model multiflip -rate 0.002 -ops load,store,call
 campaign-smoke: build
-	$(GO) run ./cmd/pdfault -workload polybench/gemm -seed 42 -model bitflip -runs 200 -arch both
-	$(GO) run ./cmd/pdfault -workload polybench/gemm -seed 42 -model bitflip -runs 200 -arch both -json > /tmp/pdfault-smoke-1.json
-	$(GO) run ./cmd/pdfault -workload polybench/gemm -seed 42 -model bitflip -runs 200 -arch both -json > /tmp/pdfault-smoke-2.json
-	diff /tmp/pdfault-smoke-1.json /tmp/pdfault-smoke-2.json
-	@echo "campaign-smoke: deterministic ✓"
+	mkdir -p $(CAMPAIGNDIR)
+	$(GO) build -o $(CAMPAIGNDIR)/pdfault ./cmd/pdfault
+	$(CAMPAIGN) -model bitflip
+	$(CAMPAIGN) -model bitflip -json > $(CAMPAIGNDIR)/run-1.json
+	$(CAMPAIGN) -model bitflip -json > $(CAMPAIGNDIR)/run-2.json
+	diff $(CAMPAIGNDIR)/run-1.json $(CAMPAIGNDIR)/run-2.json
+	$(CAMPAIGN) -json -schedules > $(CAMPAIGNDIR)/single-vm.json
+	$(CAMPAIGN) -json -schedules -backend treewalk > $(CAMPAIGNDIR)/single-treewalk.json
+	diff $(CAMPAIGNDIR)/single-vm.json $(CAMPAIGNDIR)/single-treewalk.json
+	$(CAMPAIGN) $(MULTIFLIP) -json -schedules > $(CAMPAIGNDIR)/multiflip-vm.json
+	$(CAMPAIGN) $(MULTIFLIP) -json -schedules -backend treewalk > $(CAMPAIGNDIR)/multiflip-treewalk.json
+	diff $(CAMPAIGNDIR)/multiflip-vm.json $(CAMPAIGNDIR)/multiflip-treewalk.json
+	@echo "campaign-smoke: deterministic, and byte-identical to the tree-walker ✓"
 
 # Distributed-fabric end-to-end check: the worker-loss and coordinator-
 # resume tests under the race detector at -cpu=1,4 (a 3-worker campaign

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -317,9 +318,9 @@ func TestBackendDiffProfile(t *testing.T) {
 
 // TestBackendDiffSampledInjection exercises the two seams the VM must keep
 // working: the shadow runtime's sampling gate (on the fused FastShadow
-// path) and the machine's fault injector (which forces the event path and
-// must see identical dynamic instruction streams to corrupt identically),
-// alone and combined.
+// path) and the machine's fault injector (which sends only the events it
+// corrupts down the generic Hooks path and must see identical dynamic
+// instruction streams to corrupt identically), alone and combined.
 func TestBackendDiffSampledInjection(t *testing.T) {
 	k, _ := workloads.KernelByName("gemm")
 	src, err := positdebug.RefactorToPosit(k.Source(6))
@@ -344,6 +345,119 @@ func TestBackendDiffSampledInjection(t *testing.T) {
 				positdebug.WithInjector(faultinject.NewInjector(model, int64(stride))))
 		}
 		diffOutcomes(t, "sampled+injected", injected(backend.Treewalk), injected(backend.VM))
+	}
+}
+
+// injectionP16 is a ⟨16,1⟩ program with every injectable op class:
+// fused P16 add/sub/mul, constants, casts, loads, stores, a call return,
+// negation, division and sqrt. No kernel is written in ⟨16,1⟩, so it is
+// the only input on which the fused P16 superinstructions meet an
+// injector.
+const injectionP16 = `
+var v: [8]p16;
+var w: [8]p16;
+
+func dot(n: i64): p16 {
+	var s: p16 = 0.0;
+	for (var i: i64 = 0; i < n; i += 1) {
+		s = s + v[i] * w[i];
+	}
+	return s;
+}
+
+func main(): p16 {
+	for (var i: i64 = 0; i < 8; i += 1) {
+		v[i] = p16(i) * 0.375 - 1.0;
+		w[i] = -(p16(8 - i) / 3.0);
+	}
+	var d: p16 = dot(8);
+	var e: p16 = d - dot(4);
+	return sqrt(e * e) + p16(f64(d) * 0.5);
+}
+`
+
+// TestBackendDiffInjectionMatrix crosses every fault kind with each
+// injectable op class alone, in occurrence mode (the first and the middle
+// eligible event) and in rate mode capped at three faults, on a ⟨32,2⟩
+// kernel, an f64 kernel and a ⟨16,1⟩ program. The VM keeps every event
+// the injector leaves alone on FastShadow and sends only the corrupted
+// ones through Hooks, while the tree-walker takes Hooks throughout, so
+// value, summary and reports, trace events, candidate count and fault
+// schedule must all match.
+func TestBackendDiffInjectionMatrix(t *testing.T) {
+	gemm, _ := workloads.KernelByName("gemm")
+	p32, err := positdebug.RefactorToPosit(gemm.Source(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The injector sees a cast's source type, and the kernels cast only
+	// from i64, so only the ⟨16,1⟩ program has cast faults to inject.
+	programs := []struct {
+		name, src string
+		casts     bool
+	}{
+		{"gemm-p32", p32, false},
+		{"gemm-f64", gemm.Source(6), false},
+		{"p16", injectionP16, true},
+	}
+	kinds := []faultinject.Kind{faultinject.BitFlip, faultinject.MultiBitFlip, faultinject.StuckNaR, faultinject.Saturate}
+	for _, p := range programs {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			prog, err := positdebug.Compile(p.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi := false
+			for _, class := range []string{"arith", "const", "cast", "load", "store", "call"} {
+				ops, err := faultinject.ClassByName(class)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counter := faultinject.NewInjector(faultinject.Model{Ops: ops}, 0)
+				counter.CountOnly = true
+				if _, err := prog.Exec("main", positdebug.WithInjector(counter)); err != nil {
+					t.Fatal(err)
+				}
+				c := counter.Candidates()
+				if (c == 0) == (class != "cast" || p.casts) {
+					t.Fatalf("%d %s events to inject into", c, class)
+				}
+				if c == 0 {
+					continue
+				}
+				for ki, kind := range kinds {
+					models := []faultinject.Model{
+						{Kind: kind, BitPos: -1, Ops: ops, Occurrence: 1},
+						{Kind: kind, BitPos: -1, Ops: ops, Occurrence: c/2 + 1},
+						{Kind: kind, BitPos: -1, Ops: ops, Rate: min(1, 4/float64(c)), MaxInjections: 3},
+					}
+					for mi, model := range models {
+						name := fmt.Sprintf("%s/%s/%v/%d", p.name, class, kind, mi)
+						run := func(k backend.Kind) (execOutcome, *faultinject.Injector) {
+							inj := faultinject.NewInjector(model, int64(ki*len(models)+mi))
+							return runOnBackend(t, prog, k, positdebug.WithInjector(inj)), inj
+						}
+						tw, twInj := run(backend.Treewalk)
+						vm, vmInj := run(backend.VM)
+						diffOutcomes(t, name, tw, vm)
+						if twInj.Candidates() != vmInj.Candidates() {
+							t.Errorf("%s: candidates diverged: treewalk %d, vm %d", name, twInj.Candidates(), vmInj.Candidates())
+						}
+						if tws, vms := mustJSON(t, twInj.Schedule()), mustJSON(t, vmInj.Schedule()); !bytes.Equal(tws, vms) {
+							t.Errorf("%s: schedule diverged\n  treewalk: %s\n  vm:       %s", name, tws, vms)
+						}
+						if model.Occurrence > 0 && len(vmInj.Schedule()) != 1 {
+							t.Errorf("%s: %d faults in occurrence mode", name, len(vmInj.Schedule()))
+						}
+						multi = multi || len(vmInj.Schedule()) > 1
+					}
+				}
+			}
+			if !multi {
+				t.Error("no rate-mode run injected more than one fault")
+			}
+		})
 	}
 }
 

@@ -92,7 +92,9 @@ func WithLimits(lim interp.Limits) Option {
 // WithInjector attaches a fault injector to the run's machine
 // (interp.Machine.Injector): it corrupts values at instrumented shadow
 // events, and the shadow runtime judges each corruption against its clean
-// shadow. The machine resets the injector at every attempt's start, so a
+// shadow. Only the events it corrupts leave the VM's fused shadow path,
+// and a spent injector is not consulted for the rest of the run. The
+// machine resets the injector at every attempt's start, so a
 // deterministic injector replays its schedule on a degraded retry. This is
 // a per-run option: pass it to Exec or Debugger.Exec.
 func WithInjector(inj interp.Injector) Option {
@@ -448,14 +450,13 @@ func (p *Program) Session(opts ...Option) (*Debugger, error) {
 		return nil, fmt.Errorf("positdebug: WithInjector/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
 	}
 	cfg := ec.boundShadowConfig()
-	mod, _ := p.shadowModule(ec.skip)
+	mod, chunks := p.shadowModule(ec.skip)
 	rt, err := shadow.New(mod, cfg)
 	if err != nil {
 		return nil, err
 	}
 	rt.SetSampling(ec.sample)
-	m := interp.New(mod)
-	m.Backend = ec.backend
+	m := newMachine(mod, chunks, ec.backend)
 	m.Hooks = rt
 	d := &Debugger{prog: p, cfg: cfg, mod: mod, rt: rt, m: m, sampleN: ec.sample}
 	m.Out = &d.out

@@ -17,6 +17,8 @@ func (nopInjector) Reset() {}
 
 func (nopInjector) Mutate(int32, ir.Op, ir.Type, uint64) (uint64, bool) { return 0, false }
 
+func (nopInjector) Spent() bool { return false }
+
 // TestExecOptionConflicts: incompatible option combinations fail loudly
 // instead of silently picking a mode.
 func TestExecOptionConflicts(t *testing.T) {

@@ -249,8 +249,20 @@ func (j *Injector) Reset() {
 	j.schedule = j.schedule[:0]
 }
 
-// Candidates reports how many eligible events the last run saw.
+// Candidates reports how many eligible events the last run saw until the
+// injector was spent; a CountOnly injector, never spent, sees them all.
 func (j *Injector) Candidates() int64 { return j.candidates }
+
+// Spent implements interp.Injector: a single-fault injector is spent once
+// it has fired, a capped one once it reaches MaxInjections, and a
+// CountOnly or uncapped rate-mode injector never is.
+func (j *Injector) Spent() bool {
+	if j.CountOnly {
+		return false
+	}
+	return j.model.Occurrence > 0 && j.injected > 0 ||
+		j.model.MaxInjections > 0 && j.injected >= j.model.MaxInjections
+}
 
 // Schedule returns the faults injected by the last run, in order.
 func (j *Injector) Schedule() []Record { return j.schedule }

@@ -137,6 +137,36 @@ func TestSessionInjectorPerRun(t *testing.T) {
 	}
 }
 
+// TestInjectorSpent drives Mutate by hand: an injector is spent exactly
+// when it can corrupt nothing more this run, and a counting or uncapped
+// rate-mode injector never is, since the machine stops consulting a spent
+// injector for the rest of the run.
+func TestInjectorSpent(t *testing.T) {
+	counter := NewInjector(Model{Occurrence: 1}, 0)
+	counter.CountOnly = true
+	for _, tc := range []struct {
+		name  string
+		inj   *Injector
+		spent []bool // Spent after each of five eligible events
+	}{
+		{"occurrence", NewInjector(Model{Occurrence: 3}, 1), []bool{false, false, true, true, true}},
+		{"rate capped", NewInjector(Model{Rate: 1, MaxInjections: 2}, 1), []bool{false, true, true, true, true}},
+		{"rate uncapped", NewInjector(Model{Rate: 1}, 1), []bool{false, false, false, false, false}},
+		{"count only", counter, []bool{false, false, false, false, false}},
+	} {
+		for i, want := range tc.spent {
+			tc.inj.Mutate(1, ir.OpShadowBin, ir.F64, 0x3ff0000000000000)
+			if got := tc.inj.Spent(); got != want {
+				t.Errorf("%s: Spent after event %d = %v, want %v", tc.name, i+1, got, want)
+			}
+		}
+		tc.inj.Reset()
+		if tc.inj.Spent() {
+			t.Errorf("%s: spent after Reset", tc.name)
+		}
+	}
+}
+
 // TestCountOnly: the calibration pass counts eligible events without
 // corrupting anything, and the count matches what a real run sees.
 func TestCountOnly(t *testing.T) {

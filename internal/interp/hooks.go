@@ -71,11 +71,20 @@ type Hooks interface {
 // stores, call returns — carry the same re-seed hazard, so after every hit
 // the machine announces the corruption to hooks implementing
 // InjectionObserver before it delivers the corrupted event.
+//
+// The delivery path is chosen per event: only an event Mutate corrupts
+// reaches the generic Hooks method, and every other event keeps the VM's
+// FastShadow path. After each hit the machine asks Spent; once it reports
+// true, neither backend consults the injector again until the next run.
 type Injector interface {
 	// Reset is called at the start of every Machine.Run, so a rerun (or a
 	// precision-degraded retry) replays the same schedule.
 	Reset()
 	Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (mutated uint64, inject bool)
+	// Spent reports that Mutate will corrupt nothing more this run, so the
+	// machine may stop calling it. It is asked only right after a hit; an
+	// injector that must observe every eligible event returns false.
+	Spent() bool
 }
 
 // InjectionObserver is an optional interface Hooks may implement to be

@@ -1,0 +1,268 @@
+package interp
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"positdebug/internal/backend"
+	"positdebug/internal/ir"
+	"positdebug/internal/posit"
+)
+
+// deliveryHooks records how each value-producing shadow event reaches the
+// runtime — through its generic Hooks method or its FastShadow one — and
+// logs those events, plus injection announcements, in order.
+type deliveryHooks struct {
+	NopHooks
+	fast map[string]int // FastShadow calls by event
+	log  []string
+}
+
+func (h *deliveryHooks) Reset() { h.fast, h.log = map[string]int{}, nil }
+
+func (h *deliveryHooks) on(fast bool, name string, id int32) {
+	if fast {
+		h.fast[name]++
+		name = "fast " + name
+	}
+	h.log = append(h.log, fmt.Sprintf("%s %d", name, id))
+}
+
+func (h *deliveryHooks) Const(id int32, typ ir.Type, dst int32, bits uint64) {
+	h.on(false, "Const", id)
+}
+
+func (h *deliveryHooks) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
+	h.on(false, "Bin", id)
+}
+
+func (h *deliveryHooks) Un(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
+	h.on(false, "Un", id)
+}
+
+func (h *deliveryHooks) Cast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
+	h.on(false, "Cast", id)
+}
+
+func (h *deliveryHooks) Load(id int32, typ ir.Type, dst int32, addr uint32, bits uint64) {
+	h.on(false, "Load", id)
+}
+
+func (h *deliveryHooks) Store(id int32, typ ir.Type, addr uint32, src int32, bits uint64) {
+	h.on(false, "Store", id)
+}
+
+func (h *deliveryHooks) PostCall(id int32, typ ir.Type, dst int32, bits uint64) {
+	h.on(false, "PostCall", id)
+}
+
+func (h *deliveryHooks) FastConst(id int32, typ ir.Type, dst int32, bits uint64) {
+	h.on(true, "Const", id)
+}
+
+func (h *deliveryHooks) FastMov(id int32, typ ir.Type, dst, src int32, bits uint64) {}
+
+func (h *deliveryHooks) FastBin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
+	h.on(true, "Bin", id)
+}
+
+func (h *deliveryHooks) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64 {
+	h.on(true, "BinP32", id)
+	x, y := posit.Bits(aVal), posit.Bits(bVal)
+	switch kind {
+	case ir.BinAdd:
+		return uint64(posit.Config32.Add(x, y))
+	case ir.BinSub:
+		return uint64(posit.Config32.Sub(x, y))
+	default:
+		return uint64(posit.Config32.Mul(x, y))
+	}
+}
+
+func (h *deliveryHooks) FastUn(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
+	h.on(true, "Un", id)
+}
+
+func (h *deliveryHooks) FastCast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
+	h.on(true, "Cast", id)
+}
+
+func (h *deliveryHooks) FastLoad(id int32, typ ir.Type, dst int32, addr uint32, bits uint64) {
+	h.on(true, "Load", id)
+}
+
+func (h *deliveryHooks) FastStore(id int32, typ ir.Type, addr uint32, src int32, bits uint64) {
+	h.on(true, "Store", id)
+}
+
+func (h *deliveryHooks) ObserveInjection(id int32, op ir.Op, typ ir.Type, before, after uint64) {
+	h.log = append(h.log, fmt.Sprintf("inject %d", id))
+}
+
+// normalized is the log with the delivery path erased: the event stream
+// both backends must agree on.
+func (h *deliveryHooks) normalized() string {
+	out := make([]string, len(h.log))
+	for i, e := range h.log {
+		out[i] = pathless(e)
+	}
+	return strings.Join(out, "\n")
+}
+
+func pathless(e string) string {
+	return strings.Replace(strings.TrimPrefix(e, "fast "), "BinP32 ", "Bin ", 1)
+}
+
+// scriptInjector flips the low bit of the events at the given 1-based
+// positions in its Mutate stream and is spent after the last of them.
+type scriptInjector struct {
+	hits      []int64
+	seen      int64 // Mutate calls this run: the candidate count
+	fired     int
+	spent     bool // Spent has reported true
+	lateCalls int  // Mutate calls after that
+}
+
+func (j *scriptInjector) Reset() { j.seen, j.fired, j.spent, j.lateCalls = 0, 0, false, 0 }
+
+func (j *scriptInjector) Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (uint64, bool) {
+	if j.spent {
+		j.lateCalls++
+	}
+	j.seen++
+	if j.fired < len(j.hits) && j.hits[j.fired] == j.seen {
+		j.fired++
+		return bits ^ 1, true
+	}
+	return bits, false
+}
+
+func (j *scriptInjector) Spent() bool {
+	j.spent = j.fired == len(j.hits)
+	return j.spent
+}
+
+// deliverySrc reaches every fused value-producing superinstruction: ⟨32,2⟩
+// and ⟨16,1⟩ arithmetic, f64 arithmetic, negation, constants, casts,
+// loads and stores, with call returns in between. Its control flow does
+// not depend on any corruptible value, so every schedule runs the same
+// event stream.
+const deliverySrc = `
+var xs: [4]p32;
+var ys: [4]f64;
+
+func scale(x: p32, s: p32): p32 {
+	return x * s;
+}
+
+func main(): p32 {
+	var acc: p32 = 0.0;
+	var h: p16 = 1.5;
+	var f: f64 = 0.25;
+	for (var i: i64 = 0; i < 4; i += 1) {
+		xs[i] = p32(i) + 0.5;
+		ys[i] = f64(i) * f;
+	}
+	for (var i: i64 = 0; i < 4; i += 1) {
+		acc = acc + scale(xs[i], 2.0) - p32(ys[i]);
+		h = h * h - h;
+		f = -f;
+	}
+	return acc + p32(h) + p32(f);
+}
+`
+
+// TestInjectorDeliveryRule pins the per-event delivery rule against an
+// uninjected VM run of the same program: an injector that never fires
+// leaves every fused event on FastShadow, a hit alone takes the generic
+// Hooks method right after its announcement, a spent injector is never
+// consulted again and ⟨32,2⟩ ops return to FastBinP32, and both backends
+// show the injector the same event stream.
+func TestInjectorDeliveryRule(t *testing.T) {
+	mod := instrumentForTest(compile(t, deliverySrc))
+	run := func(k backend.Kind, inj Injector) (*deliveryHooks, uint64) {
+		t.Helper()
+		h := &deliveryHooks{}
+		m := New(mod)
+		defer m.Release()
+		m.Backend = k
+		m.Hooks = h
+		m.Injector = inj
+		v, err := m.Run("main")
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		return h, v
+	}
+
+	base, want := run(backend.VM, nil)
+	for _, name := range []string{"BinP32", "Bin", "Un", "Const", "Cast", "Load", "Store"} {
+		if base.fast[name] == 0 {
+			t.Fatalf("program reaches no fast %s event: %v", name, base.fast)
+		}
+	}
+	probe := &scriptInjector{}
+	run(backend.VM, probe)
+	n := probe.seen
+
+	schedules := [][]int64{nil, {2, n - 1}}
+	for k := int64(1); k <= n; k++ {
+		schedules = append(schedules, []int64{k})
+	}
+	for _, hits := range schedules {
+		vmInj, twInj := &scriptInjector{hits: hits}, &scriptInjector{hits: hits}
+		vh, vv := run(backend.VM, vmInj)
+		th, tv := run(backend.Treewalk, twInj)
+		if len(hits) == 0 && vv != want {
+			t.Errorf("never-firing injector changed the result: %#x, want %#x", vv, want)
+		}
+		if vv != tv {
+			t.Errorf("hits %v: vm %#x, treewalk %#x", hits, vv, tv)
+		}
+		wantSeen := n
+		if len(hits) > 0 {
+			wantSeen = hits[len(hits)-1]
+		}
+		if vmInj.seen != wantSeen || twInj.seen != wantSeen {
+			t.Errorf("hits %v: candidates vm %d, treewalk %d, want %d", hits, vmInj.seen, twInj.seen, wantSeen)
+		}
+		if vmInj.lateCalls != 0 || twInj.lateCalls != 0 {
+			t.Errorf("hits %v: Mutate called after Spent (vm %d, treewalk %d times)", hits, vmInj.lateCalls, twInj.lateCalls)
+		}
+		if vh.normalized() != th.normalized() {
+			t.Errorf("hits %v: event streams diverged\nvm:\n%s\ntreewalk:\n%s", hits, vh.normalized(), th.normalized())
+		}
+
+		// Aligned with the uninjected run, each hit event alone changes
+		// path, to generic, and the ⟨32,2⟩ ops report through FastBin
+		// exactly while the injector is live.
+		i, injects, hitID := 0, 0, ""
+		for _, e := range vh.log {
+			if id, ok := strings.CutPrefix(e, "inject "); ok {
+				injects, hitID = injects+1, id
+				continue
+			}
+			if i == len(base.log) {
+				t.Fatalf("hits %v: more events than the uninjected run", hits)
+			}
+			b := base.log[i]
+			i++
+			live := len(hits) == 0 || injects < len(hits)
+			switch {
+			case hitID != "":
+				if strings.HasPrefix(e, "fast ") || pathless(e) != pathless(b) || !strings.HasSuffix(e, " "+hitID) {
+					t.Errorf("hits %v: announcement of %s followed by %q, want the generic form of %q", hits, hitID, e, b)
+				}
+				hitID = ""
+			case live && e != strings.Replace(b, "fast BinP32 ", "fast Bin ", 1):
+				t.Errorf("hits %v: live injector delivered %q, want %q", hits, e, b)
+			case !live && e != b:
+				t.Errorf("hits %v: spent injector delivered %q, want %q", hits, e, b)
+			}
+		}
+		if i != len(base.log) || injects != len(hits) {
+			t.Errorf("hits %v: %d events and %d announcements, want %d and %d", hits, i, injects, len(base.log), len(hits))
+		}
+	}
+}

@@ -41,8 +41,8 @@ type Machine struct {
 	Mod   *ir.Module
 	Hooks Hooks
 	// Injector, when set, corrupts values at the shadow events of
-	// instrumented code (fault injection; see Injector). A run with an
-	// injector delivers every event through Hooks, never FastShadow.
+	// instrumented code (fault injection; see Injector). Only an event it
+	// corrupts is delivered through Hooks instead of FastShadow.
 	Injector Injector
 	Out      io.Writer // print destination; nil discards
 	MaxSteps int64     // instruction budget; 0 means DefaultMaxSteps
@@ -67,10 +67,13 @@ type Machine struct {
 	// deadline and context (every deadlineCheckMask+1 steps, like the
 	// tree-walker's mask check, which fused two-step ops may straddle).
 	nextPoll int64
-	// fastHooks is non-nil when the current run's hooks implement
-	// FastShadow and no Injector is set; fused superinstructions then
-	// deliver events through it.
+	// fastHooks is non-nil when the current VM run's hooks implement
+	// FastShadow; fused superinstructions then deliver every event the
+	// injector leaves alone through it.
 	fastHooks FastShadow
+	// inj is the injector the current run still consults: Injector at run
+	// start, nil once it reports Spent.
+	inj Injector
 
 	// Execution-position breadcrumbs for structured fault reports. The
 	// tree-walker maintains curBlk/curIdx per instruction; the VM loop
@@ -349,7 +352,7 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		}
 	}
 	m.fastHooks = nil
-	if useVM && m.Injector == nil {
+	if useVM {
 		m.fastHooks, _ = m.Hooks.(FastShadow)
 	}
 	if lim.Timeout > 0 {
@@ -378,8 +381,9 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		q.Clear()
 	}
 	m.Hooks.Reset()
-	if m.Injector != nil {
-		m.Injector.Reset()
+	m.inj = m.Injector
+	if m.inj != nil {
+		m.inj.Reset()
 	}
 	fn := m.Mod.FuncByName(name)
 	if fn == nil {
@@ -638,8 +642,8 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 			m.Hooks.Load(in.ID, in.Type, in.Dst, uint32(regs[in.A]), regs[in.Dst])
 		case ir.OpShadowStore:
 			stored := regs[in.B]
-			if m.Injector != nil {
-				if nb, ok := m.Injector.Mutate(in.ID, in.Op, in.Type, stored); ok {
+			if m.inj != nil {
+				if nb, ok := m.inj.Mutate(in.ID, in.Op, in.Type, stored); ok {
 					// A store fault corrupts the memory cell, not the
 					// register: rewrite the bytes the OpStore just wrote.
 					m.injected(in.ID, in.Op, in.Type, stored, nb)
@@ -696,24 +700,28 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 // shadow value, which is exactly what lets the shadow oracle detect the
 // fault.
 func (m *Machine) mutate(in *ir.Instr, regs []uint64) {
-	if m.Injector == nil {
+	if m.inj == nil {
 		return
 	}
-	if nb, ok := m.Injector.Mutate(in.ID, in.Op, in.Type, regs[in.Dst]); ok {
+	if nb, ok := m.inj.Mutate(in.ID, in.Op, in.Type, regs[in.Dst]); ok {
 		m.injected(in.ID, in.Op, in.Type, regs[in.Dst], nb)
 		regs[in.Dst] = nb
 	}
 }
 
 // injected announces a corruption the Injector just applied to hooks that
-// implement InjectionObserver, before the corrupted event is delivered. It
-// runs only on a hit and stays out of line, so the mutate path that every
-// event of an injected run takes does not grow.
+// implement InjectionObserver, before the corrupted event is delivered,
+// and stops consulting an injector that reports Spent for the rest of the
+// run. It runs only on a hit and stays out of line, so the paths that
+// every event of an injected run takes do not grow.
 //
 //go:noinline
 func (m *Machine) injected(id int32, op ir.Op, typ ir.Type, before, after uint64) {
 	if o, ok := m.Hooks.(InjectionObserver); ok {
 		o.ObserveInjection(id, op, typ, before, after)
+	}
+	if m.inj.Spent() {
+		m.inj = nil
 	}
 }
 

@@ -22,12 +22,17 @@ import (
 // and precision-geometry checks instead of re-deriving each from the raw
 // bits.
 //
-// The machine binds FastShadow when the run has no Injector and the Hooks
-// value implements it. An Injector forces every event through the generic
-// mutate-then-Hooks path the tree-walker uses, since a corrupted value
-// breaks the uncorrupted-result assumption. Sampling and latency timing
-// live inside the shadow runtime, which gates its Fast* compute methods
-// exactly like its Hooks ones, so sampled runs keep the fused path.
+// The machine binds FastShadow on every VM run whose Hooks value
+// implements it, and decides the delivery path per event. An event the
+// Injector corrupts breaks the uncorrupted-result assumption, so it alone
+// goes through InjectionObserver and the generic Hooks method, as on the
+// tree-walker; every other event keeps its Fast* method. While an injector
+// is live, the ⟨32,2⟩ superinstructions compute their result in the VM,
+// where the injector can see it, and deliver it through FastBin;
+// FastBinP32 resumes once the injector is Spent. Sampling and latency
+// timing live inside the shadow runtime, which gates its Fast* compute
+// methods exactly like its Hooks ones, so sampled runs keep the fused
+// path.
 type FastShadow interface {
 	FastConst(id int32, typ ir.Type, dst int32, bits uint64)
 	FastMov(id int32, typ ir.Type, dst, src int32, bits uint64)
@@ -104,17 +109,40 @@ func (m *Machine) zeroDirtyMem() {
 	m.lowWater = uint32(len(m.mem))
 }
 
-// vmMutate is mutate for bytecode instructions: consult the Injector right
-// before a value-producing shadow event and rewrite the destination
-// register with the corrupted bits.
-func (m *Machine) vmMutate(id int32, op ir.Op, t ir.Type, regs []uint64, dst int32) {
-	if m.Injector == nil {
-		return
-	}
-	if nb, ok := m.Injector.Mutate(id, op, t, regs[dst]); ok {
+// vmMutate is mutate for bytecode instructions: consult the live injector
+// right before a value-producing shadow event and rewrite the destination
+// register with the corrupted bits. It reports a hit, which a fused
+// superinstruction delivers through Hooks instead of FastShadow, and
+// inlines to one nil test when no injector is live.
+//
+// The fused superinstructions test "fh != nil && m.inj == nil" first and
+// call FastShadow directly: that test compiles to two branches, where
+// folding it into one condition with the vmMutate call makes the compiler
+// materialize a boolean on the path every uninjected run takes.
+func (m *Machine) vmMutate(id int32, op ir.Op, t ir.Type, regs []uint64, dst int32) bool {
+	return m.inj != nil && m.vmHit(id, op, t, regs, dst)
+}
+
+// vmHit is vmMutate past its nil test.
+func (m *Machine) vmHit(id int32, op ir.Op, t ir.Type, regs []uint64, dst int32) bool {
+	nb, ok := m.inj.Mutate(id, op, t, regs[dst])
+	if ok {
 		m.injected(id, op, t, regs[dst], nb)
 		regs[dst] = nb
 	}
+	return ok
+}
+
+// vmStoreHit consults the live injector at a store event. A store fault
+// corrupts the memory cell, not the register: on a hit it rewrites the
+// bytes the store just wrote and returns the corrupted bits.
+func (m *Machine) vmStoreHit(ch *bytecode.Module, fname string, id int32, t ir.Type, addr uint32, bits uint64) (uint64, bool, error) {
+	nb, ok := m.inj.Mutate(id, ir.OpShadowStore, t, bits)
+	if !ok {
+		return bits, false, nil
+	}
+	m.injected(id, ir.OpShadowStore, t, bits, nb)
+	return nb, true, m.vmStore(ch, fname, t.Size(), addr, nb)
 }
 
 // memTrap builds the out-of-bounds trap off the hot path, keeping
@@ -510,15 +538,10 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			m.Hooks.Load(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
 		case bytecode.OpShStore:
 			stored := regs[in.B]
-			if m.Injector != nil {
-				if nb, ok := m.Injector.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
-					// A store fault corrupts the memory cell, not the
-					// register: rewrite the bytes the store just wrote.
-					m.injected(in.ID, ir.OpShadowStore, ir.Type(in.T), stored, nb)
-					stored = nb
-					if err := m.vmStore(ch, f.Name, ir.Type(in.T).Size(), uint32(regs[in.A]), stored); err != nil {
-						return 0, err
-					}
+			if m.inj != nil {
+				var err error
+				if stored, _, err = m.vmStoreHit(ch, f.Name, in.ID, ir.Type(in.T), uint32(regs[in.A]), stored); err != nil {
+					return 0, err
 				}
 			}
 			m.Hooks.Store(in.ID, ir.Type(in.T), uint32(regs[in.A]), in.B, stored)
@@ -561,10 +584,11 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 
 		case bytecode.OpFusedConst:
 			regs[in.Dst] = in.Imm
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastConst(in.ID, ir.Type(in.T), in.Dst, in.Imm)
+			} else if !m.vmMutate(in.ID, ir.OpShadowConst, ir.Type(in.T), regs, in.Dst) && fh != nil {
 				fh.FastConst(in.ID, ir.Type(in.T), in.Dst, in.Imm)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowConst, ir.Type(in.T), regs, in.Dst)
 				m.Hooks.Const(in.ID, ir.Type(in.T), in.Dst, regs[in.Dst])
 			}
 		case bytecode.OpFusedMov:
@@ -577,33 +601,36 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 		case bytecode.OpFusedAddP16:
 			av, bv := regs[in.A], regs[in.B]
 			regs[in.Dst] = uint64(posit.Config16.Add(posit.Bits(av), posit.Bits(bv)))
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastBin(in.ID, ir.BinAdd, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+			} else if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst) && fh != nil {
 				fh.FastBin(in.ID, ir.BinAdd, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst)
 				m.Hooks.Bin(in.ID, ir.BinAdd, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			}
 		case bytecode.OpFusedSubP16:
 			av, bv := regs[in.A], regs[in.B]
 			regs[in.Dst] = uint64(posit.Config16.Sub(posit.Bits(av), posit.Bits(bv)))
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastBin(in.ID, ir.BinSub, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+			} else if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst) && fh != nil {
 				fh.FastBin(in.ID, ir.BinSub, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst)
 				m.Hooks.Bin(in.ID, ir.BinSub, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			}
 		case bytecode.OpFusedMulP16:
 			av, bv := regs[in.A], regs[in.B]
 			regs[in.Dst] = uint64(posit.Config16.Mul(posit.Bits(av), posit.Bits(bv)))
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastBin(in.ID, ir.BinMul, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+			} else if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst) && fh != nil {
 				fh.FastBin(in.ID, ir.BinMul, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P16, regs, in.Dst)
 				m.Hooks.Bin(in.ID, ir.BinMul, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			}
 		case bytecode.OpFusedAddP32:
 			av, bv := regs[in.A], regs[in.B]
-			if fh != nil {
+			if fh != nil && m.inj == nil {
 				// One dispatch covers arithmetic, codec fast path, and
 				// shadow bookkeeping: the shadow runtime computes the
 				// program result from its memoized operand decodes —
@@ -612,26 +639,35 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinAdd, in.Dst, in.A, in.B, av, bv)
 			} else {
 				regs[in.Dst] = uint64(posit.Config32.Add(posit.Bits(av), posit.Bits(bv)))
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-				m.Hooks.Bin(in.ID, ir.BinAdd, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst) && fh != nil {
+					fh.FastBin(in.ID, ir.BinAdd, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				} else {
+					m.Hooks.Bin(in.ID, ir.BinAdd, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				}
 			}
 		case bytecode.OpFusedSubP32:
 			av, bv := regs[in.A], regs[in.B]
-			if fh != nil {
+			if fh != nil && m.inj == nil {
 				regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinSub, in.Dst, in.A, in.B, av, bv)
 			} else {
 				regs[in.Dst] = uint64(posit.Config32.Sub(posit.Bits(av), posit.Bits(bv)))
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-				m.Hooks.Bin(in.ID, ir.BinSub, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst) && fh != nil {
+					fh.FastBin(in.ID, ir.BinSub, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				} else {
+					m.Hooks.Bin(in.ID, ir.BinSub, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				}
 			}
 		case bytecode.OpFusedMulP32:
 			av, bv := regs[in.A], regs[in.B]
-			if fh != nil {
+			if fh != nil && m.inj == nil {
 				regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinMul, in.Dst, in.A, in.B, av, bv)
 			} else {
 				regs[in.Dst] = uint64(posit.Config32.Mul(posit.Bits(av), posit.Bits(bv)))
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-				m.Hooks.Bin(in.ID, ir.BinMul, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				if !m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst) && fh != nil {
+					fh.FastBin(in.ID, ir.BinMul, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				} else {
+					m.Hooks.Bin(in.ID, ir.BinMul, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+				}
 			}
 		case bytecode.OpFusedBin:
 			av, bv := regs[in.A], regs[in.B]
@@ -640,19 +676,21 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				return 0, err
 			}
 			regs[in.Dst] = v
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastBin(in.ID, ir.BinKind(in.K), ir.Type(in.T), in.Dst, in.A, in.B, regs[in.Dst], av, bv)
+			} else if !m.vmMutate(in.ID, ir.OpShadowBin, ir.Type(in.T), regs, in.Dst) && fh != nil {
 				fh.FastBin(in.ID, ir.BinKind(in.K), ir.Type(in.T), in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowBin, ir.Type(in.T), regs, in.Dst)
 				m.Hooks.Bin(in.ID, ir.BinKind(in.K), ir.Type(in.T), in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			}
 		case bytecode.OpFusedUn:
 			av := regs[in.A]
 			regs[in.Dst] = unEval(ir.UnKind(in.K), ir.Type(in.T), av)
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastUn(in.ID, ir.UnKind(in.K), ir.Type(in.T), in.Dst, in.A, regs[in.Dst], av)
+			} else if !m.vmMutate(in.ID, ir.OpShadowUn, ir.Type(in.T), regs, in.Dst) && fh != nil {
 				fh.FastUn(in.ID, ir.UnKind(in.K), ir.Type(in.T), in.Dst, in.A, regs[in.Dst], av)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowUn, ir.Type(in.T), regs, in.Dst)
 				m.Hooks.Un(in.ID, ir.UnKind(in.K), ir.Type(in.T), in.Dst, in.A, regs[in.Dst], av)
 			}
 		case bytecode.OpFusedCmp:
@@ -667,10 +705,11 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 		case bytecode.OpFusedCast:
 			av := regs[in.A]
 			regs[in.Dst] = castEval(ir.Type(in.T), ir.Type(in.T2), av)
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastCast(in.ID, ir.Type(in.T), ir.Type(in.T2), in.Dst, in.A, regs[in.Dst], av)
+			} else if !m.vmMutate(in.ID, ir.OpShadowCast, ir.Type(in.T), regs, in.Dst) && fh != nil {
 				fh.FastCast(in.ID, ir.Type(in.T), ir.Type(in.T2), in.Dst, in.A, regs[in.Dst], av)
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowCast, ir.Type(in.T), regs, in.Dst)
 				m.Hooks.Cast(in.ID, ir.Type(in.T), ir.Type(in.T2), in.Dst, in.A, regs[in.Dst], av)
 			}
 		case bytecode.OpFusedLoad:
@@ -694,10 +733,11 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				v = binary.LittleEndian.Uint64(m.mem[addr:])
 			}
 			regs[in.Dst] = v
-			if fh != nil {
+			if fh != nil && m.inj == nil {
+				fh.FastLoad(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
+			} else if !m.vmMutate(in.ID, ir.OpShadowLoad, ir.Type(in.T), regs, in.Dst) && fh != nil {
 				fh.FastLoad(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
 			} else {
-				m.vmMutate(in.ID, ir.OpShadowLoad, ir.Type(in.T), regs, in.Dst)
 				m.Hooks.Load(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
 			}
 		case bytecode.OpFusedStore:
@@ -721,20 +761,21 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			default:
 				binary.LittleEndian.PutUint64(m.mem[saddr:], sv)
 			}
-			if fh != nil {
-				fh.FastStore(in.ID, ir.Type(in.T), uint32(regs[in.A]), in.B, regs[in.B])
+			if fh != nil && m.inj == nil {
+				fh.FastStore(in.ID, ir.Type(in.T), saddr, in.B, sv)
 			} else {
-				stored := regs[in.B]
-				if m.Injector != nil {
-					if nb, ok := m.Injector.Mutate(in.ID, ir.OpShadowStore, ir.Type(in.T), stored); ok {
-						m.injected(in.ID, ir.OpShadowStore, ir.Type(in.T), stored, nb)
-						stored = nb
-						if err := m.vmStore(ch, f.Name, ir.Type(in.T).Size(), uint32(regs[in.A]), stored); err != nil {
-							return 0, err
-						}
+				hit := false
+				if m.inj != nil {
+					var err error
+					if sv, hit, err = m.vmStoreHit(ch, f.Name, in.ID, ir.Type(in.T), saddr, sv); err != nil {
+						return 0, err
 					}
 				}
-				m.Hooks.Store(in.ID, ir.Type(in.T), uint32(regs[in.A]), in.B, stored)
+				if !hit && fh != nil {
+					fh.FastStore(in.ID, ir.Type(in.T), saddr, in.B, sv)
+				} else {
+					m.Hooks.Store(in.ID, ir.Type(in.T), saddr, in.B, sv)
+				}
 			}
 		case bytecode.OpFusedPrint:
 			m.print(ir.Type(in.T), regs[in.A])

@@ -11,9 +11,10 @@ import (
 )
 
 // This file implements interp.FastShadow: the VM's fused superinstructions
-// deliver shadow events here when the run has no fault injector. Sampled
-// and timed runs keep this path, since the compute events apply the same
-// take and timer gates as their Hooks counterparts. The contract is
+// deliver shadow events here, except an event a fault injector corrupts,
+// which takes the regular Hooks method. Sampled and timed runs keep this
+// path, since the compute events apply the same take and timer gates as
+// their Hooks counterparts. The contract is
 // byte-identity with the regular Hooks methods — same reports, same
 // counters, same DAGs, same panics — which the differential suite
 // (backend_diff_test.go) enforces end to end. What the
