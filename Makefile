@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-frontend fuzz-bytecode campaign-smoke bench-json bench-serve bench-profile bench-fabric trace-smoke profile-smoke fabric-smoke chaos-smoke fleet-obs-smoke vm-smoke oracle-smoke
+.PHONY: all build vet test race fuzz fuzz-frontend fuzz-bytecode campaign-smoke bench bench-json bench-serve bench-profile bench-fabric trace-smoke profile-smoke fabric-smoke chaos-smoke fleet-obs-smoke vm-smoke oracle-smoke
 
 all: build vet test
 
@@ -17,6 +17,10 @@ race:
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/interp/ ./internal/shadow/ ./internal/parallel/ ./internal/server/
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestExecGoldenReplay|TestExecRecycledImageAdversarial|TestExecConcurrentFreshProgram' .
 	$(GO) test -race -count=1 -cpu=1,4 -run ParallelDeterminism ./internal/faultinject/ ./internal/harness/
+
+# Regenerate every checked-in benchmark report. Each records the commit
+# and pdbench command that produced it.
+bench: bench-json bench-serve bench-profile bench-fabric
 
 # Regenerate the checked-in benchmark report (BENCH_shadow.json),
 # including the per-oracle speed/precision frontier rows (@dd/@residue).
@@ -75,7 +79,7 @@ fuzz-bytecode:
 
 # Two-backend differential suite under the race detector at -cpu=1,4:
 # detection runs, polybench kernels, step limits, a fault campaign, a
-# profile, sampled injection, warm sessions, served runs with metrics, and
+# profile, sampled injection, served runs with metrics, and
 # Herbgrind runs must all be byte-identical between the tree-walking
 # interpreter and the bytecode VM, sequential and 4-worker alike. A pd run
 # of the Figure 2 program with a metrics dump on the default backend (the

@@ -499,49 +499,3 @@ func TestBackendDiffSampledSuite(t *testing.T) {
 		})
 	}
 }
-
-// TestBackendDiffWarmSession runs the same program repeatedly on one warm
-// Session per backend, interleaving entry functions, to check that the
-// VM's dirty-region memory reset reproduces the tree-walker's full
-// memclr image exactly — including after a treewalk run dirtied memory on
-// a machine later switched to the VM (the Session path never switches,
-// but repeated VM runs reuse the same arena).
-func TestBackendDiffWarmSession(t *testing.T) {
-	k, _ := workloads.KernelByName("atax")
-	src, err := positdebug.RefactorToPosit(k.Source(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := positdebug.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	session := func(k backend.Kind) []execOutcome {
-		d, err := prog.Session(positdebug.WithShadow(shadow.DefaultConfig()), positdebug.WithBackend(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []execOutcome
-		for i := 0; i < 4; i++ {
-			res, err := d.Exec("main")
-			oc := execOutcome{}
-			if err != nil {
-				oc.Err = err.Error()
-			} else {
-				oc.Value, oc.Output, oc.Steps = res.Value, res.Output, res.Steps
-				if res.Summary != nil {
-					oc.Summary = mustJSON(t, res.Summary)
-				}
-			}
-			out = append(out, oc)
-		}
-		return out
-	}
-	tws, vms := session(backend.Treewalk), session(backend.VM)
-	for i := range tws {
-		diffOutcomes(t, "warm-run", tws[i], vms[i])
-		if i > 0 && tws[i].Value != tws[0].Value {
-			t.Fatalf("treewalk warm run %d drifted from run 0", i)
-		}
-	}
-}

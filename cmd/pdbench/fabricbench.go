@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"positdebug/internal/fabric"
@@ -33,6 +35,7 @@ type FabricBenchRow struct {
 
 // FabricReport is the file format of BENCH_fabric.json.
 type FabricReport struct {
+	Provenance
 	Go         string           `json:"go"`
 	GOOS       string           `json:"goos"`
 	GOARCH     string           `json:"goarch"`
@@ -54,24 +57,34 @@ type FabricReport struct {
 	Ring *RingBenchReport `json:"ring,omitempty"`
 }
 
-// RingBenchReport quantifies what consistent-hash worker selection buys:
-// the fraction of same-kernel requests that re-hit a warm compile cache
-// before and after a membership change, against the naive mod-hash
-// placement a fleet without a ring would use.
+// RingBenchReport quantifies what consistent-hash worker selection buys
+// when a fourth worker joins a 3-worker fleet. The moved fractions are
+// percentiles over Fleets seeded synthetic fleets and Keys fixed keys (the
+// draw TestRingJoinMovesFairShare bounds), so they do not depend on the
+// ports one run happens to get. The hit rates come from one live fleet.
 type RingBenchReport struct {
-	Kernels      int `json:"kernels"`
 	VirtualNodes int `json:"virtual_nodes"`
-	// StaticHitRate: warm re-requests on a stable 3-worker fleet.
-	StaticHitRate float64 `json:"static_hit_rate"`
-	// ChurnHitRate: re-requests routed by the post-join 4-worker ring —
-	// only kernels on the moved arc go cold.
-	ChurnHitRate float64 `json:"churn_hit_rate"`
-	// MovedFraction: kernels whose ring owner changed when the fourth
-	// worker joined (ideally ≈ 1/4).
-	MovedFraction float64 `json:"moved_fraction"`
-	// ModHashMovedFraction: how many kernels mod-hash placement
-	// (hash % fleet size) would have moved on the same join (≈ 3/4).
-	ModHashMovedFraction float64 `json:"mod_hash_moved_fraction"`
+	Fleets       int `json:"fleets"`
+	Keys         int `json:"keys"`
+	// MovedFraction: keys whose ring owner changed (fair share 1/4).
+	MovedFraction Percentiles `json:"moved_fraction"`
+	// ModHashMovedFraction: keys that mod-hash placement over the sorted
+	// members (hash % fleet size) would move on the same join.
+	ModHashMovedFraction Percentiles `json:"mod_hash_moved_fraction"`
+	// OneFleetStaticHitRate: warm re-requests of OneFleetKernels kernels
+	// on one live 3-worker fleet, routed by ring ownership;
+	// OneFleetChurnHitRate: the same kernels re-requested through the
+	// 4-worker ring after the join — only kernels on the moved arcs go cold.
+	OneFleetKernels       int     `json:"one_fleet_kernels"`
+	OneFleetStaticHitRate float64 `json:"one_fleet_static_hit_rate"`
+	OneFleetChurnHitRate  float64 `json:"one_fleet_churn_hit_rate"`
+}
+
+// Percentiles summarises a statistic over many draws.
+type Percentiles struct {
+	P5     float64 `json:"p5"`
+	Median float64 `json:"median"`
+	P95    float64 `json:"p95"`
 }
 
 // fabricBench measures distributed campaign throughput with 1 vs 3
@@ -226,34 +239,74 @@ func fabricBench(out, workload string, n, runs, shardSize int, strict bool) erro
 	rep.MergeMS = float64(time.Since(start).Microseconds()) / 1000 / mergeIters
 	fmt.Fprintf(os.Stderr, "%-22s %8.3fms per merge (%d shards)\n", "merge", rep.MergeMS, len(shards))
 
-	ring, err := ringBench()
-	if err != nil {
+	rep.Ring = ringPlacement()
+	if err := liveRingFleet(rep.Ring); err != nil {
 		return err
 	}
-	rep.Ring = ring
-	fmt.Fprintf(os.Stderr, "%-22s %5.0f%% static, %5.0f%% after join (ring moved %.0f%%, mod-hash would move %.0f%%)\n",
-		"cache affinity", ring.StaticHitRate*100, ring.ChurnHitRate*100,
-		ring.MovedFraction*100, ring.ModHashMovedFraction*100)
+	ring := rep.Ring
+	fmt.Fprintf(os.Stderr, "%-22s ring moved %.3f/%.3f/%.3f (p5/median/p95 over %d fleets), mod-hash %.3f/%.3f/%.3f\n",
+		"3→4 join", ring.MovedFraction.P5, ring.MovedFraction.Median, ring.MovedFraction.P95, ring.Fleets,
+		ring.ModHashMovedFraction.P5, ring.ModHashMovedFraction.Median, ring.ModHashMovedFraction.P95)
+	fmt.Fprintf(os.Stderr, "%-22s %5.0f%% static, %5.0f%% after join (one live fleet)\n",
+		"cache affinity", ring.OneFleetStaticHitRate*100, ring.OneFleetChurnHitRate*100)
 
-	j, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	j = append(j, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(j)
-		return err
-	}
-	return os.WriteFile(out, j, 0o644)
+	return writeReport(out, rep)
 }
 
-// ringBench measures compile-cache affinity across a membership change.
-// Distinct synthetic kernels are warmed on a 3-worker fleet with requests
-// routed by ring ownership; then a fourth worker joins, the ring is
-// rebuilt, and every kernel is requested once more through the new ring.
-// Kernels off the moved arc land on the worker that already compiled them
-// (warm hit); mod-hash placement would have reshuffled almost everything.
-func ringBench() (*RingBenchReport, error) {
+// ringPlacement draws 200 fleets of three members with seeded loopback
+// names, joins a fourth, and reports the fraction of 2000 fixed keys whose
+// owner moved, under the ring and under mod-hash placement. The draw is
+// the one TestRingJoinMovesFairShare bounds to [0.15, 0.35] at p5 and p95.
+func ringPlacement() *RingBenchReport {
+	const fleets, nKeys = 200, 2000
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("polybench/kernel-%d|8|posit", i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	member := func() string { return fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64512)) }
+	moved := make([]float64, fleets)
+	modMoved := make([]float64, fleets)
+	for f := range moved {
+		members := []string{member(), member(), member()}
+		before := fabric.NewRing(members, fabric.DefaultVirtualNodes)
+		after := fabric.NewRing(append(members, member()), fabric.DefaultVirtualNodes)
+		was, is := before.Members(), after.Members()
+		n, nMod := 0, 0
+		for _, k := range keys {
+			if before.Owner(k) != after.Owner(k) {
+				n++
+			}
+			h := fnv.New64a()
+			h.Write([]byte(k))
+			if was[h.Sum64()%uint64(len(was))] != is[h.Sum64()%uint64(len(is))] {
+				nMod++
+			}
+		}
+		moved[f] = float64(n) / float64(nKeys)
+		modMoved[f] = float64(nMod) / float64(nKeys)
+	}
+	return &RingBenchReport{
+		VirtualNodes: fabric.DefaultVirtualNodes, Fleets: fleets, Keys: nKeys,
+		MovedFraction: percentiles(moved), ModHashMovedFraction: percentiles(modMoved),
+	}
+}
+
+// percentiles sorts xs and reads its 5th, 50th and 95th percentiles.
+func percentiles(xs []float64) Percentiles {
+	sort.Float64s(xs)
+	n := len(xs)
+	return Percentiles{P5: xs[n*5/100], Median: xs[n/2], P95: xs[n*95/100]}
+}
+
+// liveRingFleet measures compile-cache affinity across a membership
+// change on one fleet of in-process workers. Distinct synthetic kernels
+// are warmed on 3 workers with requests routed by ring ownership; then a
+// fourth worker joins, the ring is rebuilt, and every kernel is requested
+// once more through the new ring. Kernels off the moved arc land on the
+// worker that already compiled them (warm hit). Which kernels move depends
+// on the ports this fleet got, so these rates are one draw.
+func liveRingFleet(rep *RingBenchReport) error {
 	const kernels = 48
 	workers := make([]*httptest.Server, 0, 4)
 	defer func() {
@@ -294,51 +347,40 @@ func ringBench() (*RingBenchReport, error) {
 		return rr.Cached, nil
 	}
 
-	rep := &RingBenchReport{Kernels: kernels, VirtualNodes: fabric.DefaultVirtualNodes}
+	rep.OneFleetKernels = kernels
 	ring3 := fabric.NewRing(urls, fabric.DefaultVirtualNodes)
 
 	// Cold pass then warm pass on the stable fleet, both ring-routed.
 	for _, src := range srcs {
 		if _, err := post(ring3.Owner(src), src); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	staticHits := 0
 	for _, src := range srcs {
 		hit, err := post(ring3.Owner(src), src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if hit {
 			staticHits++
 		}
 	}
-	rep.StaticHitRate = float64(staticHits) / kernels
+	rep.OneFleetStaticHitRate = float64(staticHits) / kernels
 
-	// A fourth worker joins; the ring moves one arc, mod-hash would
-	// reshuffle nearly everything.
+	// A fourth worker joins; the ring moves only the keys on its arcs.
 	urls4 := append(append([]string{}, urls...), addWorker())
 	ring4 := fabric.NewRing(urls4, fabric.DefaultVirtualNodes)
-	churnHits, moved, modMoved := 0, 0, 0
+	churnHits := 0
 	for _, src := range srcs {
-		if ring4.Owner(src) != ring3.Owner(src) {
-			moved++
-		}
-		h := fnv.New64a()
-		h.Write([]byte(src))
-		if h.Sum64()%3 != h.Sum64()%4 {
-			modMoved++
-		}
 		hit, err := post(ring4.Owner(src), src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if hit {
 			churnHits++
 		}
 	}
-	rep.ChurnHitRate = float64(churnHits) / kernels
-	rep.MovedFraction = float64(moved) / kernels
-	rep.ModHashMovedFraction = float64(modMoved) / kernels
-	return rep, nil
+	rep.OneFleetChurnHitRate = float64(churnHits) / kernels
+	return nil
 }

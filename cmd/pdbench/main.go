@@ -7,10 +7,14 @@
 //
 //	pdbench                      # full suite to stdout
 //	pdbench -out BENCH.json      # write the report to a file
-//	pdbench -short               # codec + warm-runtime benches only
+//	pdbench -short               # codec + exec-run benches only
 //	pdbench -strict              # exit nonzero on a >10% ns/op regression
 //	pdbench -oracle bigfp,dd,residue       # per-oracle speed/precision frontier rows
 //	pdbench -serve -out BENCH_serve.json   # HTTP serve-path throughput/latency
+//
+// Every report records the commit checked out when it was produced (git
+// rev-parse HEAD; empty outside a git work tree) and the pdbench argument
+// list. `make bench` regenerates all four checked-in reports.
 //
 // Unless -baseline "" disables it, the run is compared against the
 // checked-in BENCH_shadow.json: per-benchmark ns/op deltas go to stderr,
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -47,8 +52,40 @@ type Bench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// Provenance records what produced a report; every report embeds it.
+type Provenance struct {
+	Commit  string   `json:"commit"`
+	Command []string `json:"command"`
+}
+
+// stamp records the commit checked out (git rev-parse HEAD; empty when git
+// or the work tree is unavailable) and the pdbench argument list.
+func (p *Provenance) stamp() {
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		p.Commit = strings.TrimSpace(string(out))
+	}
+	p.Command = append([]string{"pdbench"}, os.Args[1:]...)
+}
+
+// writeReport stamps rep's provenance and writes it as indented JSON to
+// the file out, or to stdout when out is empty.
+func writeReport(out string, rep interface{ stamp() }) error {
+	rep.stamp()
+	j, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	j = append(j, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(j)
+		return err
+	}
+	return os.WriteFile(out, j, 0o644)
+}
+
 // Report is the file format of BENCH_shadow.json.
 type Report struct {
+	Provenance
 	Go         string  `json:"go"`
 	GOOS       string  `json:"goos"`
 	GOARCH     string  `json:"goarch"`
@@ -59,7 +96,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	short := flag.Bool("short", false, "codec and warm-runtime benches only (CI smoke)")
+	short := flag.Bool("short", false, "codec and exec-run benches only (CI smoke)")
 	baseline := flag.String("baseline", "BENCH_shadow.json", "baseline report to diff against (\"\" disables)")
 	strict := flag.Bool("strict", false, "exit nonzero if any benchmark regresses more than 10% vs the baseline")
 	serve := flag.Bool("serve", false, "benchmark the HTTP serve path instead (requests/sec + latency percentiles)")
@@ -132,7 +169,7 @@ func main() {
 	}
 	// Non-canonical oracles get their own shadow rows on the canonical
 	// backend — the per-oracle speed/precision frontier recorded in
-	// BENCH_shadow.json (shadow/gemm8-warm-run@dd and friends).
+	// BENCH_shadow.json (shadow/gemm8-exec-run@dd and friends).
 	if len(orcs) > 1 {
 		oracleArithBenches(add, orcs[0], "")
 	}
@@ -141,14 +178,7 @@ func main() {
 		shadowBenches(add, kinds[0], benchShadowConfig(orc), "@"+string(orc))
 	}
 
-	j, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	j = append(j, '\n')
-	if *out == "" {
-		os.Stdout.Write(j)
-	} else if err := os.WriteFile(*out, j, 0o644); err != nil {
+	if err := writeReport(*out, rep); err != nil {
 		fatal(err)
 	}
 
@@ -299,8 +329,9 @@ func compareBackends(rep *Report) bool {
 // shadow oracle (name@dd, name@residue) against its canonical twin — the
 // speed/precision frontier. When the canonical oracle is bigfp the
 // comparison is also a gate: the double-double oracle exists to be cheap,
-// so the warm-run row must stay at least 2x faster than bigfp-256, and any
-// oracle row slower than bigfp beyond regressPct counts as a regression.
+// so its oracle/ arithmetic row must stay at least 2x faster than
+// bigfp-256, and any other oracle row slower than bigfp beyond regressPct
+// counts as a regression.
 func compareOracles(rep *Report, canonical oracle.Kind) bool {
 	byName := make(map[string]Bench, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
@@ -335,7 +366,7 @@ func compareOracles(rep *Report, canonical oracle.Kind) bool {
 			// that is where dd's 2x-over-bigfp-256 contract is enforced; the
 			// end-to-end gemm rows (interpreter dispatch + metadata
 			// bookkeeping shared by every oracle) are gated below at
-			// "not slower", warm and exec rows alike.
+			// "not slower".
 			mark = "  ** dd arithmetic lost its 2x advantage over bigfp-256 **"
 			regressed = true
 		case b.NsPerOp > base.NsPerOp*(1+regressPct/100.0):
@@ -440,11 +471,10 @@ func codecBenches(add func(string, func(b *testing.B))) {
 }
 
 // shadowBenches: shadow execution of a small posit kernel, one
-// Program.Exec per run (the served shape: a new machine and runtime built
-// from recycled memory images, shadow pages and the program's cached
-// bytecode) vs warm (one reusable Debugger, the campaign-worker shape).
-// cfg picks the shadow oracle the rows are measured under (see
-// benchShadowConfig).
+// Program.Exec per run: a new machine and runtime built from recycled
+// memory images, shadow pages and the program's cached bytecode, the shape
+// of every served request, campaign run and profile run. cfg picks the
+// shadow oracle the rows are measured under (see benchShadowConfig).
 func shadowBenches(add func(string, func(b *testing.B)), bk backend.Kind, cfg shadow.Config, suffix string) {
 	k, ok := workloads.KernelByName("gemm")
 	if !ok {
@@ -461,17 +491,6 @@ func shadowBenches(add func(string, func(b *testing.B)), bk backend.Kind, cfg sh
 	add("shadow/gemm8-exec-run"+suffix, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := prog.Exec("main", positdebug.WithShadow(cfg), positdebug.WithBackend(bk)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	dbg, err := prog.Session(positdebug.WithShadow(cfg), positdebug.WithBackend(bk))
-	if err != nil {
-		fatal(err)
-	}
-	add("shadow/gemm8-warm-run"+suffix, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dbg.Exec("main"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -9,13 +8,12 @@ import (
 	"testing"
 
 	positdebug "positdebug"
-	"positdebug/internal/interp"
 	"positdebug/internal/profile"
 	"positdebug/internal/shadow"
 	"positdebug/internal/workloads"
 )
 
-// ProfileBenchRow is one profiling variant's measurement: how much a warm
+// ProfileBenchRow is one profiling variant's measurement: how much a
 // shadow run costs with the numerical-error profiler attached at a given
 // sampling stride, and what fraction of dynamic compute instances the
 // stride actually error-checked (the accuracy side of the tradeoff).
@@ -38,6 +36,7 @@ type ProfileBenchRow struct {
 
 // ProfileReport is the file format of BENCH_profile.json.
 type ProfileReport struct {
+	Provenance
 	Go         string            `json:"go"`
 	GOOS       string            `json:"goos"`
 	GOARCH     string            `json:"goarch"`
@@ -55,8 +54,8 @@ const profileReps = 5
 // profileBench measures the full-shadow vs sampled-shadow overhead
 // tradeoff on one PolyBench kernel: uninstrumented baseline, plain shadow
 // execution, and shadow execution with the profiler at strides 1/4/16/64.
-// Every row reuses one warm machine (the baseline) or session (the rest)
-// on the default backend, so the numbers compare per-run cost like for
+// Every row times one Program.Exec per run on the default backend, the
+// baseline with WithBaseline, so the numbers compare per-run cost like for
 // like.
 func profileBench(out, kernel string, n int) error {
 	k, ok := workloads.KernelByName(kernel)
@@ -84,28 +83,18 @@ func profileBench(out, kernel string, n int) error {
 		ns  []float64
 		n   int // runs in the last timed round
 	}
-	bm := interp.New(prog.Module)
-	plain, err := prog.Session(positdebug.WithShadow(cfg))
-	if err != nil {
-		return err
+	execRun := func(opts ...positdebug.Option) func() error {
+		return func() error { _, err := prog.Exec("main", opts...); return err }
 	}
 	variants := []*variant{
-		{row: ProfileBenchRow{Name: "baseline"}, run: func() error { _, err := bm.Run("main"); return err }},
-		{row: ProfileBenchRow{Name: "shadow", Sample: 1}, run: func() error { _, err := plain.Exec("main"); return err }},
+		{row: ProfileBenchRow{Name: "baseline"}, run: execRun(positdebug.WithBaseline())},
+		{row: ProfileBenchRow{Name: "shadow", Sample: 1}, run: execRun(positdebug.WithShadow(cfg))},
 	}
 	for _, stride := range []int{1, 4, 16, 64} {
 		col := profile.NewCollector()
-		dbg, err := prog.Session(
-			positdebug.WithShadow(cfg),
-			positdebug.WithProfile(col),
-			positdebug.WithSampling(stride),
-		)
-		if err != nil {
-			return err
-		}
 		variants = append(variants, &variant{
 			row: ProfileBenchRow{Name: fmt.Sprintf("profile/sample-%d", stride), Sample: stride},
-			run: func() error { _, err := dbg.Exec("main"); return err },
+			run: execRun(positdebug.WithShadow(cfg), positdebug.WithProfile(col), positdebug.WithSampling(stride)),
 			col: col,
 		})
 	}
@@ -163,14 +152,5 @@ func profileBench(out, kernel string, n int) error {
 		fmt.Fprintln(os.Stderr)
 	}
 
-	j, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	j = append(j, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(j)
-		return err
-	}
-	return os.WriteFile(out, j, 0o644)
+	return writeReport(out, rep)
 }

@@ -32,6 +32,7 @@ type ServeScenario struct {
 
 // ServeReport is the file format of BENCH_serve.json.
 type ServeReport struct {
+	Provenance
 	Go         string          `json:"go"`
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
@@ -88,16 +89,7 @@ func serveBench(outPath string, requests int) error {
 			s.Name, s.ReqPerSec, s.P50Ms, s.P99Ms, s.Requests, s.Concurrency)
 	}
 
-	j, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	j = append(j, '\n')
-	if outPath == "" {
-		os.Stdout.Write(j)
-		return nil
-	}
-	return os.WriteFile(outPath, j, 0o644)
+	return writeReport(outPath, rep)
 }
 
 func runServeScenario(base, name string, rr server.RunRequest, requests, conc int) (ServeScenario, error) {

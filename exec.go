@@ -17,10 +17,9 @@ import (
 	"positdebug/internal/shadow/oracle"
 )
 
-// Option configures one execution (Program.Exec, Debugger.Exec) or one warm
-// session (Program.Session). Options compose freely; incompatible
-// combinations (e.g. WithBaseline with WithShadow) are reported as errors
-// instead of being silently resolved.
+// Option configures one execution (Program.Exec). Options compose freely;
+// incompatible combinations (e.g. WithBaseline with WithShadow) are
+// reported as errors instead of being silently resolved.
 type Option func(*execConfig)
 
 type execConfig struct {
@@ -29,7 +28,6 @@ type execConfig struct {
 	shadowSet  bool
 	skip       []string
 	limits     interp.Limits
-	limitsSet  bool
 	inj        interp.Injector
 	trace      obs.Sink
 	traceSet   bool
@@ -45,7 +43,6 @@ type execConfig struct {
 	sampleSet  bool
 	spans      *obs.Tracer
 	backend    backend.Kind
-	backendSet bool
 	oracleKind oracle.Kind
 	oracleSet  bool
 }
@@ -54,8 +51,6 @@ type execConfig struct {
 // interpreter cooperatively within one poll interval (a few thousand
 // instructions) and the run returns a structured *interp.Cancelled —
 // distinct from the *interp.ResourceExhausted a budget trip produces.
-// This is a per-run option (like WithLimits): pass it to Exec or
-// Debugger.Exec, not Session.
 func WithContext(ctx context.Context) Option {
 	return func(ec *execConfig) { ec.ctx = ctx }
 }
@@ -77,8 +72,7 @@ func WithShadow(cfg shadow.Config) Option {
 
 // WithSkip leaves the named functions uninstrumented — the paper's
 // incremental-deployment mode (§4.1). The module is instrumented fresh for
-// the run (or once per session), so prefer a Session when running many
-// times with the same skip set.
+// every run that passes a skip set.
 func WithSkip(fns ...string) Option {
 	return func(ec *execConfig) { ec.skip = append(ec.skip, fns...) }
 }
@@ -86,7 +80,7 @@ func WithSkip(fns ...string) Option {
 // WithLimits bounds the run with a wall-clock timeout and step budget,
 // reported as structured *interp.ResourceExhausted errors.
 func WithLimits(lim interp.Limits) Option {
-	return func(ec *execConfig) { ec.limits = lim; ec.limitsSet = true }
+	return func(ec *execConfig) { ec.limits = lim }
 }
 
 // WithInjector attaches a fault injector to the run's machine
@@ -95,8 +89,7 @@ func WithLimits(lim interp.Limits) Option {
 // shadow. Only the events it corrupts leave the VM's fused shadow path,
 // and a spent injector is not consulted for the rest of the run. The
 // machine resets the injector at every attempt's start, so a
-// deterministic injector replays its schedule on a degraded retry. This is
-// a per-run option: pass it to Exec or Debugger.Exec.
+// deterministic injector replays its schedule on a degraded retry.
 func WithInjector(inj interp.Injector) Option {
 	return func(ec *execConfig) { ec.inj = inj }
 }
@@ -104,7 +97,7 @@ func WithInjector(inj interp.Injector) Option {
 // WithTrace streams structured events (run lifecycle, detections,
 // precision degradation) into the sink. Detection events are not capped by
 // shadow.Config.MaxReports; bound memory with a bounded sink such as
-// obs.NewRing. Passing nil disables a session-level sink for one run.
+// obs.NewRing.
 func WithTrace(sink obs.Sink) Option {
 	return func(ec *execConfig) { ec.trace = sink; ec.traceSet = true }
 }
@@ -140,10 +133,11 @@ func WithArgs(args ...uint64) Option {
 // WithProfile accumulates per-static-instruction error statistics into the
 // collector: dynamic counts, the error-bits histogram, cancellation
 // severity, saturation/NaR tallies, and (when the collector's Timing flag
-// is set) shadow-op latency. The collector persists across runs — snapshot
-// it with profile.Collector.Snapshot and merge snapshots across workers
-// (profile.Merge is commutative, so the merged profile is byte-identical
-// whatever the worker count). Requires shadow execution.
+// is set) shadow-op latency. Runs passing the same collector accumulate
+// into it, so a collector is not safe for concurrent runs — sweeps keep
+// one per worker, snapshot each with profile.Collector.Snapshot and merge
+// the snapshots (profile.Merge is commutative, so the merged profile is
+// byte-identical whatever the worker count). Requires shadow execution.
 func WithProfile(c *profile.Collector) Option {
 	return func(ec *execConfig) { ec.prof = c; ec.profSet = true }
 }
@@ -160,8 +154,8 @@ func WithSampling(n int) Option {
 	return func(ec *execConfig) { ec.sample = int64(n); ec.sampleSet = true }
 }
 
-// WithShadowOracle selects the shadow-arithmetic backend for the run or
-// session: oracle.BigFP (arbitrary precision, the default; governed by
+// WithShadowOracle selects the shadow-arithmetic backend for the run:
+// oracle.BigFP (arbitrary precision, the default; governed by
 // shadow.Config.Precision), oracle.DD (allocation-free double-double,
 // ~106 bits) or oracle.Residue (float64 estimate with per-op rounding
 // residues, 53 bits). It composes with WithShadow — the oracle choice
@@ -173,14 +167,14 @@ func WithShadowOracle(kind oracle.Kind) Option {
 	return func(ec *execConfig) { ec.oracleKind = kind; ec.oracleSet = true }
 }
 
-// WithBackend selects the execution engine for the run or session: the
+// WithBackend selects the execution engine for the run: the
 // fused-bytecode VM (backend.VM, the default) or the tree-walking
 // reference interpreter (backend.Treewalk). The two produce byte-identical
 // detection reports, traces, metrics, campaign artifacts, and merged
 // profiles; the VM is the fast path, the tree-walker the
 // differential-testing oracle.
 func WithBackend(k backend.Kind) Option {
-	return func(ec *execConfig) { ec.backend = k; ec.backendSet = true }
+	return func(ec *execConfig) { ec.backend = k }
 }
 
 // WithSpans emits causal spans (shadow-exec, report) for the run into the
@@ -218,8 +212,18 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 	if !ec.shadowSet && !ec.baseline && !ec.herb {
 		ec.shadowCfg = shadow.DefaultConfig()
 	}
+	// The oracle and the option-level sinks override the configuration's.
 	if ec.oracleSet {
 		ec.shadowCfg.Oracle = ec.oracleKind
+	}
+	if ec.traceSet {
+		ec.shadowCfg.Events = ec.trace
+	}
+	if ec.metricsSet {
+		ec.shadowCfg.Metrics = ec.metrics
+	}
+	if ec.profSet {
+		ec.shadowCfg.Profile = ec.prof
 	}
 	if ec.herb && ec.herbPrec == 0 {
 		ec.herbPrec = 256
@@ -245,24 +249,17 @@ func (p *Program) Exec(fn string, opts ...Option) (*Result, error) {
 	case ec.herb:
 		return execPlain(p.Instrumented(), &p.instChunk, ec, fn)
 	}
-	cfg := ec.boundShadowConfig()
-	emitRunStart(cfg.Events, fn, cfg.Precision)
-	mod, chunks := p.shadowModule(ec.skip)
-	return execShadowLoop(mod, chunks, cfg, ec, fn, cfg.Precision)
-}
-
-// shadowModule returns the module shadow runs execute and its bytecode
-// cache: the Program's cached instrumentation, or a fresh one leaving the
-// skipped functions uninstrumented, which has no cache (nil).
-func (p *Program) shadowModule(skip []string) (*ir.Module, *chunkCache) {
-	if len(skip) == 0 {
-		return p.Instrumented(), &p.instChunk
+	emitRunStart(ec.shadowCfg.Events, fn, ec.shadowCfg.Precision)
+	if len(ec.skip) == 0 {
+		return execShadowLoop(p.Instrumented(), &p.instChunk, ec, fn)
 	}
-	skipSet := make(map[string]bool, len(skip))
-	for _, s := range skip {
-		skipSet[s] = true
+	// Leaving functions uninstrumented takes a fresh module, which has no
+	// bytecode cache.
+	skip := make(map[string]bool, len(ec.skip))
+	for _, s := range ec.skip {
+		skip[s] = true
 	}
-	return instrument.Instrument(p.Module, instrument.Options{Skip: skipSet}), nil
+	return execShadowLoop(instrument.Instrument(p.Module, instrument.Options{Skip: skip}), nil, ec, fn)
 }
 
 // newMachine returns a machine for mod on the backend, its memory image
@@ -277,22 +274,6 @@ func newMachine(mod *ir.Module, chunks *chunkCache, k backend.Kind) *interp.Mach
 		}
 	}
 	return m
-}
-
-// boundShadowConfig is the shadow configuration with the option-level
-// sinks (WithTrace, WithMetrics, WithProfile) bound into it.
-func (ec *execConfig) boundShadowConfig() shadow.Config {
-	cfg := ec.shadowCfg
-	if ec.traceSet {
-		cfg.Events = ec.trace
-	}
-	if ec.metricsSet {
-		cfg.Metrics = ec.metrics
-	}
-	if ec.profSet {
-		cfg.Profile = ec.prof
-	}
-	return cfg
 }
 
 // emitRunStart/emitRunEnd bracket one execution in the event stream.
@@ -357,36 +338,18 @@ func execPlain(mod *ir.Module, chunks *chunkCache, ec *execConfig, fn string) (*
 	return res, nil
 }
 
-// degrade returns cfg at half its bigfp precision (floored at
-// shadow.MinPrecision) when err is a shadow-memory budget trip a lower
-// precision can retry, emitting the EvDegrade event. Only the bigfp oracle
-// has a precision knob; a fixed-precision oracle tripping the budget
-// surfaces the structured error (the server-side watchdog degrades across
-// oracles instead).
-func degrade(cfg shadow.Config, err error) (shadow.Config, bool) {
-	var re *interp.ResourceExhausted
-	if !errors.As(err, &re) || re.Resource != interp.ResShadowMemory ||
-		cfg.OracleKind() != oracle.BigFP || cfg.Precision <= shadow.MinPrecision {
-		return cfg, false
-	}
-	cfg.Precision = max(cfg.Precision/2, shadow.MinPrecision)
-	if cfg.Events != nil {
-		e := obs.NewEvent(obs.EvDegrade)
-		e.Precision = cfg.Precision
-		cfg.Events.Emit(e)
-	}
-	return cfg, true
-}
-
 // execShadowLoop runs the degradation loop on fresh runtimes: when a run
 // exceeds the shadow-memory budget, retry at half the precision down to
-// shadow.MinPrecision, flagging the result Degraded against requested (the
-// warm-session retry path enters below the originally requested
-// precision). Every attempt releases its machine and runtime before the
-// next one starts or the result returns; nothing in a Result points into
-// them, since the summary's reports are rendered strings and the output a
-// copy.
-func execShadowLoop(mod *ir.Module, chunks *chunkCache, cfg shadow.Config, ec *execConfig, fn string, requested uint) (*Result, error) {
+// shadow.MinPrecision, emitting EvDegrade and flagging the result
+// Degraded. Only the bigfp oracle has a precision knob; a fixed-precision
+// oracle tripping the budget surfaces the structured error (the
+// server-side watchdog degrades across oracles instead). Every attempt
+// releases its machine and runtime before the next one starts or the
+// result returns; nothing in a Result points into them, since the
+// summary's reports are rendered strings and the output a copy.
+func execShadowLoop(mod *ir.Module, chunks *chunkCache, ec *execConfig, fn string) (*Result, error) {
+	cfg := ec.shadowCfg
+	requested := cfg.Precision
 	for {
 		rt, err := shadow.New(mod, cfg)
 		if err != nil {
@@ -412,8 +375,15 @@ func execShadowLoop(mod *ir.Module, chunks *chunkCache, cfg shadow.Config, ec *e
 		m.Release()
 		rt.Release()
 		if err != nil {
-			var retry bool
-			if cfg, retry = degrade(cfg, err); retry {
+			var re *interp.ResourceExhausted
+			if errors.As(err, &re) && re.Resource == interp.ResShadowMemory &&
+				cfg.OracleKind() == oracle.BigFP && cfg.Precision > shadow.MinPrecision {
+				cfg.Precision = max(cfg.Precision/2, shadow.MinPrecision)
+				if cfg.Events != nil {
+					e := obs.NewEvent(obs.EvDegrade)
+					e.Precision = cfg.Precision
+					cfg.Events.Emit(e)
+				}
 				continue
 			}
 			emitRunEnd(cfg.Events, "error", steps, cfg.Precision)
@@ -430,111 +400,4 @@ func execShadowLoop(mod *ir.Module, chunks *chunkCache, cfg shadow.Config, ec *e
 		emitRunEnd(cfg.Events, outcome, steps, cfg.Precision)
 		return res, nil
 	}
-}
-
-// Session builds a warm-reusable shadow-execution session configured by
-// options: WithShadow selects the configuration (default
-// shadow.DefaultConfig()), WithSkip instruments with functions left out,
-// and WithTrace/WithMetrics/WithProfile/WithSampling bind session-level
-// sinks and the sampling stride. Baseline/Herbgrind and per-run options
-// (limits, injectors, args) are rejected — pass those to Debugger.Exec.
-func (p *Program) Session(opts ...Option) (*Debugger, error) {
-	ec, err := buildExecConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	if ec.baseline || ec.herb {
-		return nil, fmt.Errorf("positdebug: Session supports shadow execution only")
-	}
-	if ec.inj != nil || len(ec.args) > 0 || ec.limitsSet || ec.ctx != nil {
-		return nil, fmt.Errorf("positdebug: WithInjector/WithArgs/WithLimits/WithContext are per-run options; pass them to Debugger.Exec")
-	}
-	cfg := ec.boundShadowConfig()
-	mod, chunks := p.shadowModule(ec.skip)
-	rt, err := shadow.New(mod, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rt.SetSampling(ec.sample)
-	m := newMachine(mod, chunks, ec.backend)
-	m.Hooks = rt
-	d := &Debugger{prog: p, cfg: cfg, mod: mod, rt: rt, m: m, sampleN: ec.sample}
-	m.Out = &d.out
-	return d, nil
-}
-
-// Exec runs the session's program on the warm runtime and machine.
-// Accepted options: WithLimits, WithInjector, WithArgs, WithTrace,
-// WithMetrics, WithProfile, WithSampling, WithSpans (sink-like options
-// rebind the session's sinks — campaign workers point each run at its own
-// buffer). Options that change the
-// session's instrumentation (WithShadow, WithSkip, WithBaseline,
-// WithHerbgrind) are rejected; build a new Session instead.
-//
-// Degraded retries run on transient runtimes at the reduced precision; the
-// session itself stays at the requested precision, so one budget-tripping
-// run does not degrade subsequent ones.
-func (d *Debugger) Exec(fn string, opts ...Option) (*Result, error) {
-	ec := &execConfig{}
-	for _, o := range opts {
-		o(ec)
-	}
-	if ec.shadowSet || ec.oracleSet || len(ec.skip) > 0 || ec.baseline || ec.herb {
-		return nil, fmt.Errorf("positdebug: WithShadow/WithShadowOracle/WithSkip/WithBaseline/WithHerbgrind configure a session; build a new Session instead")
-	}
-	if ec.sampleSet && ec.sample < 0 {
-		return nil, fmt.Errorf("positdebug: negative sampling stride %d", ec.sample)
-	}
-	if ec.traceSet {
-		d.rt.SetEvents(ec.trace)
-		d.cfg.Events = ec.trace
-	}
-	if ec.metricsSet {
-		d.rt.SetMetrics(ec.metrics)
-		d.cfg.Metrics = ec.metrics
-	}
-	if ec.profSet {
-		d.rt.SetProfile(ec.prof)
-		d.cfg.Profile = ec.prof
-	}
-	if ec.sampleSet {
-		d.sampleN = ec.sample
-		d.rt.SetSampling(ec.sample)
-	}
-	if ec.backendSet {
-		d.m.Backend = ec.backend
-	}
-	// Assigned on every run, so an injector never leaks into the next one.
-	d.m.Injector = ec.inj
-	d.out.Reset()
-	emitRunStart(d.cfg.Events, fn, d.cfg.Precision)
-	sp := ec.spans.Start("shadow-exec")
-	v, err := d.m.RunContext(ec.context(), fn, ec.limits, ec.args...)
-	sp.End()
-	flushRunMetrics(d.cfg.Metrics, d.m.Steps())
-	if err != nil {
-		if cfg, retry := degrade(d.cfg, err); retry {
-			// Retry on transient runtimes at the reduced precision; the loop
-			// carries the session's sinks (with any per-run overrides already
-			// applied) and emits the closing run-end itself.
-			res, err := execShadowLoop(d.mod, nil, cfg, &execConfig{
-				ctx: ec.ctx, limits: ec.limits, inj: ec.inj, args: ec.args,
-				sample: d.sampleN, spans: ec.spans, backend: d.m.Backend,
-			}, fn, d.cfg.Precision)
-			if res != nil {
-				res.Degraded = true
-			}
-			return res, err
-		}
-		emitRunEnd(d.cfg.Events, "error", d.m.Steps(), d.cfg.Precision)
-		return nil, err
-	}
-	rp := ec.spans.Start("report")
-	summary := d.rt.Summary()
-	rp.End()
-	res := &Result{Value: v, Output: d.out.String(), Steps: d.m.Steps(), Summary: summary}
-	res.ShadowOracle = d.cfg.OracleKind()
-	res.ShadowPrecision = oracle.NominalPrecision(res.ShadowOracle, d.cfg.Precision)
-	emitRunEnd(d.cfg.Events, "ok", d.m.Steps(), d.cfg.Precision)
-	return res, nil
 }

@@ -3,9 +3,9 @@ package positdebug_test
 // Program.Exec recycles run state between calls: memory images, shadow
 // pages and the program's bytecode. These tests replay the Exec goldens
 // (exec_golden_test.go) through that recycling — shuffled, concurrent,
-// on both backends, with failing and degraded runs in between — and call
-// Exec concurrently on a Program no call has warmed. `make race` runs
-// them under the race detector at -cpu=1,4.
+// on both backends, with failing, degraded and fault-injected runs in
+// between — and call Exec concurrently on a Program no call has warmed.
+// `make race` runs them under the race detector at -cpu=1,4.
 
 import (
 	"context"
@@ -20,6 +20,7 @@ import (
 
 	positdebug "positdebug"
 	"positdebug/internal/backend"
+	"positdebug/internal/faultinject"
 	"positdebug/internal/interp"
 	"positdebug/internal/shadow"
 	"positdebug/internal/workloads"
@@ -57,12 +58,13 @@ func main(): f64 {
 }
 `
 
-// disruptions are the failing and degraded runs interleaved with the
-// golden replay: a trap, a cancellation, a step-budget trip and a
-// shadow-memory budget trip that retries at half precision.
+// disruptions are the failing, degraded and faulty runs interleaved with
+// the golden replay: a trap, a cancellation, a step-budget trip, a
+// shadow-memory budget trip that retries at half precision, and a run
+// with one injected fault.
 type disruptions struct {
 	trap, spin, gemm *positdebug.Program
-	want             [4]string // renderings of the deterministic ones
+	want             [5]string // renderings of the deterministic ones
 }
 
 func newDisruptions(t *testing.T) *disruptions {
@@ -85,9 +87,11 @@ func newDisruptions(t *testing.T) *disruptions {
 		}
 		d.want[i] = d.render(t, i, backend.Treewalk)
 	}
+	clean := renderExec(d.gemm.Exec("main", positdebug.WithBackend(backend.Treewalk)))
 	if !strings.Contains(d.want[0], "memory access out of bounds") ||
 		!strings.Contains(d.want[2], "resource exhausted") ||
-		!strings.Contains(d.want[3], "degraded true") {
+		!strings.Contains(d.want[3], "degraded true") ||
+		d.want[4] == clean {
 		t.Fatalf("disruptions did not disrupt:\n%s", strings.Join(d.want[:], "\n"))
 	}
 	return d
@@ -110,16 +114,22 @@ func (d *disruptions) render(t *testing.T, i int, k backend.Kind) string {
 		return ""
 	case 2:
 		return renderExec(d.gemm.Exec("main", be, positdebug.WithLimits(interp.Limits{MaxSteps: 20000})))
-	default:
+	case 3:
 		// gemm-8 spans two shadow pages: 256 bits need ~1.44 MB, so a
 		// 1.2 MB budget trips and the retry completes at 128 bits.
 		cfg := shadow.DefaultConfig()
 		cfg.MaxShadowBytes = 1_200_000
 		return renderExec(d.gemm.Exec("main", be, positdebug.WithShadow(cfg)))
+	default:
+		// One forced NaN at the first eligible event: the run's image and
+		// shadow pages, corrupted value included, go back on the free
+		// lists for the golden runs that follow.
+		inj := faultinject.NewInjector(faultinject.Model{Kind: faultinject.StuckNaR, Rate: 1, MaxInjections: 1}, 1)
+		return renderExec(d.gemm.Exec("main", be, positdebug.WithInjector(inj)))
 	}
 }
 
-// run executes disruption i%4 and checks it against its first rendering.
+// run executes disruption i%5 and checks it against its first rendering.
 func (d *disruptions) run(t *testing.T, i int, k backend.Kind) {
 	i %= len(d.want)
 	if got := d.render(t, i, k); got != d.want[i] {

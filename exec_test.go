@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"positdebug/internal/interp"
 	"positdebug/internal/ir"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
@@ -37,22 +36,6 @@ func TestExecOptionConflicts(t *testing.T) {
 		if _, err := prog.Exec("main", opts...); err == nil {
 			t.Fatalf("conflict set %d accepted", i)
 		}
-	}
-	if _, err := prog.Session(WithBaseline()); err == nil {
-		t.Fatal("Session must reject WithBaseline")
-	}
-	if _, err := prog.Session(WithLimits(interp.Limits{})); err == nil {
-		t.Fatal("Session must reject per-run options")
-	}
-	if _, err := prog.Session(WithInjector(nopInjector{})); err == nil {
-		t.Fatal("Session must reject WithInjector")
-	}
-	dbg, err := prog.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dbg.Exec("main", WithShadow(shadow.DefaultConfig())); err == nil {
-		t.Fatal("Debugger.Exec must reject WithShadow (fixed at Session time)")
 	}
 }
 

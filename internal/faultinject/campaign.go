@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	positdebug "positdebug"
@@ -427,74 +426,58 @@ func runArch(ctx context.Context, cfg CampaignConfig, arch, fpSrc string) (*Arch
 	if err != nil {
 		return nil, err
 	}
-	prog, scfg, lim := p.prog, p.scfg, p.lim
-	retType, goldenF, goldenCounts := p.retType, p.goldenF, p.goldenCounts
 	if cfg.Trace != nil {
 		e := obs.NewEvent(obs.EvArchStart)
 		e.Arch = arch
-		e.Program = fmt.Sprintf("%g", goldenF)
+		e.Program = fmt.Sprintf("%g", p.goldenF)
 		cfg.Trace.Emit(e)
 	}
 
-	// Worker lifecycle events arrive live, in scheduling order, guarded by
-	// a mutex — the one part of the stream that is GOMAXPROCS-dependent,
-	// which is why it is opt-in (see CampaignConfig.TraceWorkers).
-	var workerMu sync.Mutex
-	workerN := 0
-	newWorker := func() (*positdebug.Debugger, error) {
-		d, err := prog.Session(positdebug.WithShadow(scfg), positdebug.WithBackend(cfg.Backend))
-		if err == nil && cfg.TraceWorkers && cfg.Trace != nil {
-			workerMu.Lock()
-			e := obs.NewEvent(obs.EvWorkerStart)
-			e.Worker = workerN
-			e.Arch = arch
-			workerN++
-			cfg.Trace.Emit(e)
-			workerMu.Unlock()
+	// Worker lifecycle events bracket the runs, one per pool worker: the
+	// one part of the stream that is GOMAXPROCS-dependent, which is why it
+	// is opt-in (see CampaignConfig.TraceWorkers).
+	workerEvents := func(kind string) {
+		if !cfg.TraceWorkers || cfg.Trace == nil {
+			return
 		}
-		return d, err
-	}
-
-	// Fault-injected runs are pure functions of (cfg, run) — each run's
-	// randomness comes from Mix(cfg.Seed, run), not from shared stream
-	// state — so they shard freely across workers. Each worker keeps one
-	// warm Debugger (runtime + machine) across all its runs; results are
-	// merged by run index, making the report byte-identical to a
-	// sequential sweep. When tracing, each run fills its own obs.Buffer,
-	// drained below in run-index order — that is what keeps the event
-	// stream byte-identical too. The golden run above already populated
-	// the program's instrumented-module cache, so worker construction is
-	// read-only on the Program.
-	results, err := parallel.MapWorkerCtx(ctx, cfg.Runs, newWorker,
-		func(d *positdebug.Debugger, run int) (RunResult, error) {
-			if cfg.Journal != nil {
-				if rr, ok := cfg.Journal.lookup(arch, run); ok {
-					return rr, nil
-				}
-			}
-			rr, err := oneRun(ctx, cfg, d, scfg, lim, retType, goldenF, goldenCounts, p.info.Candidates, run)
-			if err != nil {
-				return rr, err
-			}
-			if cfg.Journal != nil {
-				if jerr := cfg.Journal.record(arch, rr); jerr != nil {
-					return rr, fmt.Errorf("journal: %w", jerr)
-				}
-			}
-			return rr, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.TraceWorkers && cfg.Trace != nil {
-		// All workers have quiesced once MapWorker returns.
-		for w := 0; w < workerN; w++ {
-			e := obs.NewEvent(obs.EvWorkerStop)
+		for w := 0; w < parallel.Workers(cfg.Runs); w++ {
+			e := obs.NewEvent(kind)
 			e.Worker = w
 			e.Arch = arch
 			cfg.Trace.Emit(e)
 		}
 	}
+	workerEvents(obs.EvWorkerStart)
+
+	// Fault-injected runs are pure functions of (cfg, run) — each run's
+	// randomness comes from Mix(cfg.Seed, run), not from shared stream
+	// state — so they shard freely across workers. Results are merged by
+	// run index, making the report byte-identical to a sequential sweep.
+	// When tracing, each run fills its own obs.Buffer, drained below in
+	// run-index order — that is what keeps the event stream byte-identical
+	// too. The golden run above already populated the program's caches, so
+	// every run after it is read-only on the Program.
+	results, err := parallel.MapCtx(ctx, cfg.Runs, func(run int) (RunResult, error) {
+		if cfg.Journal != nil {
+			if rr, ok := cfg.Journal.lookup(arch, run); ok {
+				return rr, nil
+			}
+		}
+		rr, err := oneRun(ctx, cfg, p, run)
+		if err != nil {
+			return rr, err
+		}
+		if cfg.Journal != nil {
+			if jerr := cfg.Journal.record(arch, rr); jerr != nil {
+				return rr, fmt.Errorf("journal: %w", jerr)
+			}
+		}
+		return rr, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	workerEvents(obs.EvWorkerStop) // all workers have quiesced once MapCtx returns
 	for _, rr := range results {
 		if cfg.Trace != nil {
 			for _, e := range rr.events {
@@ -521,11 +504,9 @@ func runArch(ctx context.Context, cfg CampaignConfig, arch, fpSrc string) (*Arch
 // the one failure that is NOT classified: it is an external abort, so it
 // propagates as the error and the campaign stops instead of recording a
 // bogus outcome.
-func oneRun(ctx context.Context, cfg CampaignConfig, dbg *positdebug.Debugger, scfg shadow.Config, lim interp.Limits,
-	retType ir.Type, goldenF float64, goldenCounts map[shadow.Kind]int, candidates int64, run int) (rr RunResult, abort error) {
-
+func oneRun(ctx context.Context, cfg CampaignConfig, p *archPrep, run int) (rr RunResult, abort error) {
 	runSeed := Mix(cfg.Seed, run)
-	rr = RunResult{Run: run, Seed: runSeed, Precision: scfg.Precision, Oracle: oracleLabel(scfg.OracleKind())}
+	rr = RunResult{Run: run, Seed: runSeed, Precision: p.scfg.Precision, Oracle: oracleLabel(p.scfg.OracleKind())}
 	defer func() {
 		if r := recover(); r != nil {
 			rr.Outcome = OutcomeCrashed
@@ -537,14 +518,16 @@ func oneRun(ctx context.Context, cfg CampaignConfig, dbg *positdebug.Debugger, s
 	if model.Occurrence == 0 && model.Rate == 0 {
 		// Single-event-upset mode: one fault at a uniformly drawn site.
 		rng := splitmix64{state: uint64(runSeed)}
-		model.Occurrence = 1 + int64(rng.next()%uint64(candidates))
+		model.Occurrence = 1 + int64(rng.next()%uint64(p.info.Candidates))
 		model.MaxInjections = 1
 	}
 	inj := NewInjector(model, runSeed)
 
 	opts := []positdebug.Option{
 		positdebug.WithContext(ctx),
-		positdebug.WithLimits(lim),
+		positdebug.WithShadow(p.scfg),
+		positdebug.WithBackend(cfg.Backend),
+		positdebug.WithLimits(p.lim),
 		positdebug.WithInjector(inj),
 	}
 	var buf *obs.Buffer
@@ -555,7 +538,7 @@ func oneRun(ctx context.Context, cfg CampaignConfig, dbg *positdebug.Debugger, s
 		inj.Events = buf
 		opts = append(opts, positdebug.WithTrace(buf))
 	}
-	res, err := dbg.Exec("main", opts...)
+	res, err := p.prog.Exec("main", opts...)
 	if buf != nil {
 		rr.events = append([]obs.Event(nil), buf.Events()...)
 	}
@@ -579,8 +562,8 @@ func oneRun(ctx context.Context, cfg CampaignConfig, dbg *positdebug.Debugger, s
 	rr.Degraded = res.Degraded
 	rr.Precision = res.ShadowPrecision
 	rr.Oracle = oracleLabel(res.ShadowOracle)
-	rr.Detected = kindNamesOf(res.Summary.Counts, goldenCounts)
-	rr.ErrBits = deviationBits(retType, goldenF, decode(retType, res.Value))
+	rr.Detected = kindNamesOf(res.Summary.Counts, p.goldenCounts)
+	rr.ErrBits = deviationBits(p.retType, p.goldenF, decode(p.retType, res.Value))
 
 	switch {
 	case len(rr.Detected) > 0:

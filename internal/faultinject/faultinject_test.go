@@ -105,38 +105,6 @@ func TestInjectorSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestSessionInjectorPerRun: an injector passed to one Debugger.Exec
-// corrupts that run only; the session's next run without one is clean.
-func TestSessionInjectorPerRun(t *testing.T) {
-	prog := compileAccum(t)
-	cfg := shadow.DefaultConfig()
-	cfg.MaxReports = 0
-	clean, err := prog.Exec("main", positdebug.WithShadow(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := prog.Session(positdebug.WithShadow(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := NewInjector(Model{Kind: StuckNaR, Rate: 1, MaxInjections: 1}, 1)
-	faulty, err := d.Exec("main", positdebug.WithInjector(inj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inj.Schedule()) != 1 || faulty.Value == clean.Value {
-		t.Fatalf("injected run: %d faults, value %#x (clean %#x)", len(inj.Schedule()), faulty.Value, clean.Value)
-	}
-	after, err := d.Exec("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Value != clean.Value || !reflect.DeepEqual(after.Summary.Counts, clean.Summary.Counts) {
-		t.Fatalf("injector leaked into the next run: value %#x counts %v, want %#x %v",
-			after.Value, after.Summary.Counts, clean.Value, clean.Summary.Counts)
-	}
-}
-
 // TestInjectorSpent drives Mutate by hand: an injector is spent exactly
 // when it can corrupt nothing more this run, and a counting or uncapped
 // rate-mode injector never is, since the machine stops consulting a spent

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	positdebug "positdebug"
 	"positdebug/internal/parallel"
 	"positdebug/internal/shadow/oracle"
 )
@@ -171,13 +170,9 @@ func RunShard(ctx context.Context, req ShardRequest) (*ShardResult, error) {
 		return out, nil // golden probe
 	}
 
-	newWorker := func() (*positdebug.Debugger, error) {
-		return p.prog.Session(positdebug.WithShadow(p.scfg), positdebug.WithBackend(cfg.Backend))
-	}
-	results, err := parallel.MapWorkerCtx(ctx, req.Hi-req.Lo, newWorker,
-		func(d *positdebug.Debugger, i int) (RunResult, error) {
-			return oneRun(ctx, cfg, d, p.scfg, p.lim, p.retType, p.goldenF, p.goldenCounts, p.info.Candidates, req.Lo+i)
-		})
+	results, err := parallel.MapCtx(ctx, req.Hi-req.Lo, func(i int) (RunResult, error) {
+		return oneRun(ctx, cfg, p, req.Lo+i)
+	})
 	if err != nil {
 		return nil, asCancelled(ctx, err)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
+
+	"positdebug/internal/interp"
 )
 
 func shardReportJSON(t *testing.T, rep *Report) []byte {
@@ -49,6 +52,37 @@ func TestShardAssembleByteIdentical(t *testing.T) {
 	if !bytes.Equal(want, shardReportJSON(t, got)) {
 		t.Fatalf("assembled report differs from sequential oracle:\nseq: %s\nfab: %s", want, shardReportJSON(t, got))
 	}
+}
+
+// TestRunShardRecyclesRunState: every run of a shard goes through
+// Program.Exec, which hands its memory image and shadow pages back for the
+// next run. Once a warm-up shard has filled the free lists, a 16-run posit
+// gemm shard must allocate less than one machine image
+// (interp.DefaultStackSize) on average. A run path that kept its own
+// machine and runtime per worker and dropped them with the shard would
+// allocate at least one image per worker, plus its pages.
+func TestRunShardRecyclesRunState(t *testing.T) {
+	cfg := CampaignConfig{Workload: "polybench/gemm", Runs: 16, Seed: 42}
+	req := ShardRequest{Version: ShardVersion, Config: cfg.Wire(), Arch: "posit", Lo: 0, Hi: 16}
+	shard := func() {
+		if _, err := RunShard(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard()
+	const shards = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range shards {
+		shard()
+	}
+	runtime.ReadMemStats(&after)
+	mean := (after.TotalAlloc - before.TotalAlloc) / shards
+	if mean >= interp.DefaultStackSize {
+		t.Fatalf("a warm 16-run shard allocates %.2f MiB; want under one %.0f MiB machine image",
+			float64(mean)/(1<<20), float64(interp.DefaultStackSize)/(1<<20))
+	}
+	t.Logf("a warm 16-run shard allocates %.2f MiB", float64(mean)/(1<<20))
 }
 
 // TestShardGoldenProbe: Lo == Hi runs only the golden pass and the probe's

@@ -51,10 +51,11 @@ type ProfileOptions struct {
 
 // RecordProfile runs a workload kernel Runs times under shadow execution
 // with per-worker profile collectors and returns the merged per-static-
-// instruction error profile. Workers share nothing: each gets its own warm
-// Debugger and Collector (parallel.MapWorkerStates), and the final merge
-// is commutative, so sequential and parallel sweeps produce byte-identical
-// profiles (profile.WriteJSON is canonical).
+// instruction error profile. Each run is one Program.Exec; workers share
+// nothing but the Program, each feeding its own Collector
+// (parallel.MapWorkerStates), and the final merge is commutative, so
+// sequential and parallel sweeps produce byte-identical profiles
+// (profile.WriteJSON is canonical).
 func RecordProfile(o ProfileOptions) (*profile.Profile, error) {
 	return RecordProfileContext(context.Background(), o)
 }
@@ -110,26 +111,19 @@ func RecordProfileContext(ctx context.Context, o ProfileOptions) (*profile.Profi
 
 	type pstate struct {
 		col  *profile.Collector
-		d    *positdebug.Debugger
 		runs int64
 	}
 	newState := func() (*pstate, error) {
-		col := profile.NewCollector()
-		col.Timing = o.Timing
-		d, err := prog.Session(
-			positdebug.WithShadow(cfg),
-			positdebug.WithProfile(col),
-			positdebug.WithSampling(sample),
-			positdebug.WithBackend(o.Backend),
-		)
-		if err != nil {
-			return nil, err
-		}
-		return &pstate{col: col, d: d}, nil
+		return &pstate{col: &profile.Collector{Timing: o.Timing}}, nil
 	}
 	outs, states, err := parallel.MapWorkerStates(ctx, workers, runs,
 		newState, func(s *pstate, i int) ([]obs.Event, error) {
-			var opts []positdebug.Option
+			opts := []positdebug.Option{
+				positdebug.WithShadow(cfg),
+				positdebug.WithProfile(s.col),
+				positdebug.WithSampling(sample),
+				positdebug.WithBackend(o.Backend),
+			}
 			var buf *obs.Buffer
 			if o.Trace != nil {
 				buf = &obs.Buffer{}
@@ -138,7 +132,7 @@ func RecordProfileContext(ctx context.Context, o ProfileOptions) (*profile.Profi
 					positdebug.WithSpans(obs.NewTracer(buf)))
 			}
 			s.runs++
-			if _, err := s.d.Exec("main", opts...); err != nil {
+			if _, err := prog.Exec("main", opts...); err != nil {
 				return nil, fmt.Errorf("harness: %s run %d: %w", k.Name, i, err)
 			}
 			if buf == nil {

@@ -292,7 +292,7 @@ func (r *Registry) String() string {
 // Publish exposes the registry under the given expvar name as a map of
 // metric name → value (histograms export their count, sum and p50/p99).
 // Publishing the same name twice is a no-op rather than an expvar panic,
-// so warm sessions can call it unconditionally.
+// so repeated runs can call it unconditionally.
 func (r *Registry) Publish(name string) {
 	if expvar.Get(name) != nil {
 		return

@@ -39,8 +39,8 @@ func (s *JSONLines) Count() uint64 { return s.n }
 func (s *JSONLines) Err() error { return s.err }
 
 // Ring keeps the most recent events in a fixed-capacity ring buffer — the
-// bounded in-memory sink for always-on tracing: a warm session can emit
-// indefinitely with memory bounded by the capacity.
+// bounded in-memory sink for always-on tracing: any number of runs can
+// emit into it with memory bounded by the capacity.
 type Ring struct {
 	buf     []Event
 	next    int

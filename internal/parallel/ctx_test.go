@@ -54,11 +54,11 @@ func TestMapCtxItemErrorWinsOverCtxErr(t *testing.T) {
 	}
 }
 
-func TestMapWorkerCtxCancelled(t *testing.T) {
+func TestMapWorkerStatesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	res, err := MapWorkerCtx(ctx, 64,
+	res, _, err := MapWorkerStates(ctx, 4, 64,
 		func() (int, error) { return 0, nil },
 		func(s, i int) (int, error) { ran.Add(1); return i, nil })
 	if !errors.Is(err, context.Canceled) {

@@ -189,37 +189,18 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 	return results, ctx.Err()
 }
 
-// MapWorker is Map with per-worker state: each worker constructs its state
-// once via newState and threads it through every item it processes. This is
-// how campaign runners keep one shadow runtime + interpreter + shadow-memory
-// trie warm per worker instead of reallocating them per run. For the merged
-// output to stay deterministic, an item's result must not depend on which
-// worker (or after which other items) it ran — state may cache and pool, not
-// accumulate semantics.
-//
-// A newState error aborts before any item runs.
-func MapWorker[S, T any](n int, newState func() (S, error), fn func(s S, i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(context.Background(), n, newState, fn)
-}
-
-// MapWorkerCtx is MapWorker under a context: once ctx is cancelled,
-// workers stop claiming new items (in-flight items are interrupted only by
-// their own cooperative mechanisms) and the call returns after they drain.
-// The returned error is the lowest-index item error, or ctx.Err() when the
-// sweep was cut short with no item failing on its own.
-func MapWorkerCtx[S, T any](ctx context.Context, n int, newState func() (S, error), fn func(s S, i int) (T, error)) ([]T, error) {
-	results, _, err := MapWorkerStates(ctx, Workers(n), n, newState, fn)
-	return results, err
-}
-
-// MapWorkerStates is MapWorkerCtx with an explicit worker count and the
-// per-worker states returned to the caller. Profiling sweeps use it to run
-// one profile.Collector per worker and merge the collectors' snapshots
-// afterwards — since the merge is commutative and states are returned in
-// worker order, the merged profile is identical whatever the worker count
-// or item placement. workers ≤ 1 runs sequentially on the calling
-// goroutine. The states slice has one entry per effective worker
-// (min(workers, n), at least 1); on a newState error it is nil.
+// MapWorkerStates is MapCtx with an explicit worker count and per-worker
+// state: each worker constructs its state once via newState, threads it
+// through every item it processes, and the states are returned to the
+// caller in worker order. Profiling sweeps use it to run one
+// profile.Collector per worker and merge the collectors' snapshots
+// afterwards — since the merge is commutative, the merged profile is
+// identical whatever the worker count or item placement. For the results
+// to stay deterministic, an item's result must not depend on which worker
+// (or after which other items) it ran. workers ≤ 1 runs sequentially on
+// the calling goroutine. The states slice has one entry per effective
+// worker (min(workers, n), at least 1); a newState error aborts before any
+// item runs, with nil states.
 func MapWorkerStates[S, T any](ctx context.Context, workers, n int, newState func() (S, error), fn func(s S, i int) (T, error)) ([]T, []S, error) {
 	if workers > n {
 		workers = n

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -92,11 +93,13 @@ func TestPanicPropagation(t *testing.T) {
 }
 
 // TestMapWorkerState: every invocation must see the state built for its
-// worker, and exactly `workers` states are constructed.
+// worker, exactly `workers` states are constructed, and they come back in
+// worker order.
 func TestMapWorkerState(t *testing.T) {
 	var built atomic.Int64
 	type state struct{ id int64 }
-	res, err := MapWorker(200, func() (*state, error) {
+	const workers = 4
+	res, states, err := MapWorkerStates(context.Background(), workers, 200, func() (*state, error) {
 		return &state{id: built.Add(1)}, nil
 	}, func(s *state, i int) (int64, error) {
 		if s == nil || s.id < 1 || s.id > built.Load() {
@@ -107,8 +110,13 @@ func TestMapWorkerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(Workers(200)); built.Load() != want {
-		t.Fatalf("built %d states, want %d", built.Load(), want)
+	if built.Load() != workers || len(states) != workers {
+		t.Fatalf("built %d states and returned %d, want %d", built.Load(), len(states), workers)
+	}
+	for w, s := range states {
+		if s.id != int64(w+1) {
+			t.Fatalf("state %d has id %d; states must come back in worker order", w, s.id)
+		}
 	}
 	for i, id := range res {
 		if id < 1 {
@@ -120,10 +128,13 @@ func TestMapWorkerState(t *testing.T) {
 func TestMapWorkerNewStateError(t *testing.T) {
 	sentinel := errors.New("no state")
 	ran := false
-	_, err := MapWorker(10, func() (int, error) { return 0, sentinel },
+	_, states, err := MapWorkerStates(context.Background(), 2, 10, func() (int, error) { return 0, sentinel },
 		func(s, i int) (int, error) { ran = true; return 0, nil })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want newState error", err)
+	}
+	if states != nil {
+		t.Fatalf("states = %v on a newState error, want nil", states)
 	}
 	if ran {
 		t.Fatal("items must not run when newState fails")

@@ -94,9 +94,9 @@ type Config struct {
 	// DrainTimeout bounds how long Serve waits for in-flight requests
 	// after shutdown begins (default 30s).
 	DrainTimeout time.Duration
-	// CacheSize is the compiled-program LRU capacity (default 64). A
-	// cache hit is the warm-session path: compile and instrumentation are
-	// already done, the request pays only for execution.
+	// CacheSize is the compiled-program LRU capacity (default 64). On a
+	// cache hit, compile, instrumentation and bytecode are already done,
+	// so the request pays only for execution.
 	CacheSize int
 	// MaxBatch caps the sub-requests accepted in one POST /batch body
 	// (default 64). A batch takes a single admission slot — the amortized
@@ -772,8 +772,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.reg.WriteProm(w)
 }
 
-// progCache is a small LRU of compiled programs keyed by source text — the
-// warm-session path of the service. A cached *positdebug.Program is safe to
+// progCache is a small LRU of compiled programs keyed by source text, so a
+// repeated request skips compilation. A cached *positdebug.Program is safe to
 // Exec from any number of concurrent requests: it builds its instrumented
 // module and bytecode once, on first use.
 type progCache struct {

@@ -50,7 +50,7 @@ func warmAllocsPerRun(t *testing.T, m *interp.Machine, k backend.Kind) float64 {
 // eachBackend runs the guard on the tree-walker and the VM. Both must hold
 // the same steady-state allocation property: the register pool, chunk
 // cache, and shadow structures all live on the shared Machine/Runtime, so
-// warm Session reuse — and even switching backends between runs — costs
+// reusing the pair — and even switching backends between runs — costs
 // nothing at steady state.
 func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
 	for _, k := range backend.Kinds() {
@@ -64,8 +64,7 @@ func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
 // shadow-memory trie, frame pool, quire accumulators and counts map in
 // place, the interpreter pools register frames (one pool on the Machine,
 // shared by tree-walk and VM runs), and the load/store/binop path only
-// touches pre-grown big.Float mantissas. This is the property that lets
-// each campaign worker keep one runtime across hundreds of runs.
+// touches pre-grown big.Float mantissas.
 func TestWarmRuntimeAllocs(t *testing.T) {
 	_, m := buildPipeline(t, allocSrc, DefaultConfig())
 	eachBackend(t, func(t *testing.T, k backend.Kind) {

@@ -183,7 +183,7 @@ type Runtime struct {
 	qsA, qsB, qProd big.Float
 
 	// Observability bindings (see Config.Events / Config.Metrics). Metric
-	// pointers are resolved once at bind time so the hot path pays one nil
+	// pointers are resolved once in New, so the hot path pays one nil
 	// check plus an atomic add, never a registry lookup.
 	events     obs.Sink
 	reg        *obs.Registry
@@ -307,32 +307,19 @@ func New(mod *ir.Module, cfg Config) (*Runtime, error) {
 		mem:    newShadowMem(mod.GlobalBase + mod.GlobalSize + interp.DefaultStackSize),
 		quires: map[ir.Type]*shadowQuire{},
 		counts: map[Kind]int{},
+		events: cfg.Events,
+		prof:   cfg.Profile,
 	}
-	r.events = cfg.Events
-	r.bindMetrics(cfg.Metrics)
-	r.prof = cfg.Profile
+	if reg := cfg.Metrics; reg != nil {
+		r.reg = reg
+		r.metOps = reg.Counter("pd_shadow_ops_total")
+		for k := KindCancellation; k <= KindWrongOutput; k++ {
+			r.metDet[k] = reg.Counter(`pd_detections_total{kind="` + k.String() + `"}`)
+		}
+		r.metErrHist = reg.Histogram("pd_op_err_bits")
+		r.instHist = map[int32]*obs.Histogram{}
+	}
 	return r, nil
-}
-
-// SetEvents rebinds the event sink on a warm runtime (per-run tracing in
-// campaign workers). A nil sink disables emission.
-func (r *Runtime) SetEvents(s obs.Sink) {
-	r.events = s
-	r.cfg.Events = s
-}
-
-// SetMetrics rebinds the metrics registry on a warm runtime, re-resolving
-// the cached counter pointers. A nil registry disables metric updates.
-func (r *Runtime) SetMetrics(reg *obs.Registry) {
-	r.cfg.Metrics = reg
-	r.bindMetrics(reg)
-}
-
-// SetProfile rebinds the profile collector on a warm runtime. A nil
-// collector disables profiling.
-func (r *Runtime) SetProfile(c *profile.Collector) {
-	r.cfg.Profile = c
-	r.prof = c
 }
 
 // SetSampling sets the sampling stride: every nth dynamic instance of each
@@ -412,26 +399,9 @@ func (r *Runtime) recordLatency(id int32, t0 int64) {
 	r.prof.Latency(id, monoNanos()-t0)
 }
 
-func (r *Runtime) bindMetrics(reg *obs.Registry) {
-	r.reg = reg
-	if reg == nil {
-		r.metOps = nil
-		r.metDet = [KindWrongOutput + 1]*obs.Counter{}
-		r.metErrHist = nil
-		r.instHist = nil
-		return
-	}
-	r.metOps = reg.Counter("pd_shadow_ops_total")
-	for k := KindCancellation; k <= KindWrongOutput; k++ {
-		r.metDet[k] = reg.Counter(`pd_detections_total{kind="` + k.String() + `"}`)
-	}
-	r.metErrHist = reg.Histogram("pd_op_err_bits")
-	r.instHist = map[int32]*obs.Histogram{}
-}
-
 // instHistFor returns the per-instruction error histogram, creating it on
-// first observation. The map persists across Reset, so warm runs reach a
-// steady state with no per-run allocation.
+// first observation. The map persists across Reset, so repeated runs on
+// one runtime reach a steady state with no per-run allocation.
 func (r *Runtime) instHistFor(id int32) *obs.Histogram {
 	h, ok := r.instHist[id]
 	if !ok {
@@ -443,8 +413,8 @@ func (r *Runtime) instHistFor(id int32) *obs.Histogram {
 
 // Reset clears all state at the start of a run. It reuses the shadow-memory
 // trie, the frame pool, the quire accumulators and the counts map in place,
-// so a Runtime kept warm across runs (one per campaign worker) reaches a
-// steady state with no per-run allocation beyond the reports it emits.
+// so a Runtime run repeatedly on one machine reaches a steady state with
+// no per-run allocation beyond the reports it emits.
 func (r *Runtime) Reset() {
 	r.frames = r.frames[:0]
 	r.lockTop = 0

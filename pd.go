@@ -21,15 +21,15 @@
 //	    fmt.Println(r)
 //	}
 //
-// Exec takes functional options — WithShadow, WithSkip, WithLimits,
-// WithInjector, WithTrace, WithMetrics, WithHerbgrind, WithBaseline,
-// WithArgs — so cross-cutting concerns compose instead of multiplying
-// entry points. Warm sessions (Program.Session / Debugger.Exec) accept the
-// same options.
+// Exec is the one way to run a program. It takes functional options —
+// WithShadow, WithSkip, WithLimits, WithInjector, WithTrace, WithMetrics,
+// WithHerbgrind, WithBaseline, WithArgs — so cross-cutting concerns
+// compose instead of multiplying entry points. Exec recycles memory
+// images, shadow pages and bytecode between calls, so a sweep simply
+// calls it once per run.
 package positdebug
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -157,27 +157,6 @@ func (r *Result) I64() int64 { return int64(r.Value) }
 // Exec(fn, WithBaseline(), WithArgs(args...)).
 func (p *Program) Run(fn string, args ...uint64) (*Result, error) {
 	return p.Exec(fn, WithBaseline(), WithArgs(args...))
-}
-
-// Debugger is a reusable shadow-execution session: one runtime and one
-// machine kept warm across runs. After the first run, the shadow-memory
-// trie, frame pools, register frames and big.Float mantissas are all
-// reused in place, so repeated runs of the same program — a fault-injection
-// campaign worker, a sweep repetition — execute with no per-run setup
-// allocation. Not safe for concurrent use; parallel callers hold one
-// Debugger per worker (see parallel.MapWorker). Build one with
-// Program.Session and run with Debugger.Exec.
-type Debugger struct {
-	prog *Program
-	cfg  shadow.Config
-	mod  *ir.Module
-	rt   *shadow.Runtime
-	m    *interp.Machine
-	out  bytes.Buffer
-
-	// sampleN is the session's sampling stride (WithSampling), which a
-	// degraded retry carries onto its transient runtimes.
-	sampleN int64
 }
 
 // P32Arg encodes a float64 as a ⟨32,2⟩ posit argument.

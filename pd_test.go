@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"positdebug/internal/interp"
 	"positdebug/internal/shadow"
 )
 
@@ -199,44 +198,5 @@ func main(): p32 {
 	}
 	if full.Summary.UninstrumentedWrites != 0 {
 		t.Fatal("full instrumentation must not report uninstrumented writes")
-	}
-}
-
-// TestDebuggerWarmEqualsCold: repeated runs on one warm Debugger must be
-// indistinguishable from fresh Program.Debug runs — value, output, steps
-// and detection counts — since campaign workers rely on warm-runtime reuse
-// being semantically invisible.
-func TestDebuggerWarmEqualsCold(t *testing.T) {
-	prog, err := Compile(fig2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shadow.DefaultConfig()
-	cold, err := prog.Exec("main", WithShadow(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbg, err := prog.Session(WithShadow(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		warm, err := dbg.Exec("main", WithLimits(interp.Limits{}))
-		if err != nil {
-			t.Fatalf("warm run %d: %v", i, err)
-		}
-		if warm.Value != cold.Value || warm.Output != cold.Output || warm.Steps != cold.Steps {
-			t.Fatalf("warm run %d diverged: value %d/%d output %q/%q steps %d/%d",
-				i, warm.Value, cold.Value, warm.Output, cold.Output, warm.Steps, cold.Steps)
-		}
-		if warm.Degraded || warm.ShadowPrecision != cfg.Precision {
-			t.Fatalf("warm run %d: degraded=%v precision=%d", i, warm.Degraded, warm.ShadowPrecision)
-		}
-		for k := shadow.KindCancellation; k <= shadow.KindWrongOutput; k++ {
-			if warm.Summary.Counts[k] != cold.Summary.Counts[k] {
-				t.Fatalf("warm run %d: count[%s] = %d, cold %d",
-					i, k, warm.Summary.Counts[k], cold.Summary.Counts[k])
-			}
-		}
 	}
 }
