@@ -180,10 +180,9 @@ func FuzzInjector(f *testing.F) {
 
 // FuzzCompile fuzzes the bytecode pipeline end to end over randomly
 // generated PCL programs: the compiler must never emit a chunk the verifier
-// rejects (fused or not), the chunk must survive an encode/decode roundtrip,
-// and the VM must execute the verifier-accepted chunk without panicking —
-// producing exactly the tree-walker's result, output, and detection
-// summary.
+// rejects, and the VM must execute the verifier-accepted chunk without
+// panicking — producing exactly the tree-walker's result, output, and
+// detection summary.
 func FuzzCompile(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(1))
@@ -197,22 +196,12 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program does not compile: %v\n%s", err, src)
 		}
-		for _, fuse := range []bool{false, true} {
-			ch, err := bytecode.Compile(prog.Instrumented(), bytecode.Options{Fuse: fuse})
-			if err != nil {
-				t.Fatalf("bytecode compile (fuse=%v): %v\n%s", fuse, err, src)
-			}
-			if err := bytecode.Verify(ch); err != nil {
-				t.Fatalf("compiler emitted a chunk the verifier rejects (fuse=%v): %v\n%s\n%s",
-					fuse, err, ch.Disasm(), src)
-			}
-			re, err := bytecode.Decode(ch.Encode())
-			if err != nil {
-				t.Fatalf("encode/decode roundtrip (fuse=%v): %v\n%s", fuse, err, src)
-			}
-			if err := bytecode.Verify(re); err != nil {
-				t.Fatalf("roundtripped chunk no longer verifies (fuse=%v): %v\n%s", fuse, err, src)
-			}
+		ch, err := bytecode.Compile(prog.Instrumented(), bytecode.Options{})
+		if err != nil {
+			t.Fatalf("bytecode compile: %v\n%s", err, src)
+		}
+		if err := bytecode.Verify(ch); err != nil {
+			t.Fatalf("compiler emitted a chunk the verifier rejects: %v\n%s\n%s", err, ch.Disasm(), src)
 		}
 		cfg := shadow.Config{Precision: 128, Tracing: true, MaxReports: 2}
 		lim := interp.Limits{MaxSteps: 2_000_000, Timeout: 5 * time.Second}

@@ -1,8 +1,6 @@
 package bytecode
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"positdebug/internal/ir"
@@ -36,8 +34,7 @@ type Pos struct {
 }
 
 // Func is one compiled function. IR points back at the source function for
-// hook callbacks (EnterFunc, PreCall) and trap messages; it is not part of
-// the serialized form.
+// hook callbacks (EnterFunc, PreCall) and trap messages.
 type Func struct {
 	Name         string
 	NumParams    int32
@@ -63,276 +60,6 @@ type Module struct {
 	GlobalSize uint32
 	// NumRegistry bounds Inst.ID (ir registry size at compile time).
 	NumRegistry int32
-	// Fused records whether superinstruction fusion was applied.
-	Fused bool
-}
-
-// FuncByIndex returns the i-th function, or nil when out of range.
-func (m *Module) FuncByIndex(i int32) *Func {
-	if i < 0 || int(i) >= len(m.Funcs) {
-		return nil
-	}
-	return m.Funcs[i]
-}
-
-// chunkMagic versions the serialized form; bump when the layout changes.
-const chunkMagic = "pdbc1\n"
-
-// Encode serializes the chunk to a portable little-endian byte form —
-// the format FuzzChunkLoad mutates and golden tests diff.
-func (m *Module) Encode() []byte {
-	var b []byte
-	b = append(b, chunkMagic...)
-	b = appendU32(b, m.GlobalBase)
-	b = appendU32(b, m.GlobalSize)
-	b = appendU32(b, uint32(m.NumRegistry))
-	if m.Fused {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendU32(b, uint32(len(m.Args)))
-	for _, a := range m.Args {
-		b = appendU32(b, uint32(a))
-	}
-	b = appendU32(b, uint32(len(m.Strs)))
-	for _, s := range m.Strs {
-		b = appendU32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	b = appendU32(b, uint32(len(m.Funcs)))
-	for _, f := range m.Funcs {
-		b = appendU32(b, uint32(len(f.Name)))
-		b = append(b, f.Name...)
-		b = appendU32(b, uint32(f.NumParams))
-		b = appendU32(b, uint32(f.NumRegs))
-		b = appendU32(b, f.FrameSize)
-		if f.Instrumented {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendU32(b, uint32(len(f.Code)))
-		for i := range f.Code {
-			in := &f.Code[i]
-			b = append(b, byte(in.Op), in.K, in.T, in.T2)
-			b = appendU32(b, uint32(in.Dst))
-			b = appendU32(b, uint32(in.A))
-			b = appendU32(b, uint32(in.B))
-			b = appendU32(b, uint32(in.ID))
-			b = appendU64(b, in.Imm)
-			b = appendU32(b, uint32(f.Pos[i].Blk))
-			b = appendU32(b, uint32(f.Pos[i].Idx))
-		}
-	}
-	return b
-}
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// decoder walks the serialized form with bounds checks (Decode handles
-// untrusted input: errors, never panics).
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) u8() (byte, error) {
-	if d.off+1 > len(d.b) {
-		return 0, fmt.Errorf("bytecode: truncated at %d", d.off)
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if d.off+4 > len(d.b) {
-		return 0, fmt.Errorf("bytecode: truncated at %d", d.off)
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, fmt.Errorf("bytecode: truncated at %d", d.off)
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) str(max int) (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > max || d.off+int(n) > len(d.b) {
-		return "", fmt.Errorf("bytecode: bad string length %d at %d", n, d.off)
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// decodeMax caps element counts while decoding untrusted bytes, so a
-// corrupt header cannot make Decode allocate unbounded memory.
-const decodeMax = 1 << 20
-
-// Decode parses a serialized chunk. It validates structure (lengths,
-// truncation) but not semantics; run Verify on the result before executing
-// it.
-func Decode(raw []byte) (*Module, error) {
-	if len(raw) < len(chunkMagic) || string(raw[:len(chunkMagic)]) != chunkMagic {
-		return nil, fmt.Errorf("bytecode: bad magic")
-	}
-	d := &decoder{b: raw, off: len(chunkMagic)}
-	m := &Module{}
-	var err error
-	if m.GlobalBase, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if m.GlobalSize, err = d.u32(); err != nil {
-		return nil, err
-	}
-	nreg, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nreg > decodeMax {
-		return nil, fmt.Errorf("bytecode: registry size %d too large", nreg)
-	}
-	m.NumRegistry = int32(nreg)
-	fused, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.Fused = fused != 0
-	nargs, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nargs > decodeMax {
-		return nil, fmt.Errorf("bytecode: arg pool %d too large", nargs)
-	}
-	m.Args = make([]int32, nargs)
-	for i := range m.Args {
-		v, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Args[i] = int32(v)
-	}
-	nstrs, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nstrs > decodeMax {
-		return nil, fmt.Errorf("bytecode: string pool %d too large", nstrs)
-	}
-	for i := uint32(0); i < nstrs; i++ {
-		s, err := d.str(decodeMax)
-		if err != nil {
-			return nil, err
-		}
-		m.Strs = append(m.Strs, s)
-	}
-	nfuncs, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nfuncs > decodeMax {
-		return nil, fmt.Errorf("bytecode: func count %d too large", nfuncs)
-	}
-	for i := uint32(0); i < nfuncs; i++ {
-		f := &Func{}
-		if f.Name, err = d.str(decodeMax); err != nil {
-			return nil, err
-		}
-		np, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		nr, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if np > decodeMax || nr > decodeMax {
-			return nil, fmt.Errorf("bytecode: func %q register counts too large", f.Name)
-		}
-		f.NumParams, f.NumRegs = int32(np), int32(nr)
-		if f.FrameSize, err = d.u32(); err != nil {
-			return nil, err
-		}
-		inst, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Instrumented = inst != 0
-		ncode, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if ncode > decodeMax {
-			return nil, fmt.Errorf("bytecode: func %q code size %d too large", f.Name, ncode)
-		}
-		f.Code = make([]Inst, ncode)
-		f.Pos = make([]Pos, ncode)
-		for j := range f.Code {
-			in := &f.Code[j]
-			op, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			in.Op = Op(op)
-			if in.K, err = d.u8(); err != nil {
-				return nil, err
-			}
-			if in.T, err = d.u8(); err != nil {
-				return nil, err
-			}
-			if in.T2, err = d.u8(); err != nil {
-				return nil, err
-			}
-			dst, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			a, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			bb, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			id, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.Dst, in.A, in.B, in.ID = int32(dst), int32(a), int32(bb), int32(id)
-			if in.Imm, err = d.u64(); err != nil {
-				return nil, err
-			}
-			blk, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			idx, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			f.Pos[j] = Pos{Blk: int32(blk), Idx: int32(idx)}
-		}
-		m.Funcs = append(m.Funcs, f)
-	}
-	if d.off != len(raw) {
-		return nil, fmt.Errorf("bytecode: %d trailing bytes", len(raw)-d.off)
-	}
-	return m, nil
 }
 
 // immFitsI32 reports whether an Imm holds a value representable as int32 —

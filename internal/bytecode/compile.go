@@ -6,26 +6,30 @@ import (
 	"positdebug/internal/ir"
 )
 
-// Options configures compilation.
+// Options configures compilation. It carries nothing: Compile always fuses.
 type Options struct {
-	// Fuse turns adjacent base-op/shadow-hook pairs into superinstructions.
-	// Disable it when per-IR-instruction granularity matters — the unfused
-	// chunk maps 1:1 to the IR.
+	// Deprecated: Fuse is ignored; every base instruction is fused with the
+	// shadow event beside it. The one caller that still sets it is the
+	// benchmark's perfbench/layers.go.
 	Fuse bool
 }
 
 // Compile lowers an ir.Module into a flat bytecode chunk and verifies the
 // result: a non-nil return is always a chunk the verifier accepts, so the
 // VM can execute it with static register and pc checks already discharged.
-func Compile(mod *ir.Module, opts Options) (*Module, error) {
+//
+// Each shadow event is fused with the base instruction beside it into one
+// superinstruction. The instrumentation pass always places them together;
+// a shadow event cut off from its base is a compile error naming the
+// event. Only a call's sh.precall and sh.postcall stay standalone.
+func Compile(mod *ir.Module, _ Options) (*Module, error) {
 	out := &Module{
 		GlobalBase:  mod.GlobalBase,
 		GlobalSize:  mod.GlobalSize,
 		NumRegistry: int32(len(mod.Registry)),
-		Fused:       opts.Fuse,
 	}
 	for fi, f := range mod.Funcs {
-		cf, err := compileFunc(out, f, opts)
+		cf, err := compileFunc(out, f)
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: %s (func %d): %w", f.Name, fi, err)
 		}
@@ -45,7 +49,7 @@ type fixup struct {
 	field int
 }
 
-func compileFunc(out *Module, f *ir.Func, opts Options) (*Func, error) {
+func compileFunc(out *Module, f *ir.Func) (*Func, error) {
 	cf := &Func{
 		Name:         f.Name,
 		NumParams:    int32(len(f.Params)),
@@ -67,22 +71,14 @@ func compileFunc(out *Module, f *ir.Func, opts Options) (*Func, error) {
 		instrs := f.Blocks[bi].Instrs
 		for i := 0; i < len(instrs); {
 			in := &instrs[i]
-			if opts.Fuse && i+1 < len(instrs) {
+			if i+1 < len(instrs) {
 				if fused, ok := fusePair(in, &instrs[i+1]); ok {
-					if fused.Op == OpCall || fused.Op == OpShPreCall {
-						// unreachable: call fusion is not attempted
-						return nil, fmt.Errorf("bad fusion at block %d instr %d", bi, i)
-					}
-					fused, err := fillPools(out, cf, fused, in, &instrs[i+1])
-					if err != nil {
-						return nil, err
-					}
 					emit(fused, int32(bi), i)
 					i += 2
 					continue
 				}
 			}
-			lowered, err := lower(out, cf, in)
+			lowered, err := lower(out, in)
 			if err != nil {
 				return nil, fmt.Errorf("block %d instr %d: %w", bi, i, err)
 			}
@@ -112,9 +108,10 @@ func compileFunc(out *Module, f *ir.Func, opts Options) (*Func, error) {
 	return cf, nil
 }
 
-// lower translates one IR instruction to one bytecode instruction.
-// Branch targets are left as placeholders for the fixup pass.
-func lower(out *Module, cf *Func, in *ir.Instr) (Inst, error) {
+// lower translates one IR instruction that fusePair left alone to one
+// bytecode instruction. Branch targets are left as placeholders for the
+// fixup pass.
+func lower(out *Module, in *ir.Instr) (Inst, error) {
 	bi := Inst{K: in.Kind, T: uint8(in.Type), T2: uint8(in.Type2),
 		Dst: in.Dst, A: in.A, B: in.B, ID: in.ID, Imm: in.Imm}
 	switch in.Op {
@@ -190,22 +187,6 @@ func lower(out *Module, cf *Func, in *ir.Instr) (Inst, error) {
 		bi.Op = OpFMA
 		bi.A, bi.B, bi.Imm = in.Args[0], in.Args[1], uint64(uint32(in.Args[2]))
 
-	case ir.OpShadowConst:
-		bi.Op = OpShConst
-	case ir.OpShadowMov:
-		bi.Op = OpShMov
-	case ir.OpShadowBin:
-		bi.Op = OpShBin
-	case ir.OpShadowUn:
-		bi.Op = OpShUn
-	case ir.OpShadowCmp:
-		bi.Op = OpShCmp
-	case ir.OpShadowCast:
-		bi.Op = OpShCast
-	case ir.OpShadowLoad:
-		bi.Op = OpShLoad
-	case ir.OpShadowStore:
-		bi.Op = OpShStore
 	case ir.OpShadowPreCall:
 		bi.Op = OpShPreCall
 		bi.A = in.Fn
@@ -214,24 +195,11 @@ func lower(out *Module, cf *Func, in *ir.Instr) (Inst, error) {
 		out.Args = append(out.Args, in.Args...)
 	case ir.OpShadowPostCall:
 		bi.Op = OpShPostCall
-	case ir.OpShadowRet:
-		bi.Op = OpShRet
-	case ir.OpShadowPrint:
-		bi.Op = OpShPrint
-	case ir.OpShadowQClear:
-		bi.Op = OpShQClear
-	case ir.OpShadowQAdd:
-		bi.Op = OpShQAdd
-	case ir.OpShadowQMAdd:
-		bi.Op = OpShQMAdd
-	case ir.OpShadowQVal:
-		bi.Op = OpShQVal
-	case ir.OpShadowFMA:
-		if len(in.Args) != 3 {
-			return Inst{}, fmt.Errorf("sh.fma needs 3 args, got %d", len(in.Args))
-		}
-		bi.Op = OpShFMA
-		bi.A, bi.B, bi.Imm = in.Args[0], in.Args[1], uint64(uint32(in.Args[2]))
+	case ir.OpShadowConst, ir.OpShadowMov, ir.OpShadowBin, ir.OpShadowUn,
+		ir.OpShadowCmp, ir.OpShadowCast, ir.OpShadowLoad, ir.OpShadowStore,
+		ir.OpShadowRet, ir.OpShadowPrint, ir.OpShadowQClear, ir.OpShadowQAdd,
+		ir.OpShadowQMAdd, ir.OpShadowQVal, ir.OpShadowFMA:
+		return Inst{}, fmt.Errorf("%v is not beside its base instruction", in.Op)
 	default:
 		return Inst{}, fmt.Errorf("unknown opcode %v", in.Op)
 	}
@@ -307,7 +275,8 @@ func storeOpcode(t ir.Type) (Op, error) {
 // preceded) by its matching shadow instruction and builds the fused
 // superinstruction. The instrumentation pass emits shadows as verbatim
 // field copies of their base, so matching is strict field equality on every
-// field either half consumes — anything else stays unfused.
+// field either half consumes; a shadow event that matches nothing is
+// rejected by lower.
 func fusePair(a, b *ir.Instr) (Inst, bool) {
 	// sh.ret precedes its ret.
 	if a.Op == ir.OpShadowRet && b.Op == ir.OpRet && a.A == b.A {
@@ -390,11 +359,4 @@ func fusedBinOpcode(k ir.BinKind, t ir.Type) Op {
 		}
 	}
 	return OpFusedBin
-}
-
-// fillPools is a hook for fused instructions that need pool entries; today
-// none do (call fusion is never attempted), but the seam keeps pool writes
-// in one place if a fused call ever lands.
-func fillPools(out *Module, cf *Func, fused Inst, a, b *ir.Instr) (Inst, error) {
-	return fused, nil
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // Disasm renders the whole chunk in a stable, diff-friendly text form — the
-// artifact the golden-file tests pin, so chunk-encoding or fusion-rule
+// artifact the golden-file tests pin, so instruction-set or fusion-rule
 // changes show up as reviewable diffs.
 func (m *Module) Disasm() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "chunk globals=[%d,%d) registry=%d fused=%v\n",
-		m.GlobalBase, m.GlobalBase+m.GlobalSize, m.NumRegistry, m.Fused)
+	fmt.Fprintf(&sb, "chunk globals=[%d,%d) registry=%d\n",
+		m.GlobalBase, m.GlobalBase+m.GlobalSize, m.NumRegistry)
 	for fi, f := range m.Funcs {
 		fmt.Fprintf(&sb, "func %d %s: params=%d regs=%d frame=%d instrumented=%v\n",
 			fi, f.Name, f.NumParams, f.NumRegs, f.FrameSize, f.Instrumented)
@@ -99,40 +99,10 @@ func (m *Module) instBody(in *Inst) string {
 	case OpFMA:
 		return fmt.Sprintf("%s.%s r%d, r%d, r%d, r%d", op, t, in.Dst, in.A, in.B, int32(in.Imm))
 
-	case OpShConst:
-		return fmt.Sprintf("%s.%s r%d%s", op, t, in.Dst, idSuffix)
-	case OpShMov:
-		return fmt.Sprintf("%s.%s r%d, r%d%s", op, t, in.Dst, in.A, idSuffix)
-	case OpShBin:
-		return fmt.Sprintf("%s.%s.%s r%d, r%d, r%d%s", op, binName(in.K), t, in.Dst, in.A, in.B, idSuffix)
-	case OpShUn:
-		return fmt.Sprintf("%s.%s.%s r%d, r%d%s", op, unName(in.K), t, in.Dst, in.A, idSuffix)
-	case OpShCmp:
-		return fmt.Sprintf("%s.%s.%s r%d, r%d, r%d%s", op, cmpName(in.K), t, in.Dst, in.A, in.B, idSuffix)
-	case OpShCast:
-		return fmt.Sprintf("%s.%s.%s r%d, r%d%s", op, t, ir.Type(in.T2), in.Dst, in.A, idSuffix)
-	case OpShLoad:
-		return fmt.Sprintf("%s.%s r%d, [r%d]%s", op, t, in.Dst, in.A, idSuffix)
-	case OpShStore:
-		return fmt.Sprintf("%s.%s [r%d], r%d%s", op, t, in.A, in.B, idSuffix)
 	case OpShPreCall:
 		return fmt.Sprintf("%s fn%d%s", op, in.A, m.argList(in))
 	case OpShPostCall:
 		return fmt.Sprintf("%s.%s r%d%s", op, t, in.Dst, idSuffix)
-	case OpShRet:
-		return fmt.Sprintf("%s.%s r%d", op, t, in.A)
-	case OpShPrint:
-		return fmt.Sprintf("%s.%s r%d%s", op, t, in.A, idSuffix)
-	case OpShQClear:
-		return op
-	case OpShQAdd:
-		return fmt.Sprintf("%s.%s%s r%d", op, t, negSuffix(in.K), in.A)
-	case OpShQMAdd:
-		return fmt.Sprintf("%s.%s%s r%d, r%d", op, t, negSuffix(in.K), in.A, in.B)
-	case OpShQVal:
-		return fmt.Sprintf("%s.%s r%d%s", op, t, in.Dst, idSuffix)
-	case OpShFMA:
-		return fmt.Sprintf("%s.%s r%d, r%d, r%d, r%d%s", op, t, in.Dst, in.A, in.B, int32(in.Imm), idSuffix)
 
 	case OpFusedConst:
 		return fmt.Sprintf("%s.%s r%d, %#x%s", op, t, in.Dst, in.Imm, idSuffix)
@@ -191,7 +161,8 @@ func (m *Module) argList(in *Inst) string {
 }
 
 // binName/unName/cmpName avoid relying on the enum String methods for
-// out-of-range fuzz values (their name tables index by value).
+// out-of-range values in a chunk the verifier rejected (their name tables
+// index by value).
 func binName(k uint8) string {
 	if k <= uint8(ir.BinRem) {
 		return ir.BinKind(k).String()
@@ -206,7 +177,6 @@ func unName(k uint8) string {
 	return fmt.Sprintf("un%d", k)
 }
 
-// cmpName avoids relying on CmpPred.String for out-of-range fuzz values.
 func cmpName(k uint8) string {
 	if k <= uint8(ir.CmpGe) {
 		return ir.CmpPred(k).String()

@@ -2,9 +2,10 @@ package bytecode_test
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	positdebug "positdebug"
@@ -45,7 +46,6 @@ func allOpcodesModule() *bytecode.Module {
 	p32 := uint8(ir.P32)
 	p16 := uint8(ir.P16)
 	f64 := uint8(ir.F64)
-	i64 := uint8(ir.I64)
 	ins := func(op bytecode.Op, in bytecode.Inst) bytecode.Inst {
 		in.Op = op
 		return in
@@ -92,23 +92,8 @@ func allOpcodesModule() *bytecode.Module {
 		ins(bytecode.OpQMAdd, bytecode.Inst{T: p32, A: 1, B: 2, ID: -1}),
 		ins(bytecode.OpQVal, bytecode.Inst{T: p32, Dst: 3, ID: -1}),
 		ins(bytecode.OpFMA, bytecode.Inst{T: p32, Dst: 3, A: 1, B: 2, Imm: 1, ID: -1}),
-		ins(bytecode.OpShConst, bytecode.Inst{T: p32, Dst: 1, ID: 0}),
-		ins(bytecode.OpShMov, bytecode.Inst{T: p32, Dst: 2, A: 1, ID: 1}),
-		ins(bytecode.OpShBin, bytecode.Inst{K: uint8(ir.BinAdd), T: p32, Dst: 3, A: 1, B: 2, ID: 2}),
-		ins(bytecode.OpShUn, bytecode.Inst{K: uint8(ir.UnSqrt), T: p32, Dst: 3, A: 1, ID: 3}),
-		ins(bytecode.OpShCmp, bytecode.Inst{K: uint8(ir.CmpEq), T: p32, Dst: 3, A: 1, B: 2, ID: 4}),
-		ins(bytecode.OpShCast, bytecode.Inst{T: p32, T2: i64, Dst: 3, A: 1, ID: 5}),
-		ins(bytecode.OpShLoad, bytecode.Inst{T: p32, Dst: 3, A: 1, ID: 6}),
-		ins(bytecode.OpShStore, bytecode.Inst{T: p32, A: 1, B: 2, ID: 7}),
 		ins(bytecode.OpShPreCall, bytecode.Inst{A: 0, B: 2, Imm: 0, ID: -1}),
 		ins(bytecode.OpShPostCall, bytecode.Inst{T: p32, Dst: 3, ID: 8}),
-		ins(bytecode.OpShRet, bytecode.Inst{T: p32, A: 3, ID: -1}),
-		ins(bytecode.OpShPrint, bytecode.Inst{T: p32, A: 1, ID: 9}),
-		ins(bytecode.OpShQClear, bytecode.Inst{T: p32, ID: -1}),
-		ins(bytecode.OpShQAdd, bytecode.Inst{T: p32, A: 1, ID: -1}),
-		ins(bytecode.OpShQMAdd, bytecode.Inst{T: p32, A: 1, B: 2, K: 1, ID: -1}),
-		ins(bytecode.OpShQVal, bytecode.Inst{T: p32, Dst: 3, ID: 10}),
-		ins(bytecode.OpShFMA, bytecode.Inst{T: p32, Dst: 3, A: 1, B: 2, Imm: 1, ID: 11}),
 		ins(bytecode.OpFusedConst, bytecode.Inst{T: p32, Dst: 1, Imm: 0x4000_0000, ID: 0}),
 		ins(bytecode.OpFusedMov, bytecode.Inst{T: p32, Dst: 2, A: 1, ID: 1}),
 		ins(bytecode.OpFusedAddP16, bytecode.Inst{T: p16, Dst: 3, A: 1, B: 2, ID: 2}),
@@ -145,12 +130,11 @@ func allOpcodesModule() *bytecode.Module {
 		GlobalBase:  0,
 		GlobalSize:  64,
 		NumRegistry: 32,
-		Fused:       true,
 	}
 }
 
 // TestDisasmGoldenAllOpcodes pins the disassembly of a synthetic chunk
-// holding every opcode — base, shadow, and fused superinstruction — so any
+// holding every opcode — base, call event, and fused superinstruction — so any
 // change to the instruction set or its rendering is a reviewable golden
 // diff. The completeness check makes it impossible to add an opcode without
 // extending the golden.
@@ -196,30 +180,61 @@ func main(): p32 {
 }
 `
 
-// TestDisasmGoldenCompiled pins the chunks the compiler actually emits for
-// goldenSrc, fused and unfused, so fusion-rule changes show up as golden
-// diffs reviewable instruction by instruction.
+// TestDisasmGoldenCompiled pins the chunk the compiler actually emits for
+// goldenSrc, so fusion-rule changes show up as golden diffs reviewable
+// instruction by instruction.
 func TestDisasmGoldenCompiled(t *testing.T) {
 	prog, err := positdebug.Compile(goldenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := prog.Instrumented()
-	for _, tc := range []struct {
-		name string
-		fuse bool
-	}{
-		{"compiled_fused.golden", true},
-		{"compiled_unfused.golden", false},
-	} {
-		ch, err := bytecode.Compile(mod, bytecode.Options{Fuse: tc.fuse})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	ch, err := bytecode.Compile(prog.Instrumented(), bytecode.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bytecode.Verify(ch); err != nil {
+		t.Fatalf("compiler emitted a chunk the verifier rejects: %v", err)
+	}
+	checkGolden(t, "compiled_fused.golden", ch.Disasm())
+}
+
+// TestCompileRejectsUnpairedShadowEvent cuts one sh.bin off from its bin
+// with a nop and requires Compile to refuse the module, naming the event:
+// every shadow event but a call's must fuse with the base instruction
+// beside it.
+func TestCompileRejectsUnpairedShadowEvent(t *testing.T) {
+	prog, err := positdebug.Compile(goldenSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := *prog.Instrumented()
+	mod.Funcs = slices.Clone(mod.Funcs)
+	cut := false
+find:
+	for fi, f := range mod.Funcs {
+		for bi, b := range f.Blocks {
+			for i := 0; i+1 < len(b.Instrs); i++ {
+				if b.Instrs[i].Op == ir.OpBin && b.Instrs[i+1].Op == ir.OpShadowBin {
+					nop := ir.Instr{Op: ir.OpNop, Dst: -1, A: -1, B: -1, ID: -1, Fn: -1}
+					nf := *f
+					nf.Blocks = slices.Clone(f.Blocks)
+					nf.Blocks[bi].Instrs = slices.Insert(slices.Clone(b.Instrs), i+1, nop)
+					mod.Funcs[fi] = &nf
+					cut = true
+					break find
+				}
+			}
 		}
-		if err := bytecode.Verify(ch); err != nil {
-			t.Fatalf("%s: compiler emitted a chunk the verifier rejects: %v", tc.name, err)
-		}
-		checkGolden(t, tc.name, ch.Disasm())
+	}
+	if !cut {
+		t.Fatal("goldenSrc has no bin followed by its sh.bin")
+	}
+	ch, err := bytecode.Compile(&mod, bytecode.Options{})
+	if err == nil {
+		t.Fatalf("Compile accepted a sh.bin cut off from its bin:\n%s", ch.Disasm())
+	}
+	if !strings.Contains(err.Error(), "sh.bin") {
+		t.Fatalf("error does not name the event: %v", err)
 	}
 }
 
@@ -232,27 +247,12 @@ func TestDisasmInstCoversEveryOpcode(t *testing.T) {
 	for pc := range f.Code {
 		line := m.DisasmInst(f, pc)
 		if op := f.Code[pc].Op; op != bytecode.OpInvalid {
-			if want := op.String(); line == "" || !contains(line, want) {
+			if want := op.String(); line == "" || !strings.Contains(line, want) {
 				t.Errorf("pc %d (%v): rendering %q does not contain mnemonic %q", pc, op, line, want)
 			}
 		}
-		if !contains(line, "; b") {
+		if !strings.Contains(line, "; b") {
 			t.Errorf("pc %d: rendering %q lacks the position comment", pc, line)
 		}
 	}
 }
-
-func contains(s, sub string) bool {
-	return len(sub) == 0 || (len(s) >= len(sub) && index(s, sub) >= 0)
-}
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
-var _ = fmt.Sprintf // keep fmt for debug edits

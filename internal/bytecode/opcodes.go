@@ -6,10 +6,12 @@
 //   - Inst is a fixed-size instruction word; branch targets are pre-resolved
 //     program counters, so the VM never touches basic-block structure.
 //   - Hot opcodes are specialized by type and kind (AddP16, MulP32, Load4…)
-//     so one dispatch replaces the tree-walker's nested switches, and the
-//     hottest base-op/shadow-hook pairs are fused into superinstructions
+//     so one dispatch replaces the tree-walker's nested switches, and every
+//     base-op/shadow-event pair is fused into one superinstruction
 //     (add.p16.lut+sh, mul.p32+sh, load+sh, store+sh…) so one dispatch
 //     covers arithmetic, the LUT codec fast path, and shadow bookkeeping.
+//     Only a call's shadow events (sh.precall, sh.postcall) stay
+//     standalone.
 //   - Every instruction carries a position-table entry mapping its pc back
 //     to the (block, index) of the ir.Instr it came from, so structured
 //     fault reports and the file:line:col profiler keep their coordinates.
@@ -22,7 +24,7 @@ package bytecode
 
 // Op enumerates VM opcodes. The fused superinstructions form a contiguous
 // block at the end so the VM can classify them with one compare (see
-// FusedFirst and Weight).
+// FusedFirst).
 type Op uint8
 
 // Base opcodes (one IR instruction each).
@@ -83,27 +85,12 @@ const (
 	OpQVal  // Dst ← round quire[T]
 	OpFMA   // Dst ← A·B + regs[Imm], single rounding
 
-	// Shadow opcodes: the un-fused forms, emitted when an OpShadow* ir
-	// instruction is not adjacent to a fusable base instruction (or when
-	// fusion is disabled). Each routes one event to the machine's Hooks
-	// exactly as the tree-walker does.
-	OpShConst
-	OpShMov
-	OpShBin
-	OpShUn
-	OpShCmp
-	OpShCast
-	OpShLoad
-	OpShStore
+	// Call events. Calls have no fused form, so the shadow halves of a call
+	// stay standalone; each routes one event to the machine's Hooks exactly
+	// as the tree-walker does. Every other shadow event is fused with its
+	// base instruction.
 	OpShPreCall  // A = callee, B = arg count, Imm = arg-pool offset
 	OpShPostCall // Dst (−1 void)
-	OpShRet      // A (−1 void)
-	OpShPrint
-	OpShQClear
-	OpShQAdd
-	OpShQMAdd
-	OpShQVal
-	OpShFMA
 
 	// Fused superinstructions: one dispatch executes the base operation and
 	// delivers its shadow event. Each stands for two IR instructions and
@@ -139,18 +126,6 @@ const FusedFirst = OpFusedConst
 
 // NumOps is the number of defined opcodes (golden tests iterate it).
 const NumOps = int(opMax)
-
-// Weight is the step cost of an opcode: fused superinstructions stand for
-// two IR instructions.
-func (o Op) Weight() int64 {
-	if o >= FusedFirst {
-		return 2
-	}
-	return 1
-}
-
-// Fused reports whether o is a fused superinstruction.
-func (o Op) Fused() bool { return o >= FusedFirst && o < opMax }
 
 var opNames = [...]string{
 	OpInvalid: "invalid",
@@ -205,23 +180,8 @@ var opNames = [...]string{
 	OpQVal:   "qval",
 	OpFMA:    "fma",
 
-	OpShConst:    "sh.const",
-	OpShMov:      "sh.mov",
-	OpShBin:      "sh.bin",
-	OpShUn:       "sh.un",
-	OpShCmp:      "sh.cmp",
-	OpShCast:     "sh.cast",
-	OpShLoad:     "sh.load",
-	OpShStore:    "sh.store",
 	OpShPreCall:  "sh.precall",
 	OpShPostCall: "sh.postcall",
-	OpShRet:      "sh.ret",
-	OpShPrint:    "sh.print",
-	OpShQClear:   "sh.qclear",
-	OpShQAdd:     "sh.qadd",
-	OpShQMAdd:    "sh.qmadd",
-	OpShQVal:     "sh.qval",
-	OpShFMA:      "sh.fma",
 
 	OpFusedConst:  "const+sh",
 	OpFusedMov:    "mov+sh",

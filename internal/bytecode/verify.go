@@ -31,8 +31,8 @@ func verifyFunc(m *Module, f *Func) error {
 	if f.NumRegs < 0 || f.NumParams < 0 || f.NumParams > f.NumRegs {
 		return fmt.Errorf("bad register counts: params %d regs %d", f.NumParams, f.NumRegs)
 	}
-	// Cap the frame so the VM's stack-pointer arithmetic (uint64 widened)
-	// can never wrap on a hostile decoded chunk.
+	// Cap the frame so the VM's frame rounding and stack-pointer
+	// arithmetic can never wrap.
 	if f.FrameSize > 1<<30 {
 		return fmt.Errorf("frame size %d too large", f.FrameSize)
 	}
@@ -202,40 +202,10 @@ func verifyInst(m *Module, f *Func, pc int) error {
 	case OpFMA:
 		return err2(typ(in.T), reg(in.Dst), reg(in.A), reg(in.B), immReg(in.Imm))
 
-	case OpShConst:
-		return err2(typ(in.T), reg(in.Dst), id(in.ID))
-	case OpShMov:
-		return err2(typ(in.T), reg(in.Dst), reg(in.A), id(in.ID))
-	case OpShBin:
-		return err2(binK(in.K), typ(in.T), reg(in.Dst), reg(in.A), reg(in.B), id(in.ID))
-	case OpShUn:
-		return err2(unK(in.K), typ(in.T), reg(in.Dst), reg(in.A), id(in.ID))
-	case OpShCmp:
-		return err2(cmpK(in.K), typ(in.T), reg(in.Dst), reg(in.A), reg(in.B), id(in.ID))
-	case OpShCast:
-		return err2(typ(in.T), typ(in.T2), reg(in.Dst), reg(in.A), id(in.ID))
-	case OpShLoad:
-		return err2(typ(in.T), reg(in.Dst), reg(in.A), id(in.ID))
-	case OpShStore:
-		return err2(typ(in.T), reg(in.A), reg(in.B), id(in.ID))
 	case OpShPreCall:
 		return err2(callee(in.A), pool(in.Imm, in.B))
 	case OpShPostCall:
 		return err2(typ(in.T), optReg(in.Dst), id(in.ID))
-	case OpShRet:
-		return err2(typ(in.T), optReg(in.A))
-	case OpShPrint:
-		return err2(typ(in.T), reg(in.A), id(in.ID))
-	case OpShQClear:
-		return nil
-	case OpShQAdd:
-		return err2(negK(in.K), typ(in.T), reg(in.A))
-	case OpShQMAdd:
-		return err2(negK(in.K), typ(in.T), reg(in.A), reg(in.B))
-	case OpShQVal:
-		return err2(typ(in.T), reg(in.Dst), id(in.ID))
-	case OpShFMA:
-		return err2(typ(in.T), reg(in.Dst), reg(in.A), reg(in.B), immReg(in.Imm), id(in.ID))
 
 	case OpFusedConst:
 		return err2(typ(in.T), reg(in.Dst), id(in.ID))

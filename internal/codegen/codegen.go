@@ -20,27 +20,34 @@ import (
 // catching stray null-ish accesses.
 const GlobalBase = 4096
 
+// maxAddr bounds the machine's 32-bit address space: the globals, and the
+// globals plus any one frame above them, must end at or below it. Layout
+// runs in 64 bits, so an array too large for the address space is a
+// compile error rather than a wrapped size that aliases its neighbours.
+const maxAddr = math.MaxUint32
+
 // Compile lowers a checked program to an IR module.
 func Compile(chk *lang.Checked) (*ir.Module, error) {
 	m := &ir.Module{FuncIdx: map[string]int32{}, GlobalBase: GlobalBase}
 	g := &gen{m: m, chk: chk, slots: map[*lang.Symbol]slot{}}
 
 	// Lay out globals.
-	off := uint32(GlobalBase)
+	off := uint64(GlobalBase)
 	for _, d := range chk.Prog.Globals {
 		sym := chk.DeclSym[d]
 		et := ir.TypeFromLang(d.Type.Kind)
-		count := uint32(1)
-		for _, dim := range d.Type.Dims {
-			count *= uint32(dim)
-		}
-		size := et.Size() * count
 		off = align(off, et.Size())
-		m.Globals = append(m.Globals, ir.GlobalInfo{Name: d.Name, Type: et, Offset: off, Size: size})
-		g.slots[sym] = slot{addr: off, typ: et, global: true, dims: d.Type.Dims}
+		size, ok := layoutSize(et, d.Type.Dims)
+		if !ok || off+size > maxAddr {
+			return nil, fmt.Errorf("%s: global %q does not fit in the 32-bit address space", d.Pos, d.Name)
+		}
+		m.Globals = append(m.Globals, ir.GlobalInfo{Name: d.Name, Type: et, Offset: uint32(off), Size: uint32(size)})
+		g.slots[sym] = slot{addr: uint32(off), typ: et, global: true, dims: d.Type.Dims}
 		off += size
 	}
-	m.GlobalSize = off - GlobalBase
+	m.GlobalSize = uint32(off - GlobalBase)
+	// A frame sits on the stack above the globals, rounded to 8 bytes.
+	g.maxFrame = (maxAddr - off) &^ 7
 
 	// Function indices first so calls can be resolved in one pass.
 	names := make([]string, 0, len(chk.Prog.Funcs)+1)
@@ -70,11 +77,26 @@ func Compile(chk *lang.Checked) (*ir.Module, error) {
 	return m, nil
 }
 
-func align(off, sz uint32) uint32 {
+func align(off uint64, sz uint32) uint64 {
 	if sz == 0 {
 		sz = 1
 	}
-	return (off + sz - 1) / sz * sz
+	return (off + uint64(sz) - 1) / uint64(sz) * uint64(sz)
+}
+
+// layoutSize is the byte size of a variable of element type et with the
+// given array dims; ok is false when it exceeds the address space.
+func layoutSize(et ir.Type, dims []int) (size uint64, ok bool) {
+	size = uint64(et.Size())
+	for _, d := range dims {
+		if uint64(d) > maxAddr {
+			return 0, false
+		}
+		if size *= uint64(d); size > maxAddr {
+			return 0, false
+		}
+	}
+	return size, true
 }
 
 type slot struct {
@@ -89,10 +111,13 @@ type gen struct {
 	chk   *lang.Checked
 	slots map[*lang.Symbol]slot
 
+	// maxFrame is the largest frame the stack above the globals can hold.
+	maxFrame uint64
+
 	// Per-function state.
 	fn       *ir.Func
 	fd       *lang.FuncDecl
-	frameOff uint32
+	frameOff uint64
 	cur      int
 	loopTop  []int32 // continue targets
 	loopEnd  []int32 // break targets
@@ -153,7 +178,7 @@ func (g *gen) genInit() (*ir.Func, error) {
 		g.emit(ir.Instr{Op: ir.OpStore, Type: s.typ, A: addr, B: val, ID: id, Dst: -1})
 	}
 	g.emit(ir.Instr{Op: ir.OpRet, A: -1, Dst: -1, B: -1, ID: -1})
-	g.fn.FrameSize = g.frameOff
+	g.fn.FrameSize = uint32(g.frameOff)
 	return g.fn, nil
 }
 
@@ -173,7 +198,9 @@ func (g *gen) genFunc(fd *lang.FuncDecl) (*ir.Func, error) {
 		g.fn.NumRegs++
 	}
 	for i, ps := range g.chk.ParamSym[fd] {
-		g.allocLocal(ps)
+		if err := g.allocLocal(ps, fd.Params[i].Pos); err != nil {
+			return nil, err
+		}
 		s := g.slots[ps]
 		addr := g.newReg()
 		g.emit(ir.Instr{Op: ir.OpFrameAddr, Dst: addr, Imm: uint64(s.addr), ID: -1, A: -1, B: -1})
@@ -195,7 +222,7 @@ func (g *gen) genFunc(fd *lang.FuncDecl) (*ir.Func, error) {
 			g.emit(ir.Instr{Op: ir.OpRet, A: z, Dst: -1, B: -1, ID: -1})
 		}
 	}
-	g.fn.FrameSize = g.frameOff
+	g.fn.FrameSize = uint32(g.frameOff)
 	return g.fn, nil
 }
 
@@ -213,15 +240,16 @@ func (g *gen) terminated() bool {
 	return false
 }
 
-func (g *gen) allocLocal(sym *lang.Symbol) {
+func (g *gen) allocLocal(sym *lang.Symbol, pos lang.Pos) error {
 	et := ir.TypeFromLang(sym.Type.Kind)
-	count := uint32(1)
-	for _, d := range sym.Type.Dims {
-		count *= uint32(d)
-	}
 	g.frameOff = align(g.frameOff, et.Size())
-	g.slots[sym] = slot{addr: g.frameOff, typ: et, dims: sym.Type.Dims}
-	g.frameOff += et.Size() * count
+	size, ok := layoutSize(et, sym.Type.Dims)
+	if !ok || g.frameOff+size > g.maxFrame {
+		return fmt.Errorf("%s: local %q does not fit in the 32-bit address space", pos, sym.Name)
+	}
+	g.slots[sym] = slot{addr: uint32(g.frameOff), typ: et, dims: sym.Type.Dims}
+	g.frameOff += size
+	return nil
 }
 
 func (g *gen) block(b *lang.BlockStmt) error {
@@ -245,7 +273,9 @@ func (g *gen) stmt(s lang.Stmt) error {
 		return g.block(s)
 	case *lang.DeclStmt:
 		sym := g.chk.DeclSym[s.Decl]
-		g.allocLocal(sym)
+		if err := g.allocLocal(sym, s.Decl.Pos); err != nil {
+			return err
+		}
 		if s.Decl.Init != nil {
 			val, err := g.expr(s.Decl.Init)
 			if err != nil {

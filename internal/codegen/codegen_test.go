@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -53,6 +54,37 @@ func f() { }
 	}
 	if mod.GlobalSize == 0 || byName["c"].Offset < byName["M"].Offset {
 		t.Fatal("layout ordering")
+	}
+}
+
+// TestLayoutAddressSpaceBound: globals may fill the 32-bit address space
+// up to its last byte and no further, and a frame must fit above them.
+func TestLayoutAddressSpaceBound(t *testing.T) {
+	// (maxAddr − GlobalBase) / 4 f32 elements end 3 bytes below maxAddr.
+	const fits = (maxAddr - GlobalBase) / 4
+	mod := lower(t, fmt.Sprintf("var a: [%d]f32;\nfunc f() { }\n", fits))
+	if end := uint64(mod.GlobalBase) + uint64(mod.GlobalSize); end != maxAddr-3 {
+		t.Fatalf("globals end at %d, want %d", end, uint64(maxAddr-3))
+	}
+	for _, tc := range []struct{ src, name string }{
+		{fmt.Sprintf("var a: [%d]f32;\n", fits+1), `global "a"`},
+		{"var a: [805306368]f32;\nvar b: [805306368]f32;\n", `global "b"`},
+		{"var a: [9223372036854775807][2]f64;\n", `global "a"`},
+		{fmt.Sprintf("var a: [%d]f32;\nfunc f() { var x: f64; }\n", fits), `local "x"`},
+		{"func f() { var m: [65536][65537]f32; }\n", `local "m"`},
+	} {
+		prog, err := lang.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk, err := lang.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Compile(chk)
+		if err == nil || !strings.Contains(err.Error(), tc.name+" does not fit in the 32-bit address space") {
+			t.Errorf("%q: got %v, want an error naming %s", tc.src, err, tc.name)
+		}
 	}
 }
 

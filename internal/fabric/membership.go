@@ -18,8 +18,10 @@ type Member struct {
 	// URL is the worker's pdserve base URL, normalized (no trailing /).
 	URL string `json:"url"`
 	// Capacity is the worker's advertised concurrent-run capacity
-	// (pdserve's MaxConcurrent); informational today, the scheduler still
-	// dispatches one shard per worker at a time.
+	// (pdserve's MaxConcurrent). It weights the member's arc of the
+	// scheduler's ring (NewWeightedRing), so a larger worker owns more
+	// shard keys; the scheduler still dispatches one shard per worker at a
+	// time.
 	Capacity int `json:"capacity,omitempty"`
 	// Oracle and Backend are the shadow-oracle and execution-backend tier
 	// the worker advertised — surfaced at /fabric/members so an operator

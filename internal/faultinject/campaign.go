@@ -279,14 +279,9 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error
 		Oracle: oracleLabel(cfg.Oracle),
 	}
 
-	var arches []string
-	switch cfg.Arch {
-	case "posit", "float":
-		arches = []string{cfg.Arch}
-	case "both":
-		arches = []string{"posit", "float"}
-	default:
-		return nil, fmt.Errorf("faultinject: unknown arch %q (want posit|float|both)", cfg.Arch)
+	arches, err := cfg.EffectiveArches()
+	if err != nil {
+		return nil, err
 	}
 
 	if cfg.Trace != nil {

@@ -203,14 +203,9 @@ func AssembleReport(cfg CampaignConfig, shards []*ShardResult) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	var arches []string
-	switch dcfg.Arch {
-	case "posit", "float":
-		arches = []string{dcfg.Arch}
-	case "both":
-		arches = []string{"posit", "float"}
-	default:
-		return nil, fmt.Errorf("faultinject: unknown arch %q (want posit|float|both)", dcfg.Arch)
+	arches, err := dcfg.EffectiveArches()
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &Report{

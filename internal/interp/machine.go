@@ -111,15 +111,23 @@ func New(mod *ir.Module) *Machine {
 // memory image comes from the images released by finished machines
 // (Release) when one is large enough, and is freshly allocated otherwise.
 func NewWithStack(mod *ir.Module, stack uint32) *Machine {
-	total := mod.GlobalBase + mod.GlobalSize
-	total = (total + 7) / 8 * 8
-	total += stack
+	total := imageSize(mod, stack)
 	return &Machine{
 		Mod:      mod,
 		mem:      newImage(total),
 		quires:   map[ir.Type]*posit.Quire{},
 		lowWater: total, // the image is all zero: nothing dirty
 	}
+}
+
+// imageSize is the size of a memory image holding mod's globals, rounded up
+// to 8 bytes, then stack bytes of stack. It is computed in 64 bits: a stack
+// that would run past the 32-bit address space is cut short at its end, so
+// deep calls trap with a stack overflow rather than the size wrapping.
+// Codegen keeps the globals themselves inside the address space.
+func imageSize(mod *ir.Module, stack uint32) uint32 {
+	total := (uint64(mod.GlobalBase)+uint64(mod.GlobalSize)+7)/8*8 + uint64(stack)
+	return uint32(min(total, math.MaxUint32))
 }
 
 // images is the free list behind Release: memory images of finished

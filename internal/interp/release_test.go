@@ -2,10 +2,12 @@ package interp
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
 	"positdebug/internal/backend"
+	"positdebug/internal/ir"
 )
 
 // dirtySrc dirties globals and a deep stack. Its last global is an f32, so
@@ -177,5 +179,24 @@ func TestImageFreeListBounds(t *testing.T) {
 	}
 	if v, err := m.Run("main"); err != nil || ToFloat64(huge.Globals[0].Type, v) != 1 {
 		t.Fatalf("run on the fresh image: %#x, %v", v, err)
+	}
+}
+
+// TestImageSizeDoesNotWrap: globals that end near the top of the 32-bit
+// address space leave the stack only what is left of it, instead of the
+// image size wrapping to a few bytes below the globals.
+func TestImageSizeDoesNotWrap(t *testing.T) {
+	for _, tc := range []struct {
+		size, stack, want uint32
+	}{
+		{size: 100, stack: DefaultStackSize, want: 4096 + 104 + DefaultStackSize},
+		{size: math.MaxUint32 - 4096 - DefaultStackSize, stack: DefaultStackSize, want: math.MaxUint32},
+		{size: math.MaxUint32 - 4096, stack: DefaultStackSize, want: math.MaxUint32},
+		{size: math.MaxUint32 - 4096, stack: 0, want: math.MaxUint32},
+	} {
+		mod := &ir.Module{GlobalBase: 4096, GlobalSize: tc.size}
+		if got := imageSize(mod, tc.stack); got != tc.want {
+			t.Errorf("globals [4096,+%d), stack %d: image %d, want %d", tc.size, tc.stack, got, tc.want)
+		}
 	}
 }

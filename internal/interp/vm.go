@@ -54,7 +54,7 @@ type FastShadow interface {
 // never sees an unverified program. Execution only reads a chunk, so one
 // chunk may serve any number of machines running mod at once (UseChunk).
 func Compile(mod *ir.Module) (*bytecode.Module, error) {
-	ch, err := bytecode.Compile(mod, bytecode.Options{Fuse: true})
+	ch, err := bytecode.Compile(mod, bytecode.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("interp: vm backend: %w", err)
 	}
@@ -207,8 +207,8 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 	defer func() { m.depth-- }()
 
 	frame := (f.FrameSize + 7) / 8 * 8
-	// The comparison runs in uint64 so a decoded chunk with absurd global
-	// or frame sizes traps instead of wrapping the stack pointer.
+	// The comparison runs in uint64 so absurd global or frame sizes trap
+	// instead of wrapping the stack pointer.
 	base := uint64(ch.GlobalBase) + uint64(ch.GlobalSize)
 	if uint64(m.sp) < base+uint64(frame) {
 		return 0, &Trap{Msg: "stack overflow", Func: f.Name}
@@ -515,36 +515,6 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 		case bytecode.OpFMA:
 			regs[in.Dst] = fmaEval(ir.Type(in.T), regs[in.A], regs[in.B], regs[int32(in.Imm)])
 
-		case bytecode.OpShConst:
-			m.vmMutate(in.ID, ir.OpShadowConst, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.Const(in.ID, ir.Type(in.T), in.Dst, regs[in.Dst])
-		case bytecode.OpShMov:
-			m.Hooks.Mov(in.ID, ir.Type(in.T), in.Dst, in.A, regs[in.Dst])
-		case bytecode.OpShBin:
-			m.vmMutate(in.ID, ir.OpShadowBin, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.Bin(in.ID, ir.BinKind(in.K), ir.Type(in.T), in.Dst, in.A, in.B,
-				regs[in.Dst], regs[in.A], regs[in.B])
-		case bytecode.OpShUn:
-			m.vmMutate(in.ID, ir.OpShadowUn, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.Un(in.ID, ir.UnKind(in.K), ir.Type(in.T), in.Dst, in.A, regs[in.Dst], regs[in.A])
-		case bytecode.OpShCmp:
-			m.Hooks.Cmp(in.ID, ir.CmpPred(in.K), ir.Type(in.T), in.A, in.B,
-				regs[in.A], regs[in.B], regs[in.Dst] != 0)
-		case bytecode.OpShCast:
-			m.vmMutate(in.ID, ir.OpShadowCast, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.Cast(in.ID, ir.Type(in.T), ir.Type(in.T2), in.Dst, in.A, regs[in.Dst], regs[in.A])
-		case bytecode.OpShLoad:
-			m.vmMutate(in.ID, ir.OpShadowLoad, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.Load(in.ID, ir.Type(in.T), in.Dst, uint32(regs[in.A]), regs[in.Dst])
-		case bytecode.OpShStore:
-			stored := regs[in.B]
-			if m.inj != nil {
-				var err error
-				if stored, _, err = m.vmStoreHit(ch, f.Name, in.ID, ir.Type(in.T), uint32(regs[in.A]), stored); err != nil {
-					return 0, err
-				}
-			}
-			m.Hooks.Store(in.ID, ir.Type(in.T), uint32(regs[in.A]), in.B, stored)
 		case bytecode.OpShPreCall:
 			m.argScratch = m.argScratch[:0]
 			argRegs := ch.Args[in.Imm : in.Imm+uint64(in.B)]
@@ -559,28 +529,6 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				bits = regs[in.Dst]
 			}
 			m.Hooks.PostCall(in.ID, ir.Type(in.T), in.Dst, bits)
-		case bytecode.OpShRet:
-			var bits uint64
-			if in.A >= 0 {
-				bits = regs[in.A]
-			}
-			m.Hooks.Ret(ir.Type(in.T), in.A, bits)
-		case bytecode.OpShPrint:
-			m.Hooks.Print(in.ID, ir.Type(in.T), in.A, regs[in.A])
-		case bytecode.OpShQClear:
-			m.Hooks.QClear(ir.Type(in.T))
-		case bytecode.OpShQAdd:
-			m.Hooks.QAdd(ir.Type(in.T), in.A, regs[in.A], in.K == 1)
-		case bytecode.OpShQMAdd:
-			m.Hooks.QMAdd(ir.Type(in.T), in.A, in.B, regs[in.A], regs[in.B], in.K == 1)
-		case bytecode.OpShQVal:
-			m.vmMutate(in.ID, ir.OpShadowQVal, ir.Type(in.T), regs, in.Dst)
-			m.Hooks.QVal(in.ID, ir.Type(in.T), in.Dst, regs[in.Dst])
-		case bytecode.OpShFMA:
-			m.vmMutate(in.ID, ir.OpShadowFMA, ir.Type(in.T), regs, in.Dst)
-			c := int32(in.Imm)
-			m.Hooks.FMA(in.ID, ir.Type(in.T), in.Dst, in.A, in.B, c,
-				regs[in.Dst], regs[in.A], regs[in.B], regs[c])
 
 		case bytecode.OpFusedConst:
 			regs[in.Dst] = in.Imm

@@ -216,7 +216,7 @@ func (r *Runtime) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, b
 }
 
 // skippedP32 computes the program result of a sampled-out FastBinP32 —
-// bit-identical to the VM's unfused path — leaving shadow metadata
+// bit-identical to Config32's arithmetic — leaving shadow metadata
 // untouched, as a skipped Bin on the tree-walker does.
 func skippedP32(kind ir.BinKind, aVal, bVal uint64) uint64 {
 	a, b := posit.Bits(aVal), posit.Bits(bVal)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"positdebug/internal/backend"
 	"positdebug/internal/shadow"
 )
 
@@ -136,6 +137,36 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile("func f(): i64 { return x; }"); err == nil {
 		t.Fatal("check error must surface")
+	}
+}
+
+// TestCompileRejectsArrayBeyondAddressSpace: an array that cannot be laid
+// out in the machine's 32-bit address space is a compile error naming it,
+// for globals and locals alike. Layout used to multiply and add in 32 bits,
+// so a wrapped size of 0 let b share a's storage and main returned 2.
+func TestCompileRejectsArrayBeyondAddressSpace(t *testing.T) {
+	const body = `
+	b[0] = 1.0;
+	a[0][0] = 2.0;
+	return b[0];
+`
+	for _, tc := range []struct{ name, src string }{
+		{"global", "var a: [65536][65536]f64;\nvar b: [4]f64;\nfunc main(): f64 {" + body + "}"},
+		{"local", "func main(): f64 {\n\tvar a: [65536][65536]f64;\n\tvar b: [4]f64;" + body + "}"},
+	} {
+		prog, err := Compile(tc.src)
+		if err == nil {
+			for _, bk := range []backend.Kind{backend.VM, backend.Treewalk} {
+				if r, err := prog.Exec("main", WithBackend(bk), WithBaseline()); err == nil {
+					t.Errorf("%s: %v backend returned %v", tc.name, bk, r.F64())
+				}
+			}
+			t.Errorf("%s: Compile accepted an array larger than the address space", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"a" does not fit in the 32-bit address space`) {
+			t.Errorf("%s: error does not name the array: %v", tc.name, err)
+		}
 	}
 }
 
