@@ -15,7 +15,7 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/interp/ ./internal/shadow/ ./internal/parallel/ ./internal/server/
-	$(GO) test -race -count=1 -cpu=1,4 -run 'TestExecGoldenReplay|TestExecRecycledImageAdversarial|TestExecConcurrentFreshProgram' .
+	$(GO) test -race -count=1 -cpu=1,4 -run 'TestExecGoldenReplay|TestExecRecycledImageAdversarial|TestExecConcurrentFreshProgram|TestMetricsFoldConcurrent' .
 	$(GO) test -race -count=1 -cpu=1,4 -run ParallelDeterminism ./internal/faultinject/ ./internal/harness/
 
 # Regenerate every checked-in benchmark report. Each records the commit

@@ -1,12 +1,15 @@
 package positdebug
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"positdebug/internal/interp"
 	"positdebug/internal/ir"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
+	"positdebug/internal/workloads"
 )
 
 // nopInjector is an interp.Injector that never corrupts anything.
@@ -84,6 +87,29 @@ func TestExecTraceAndMetrics(t *testing.T) {
 	kindName := shadow.KindCancellation.String()
 	if reg.Counter(`pd_detections_total{kind="`+kindName+`"}`).Value() == 0 {
 		t.Fatal("cancellation counter not incremented")
+	}
+}
+
+// TestExecTrippedRunCountsOps: a run that trips its step budget still adds
+// its shadowed ops to pd_shadow_ops_total, so the op counter never falls
+// behind the error-bits histogram that counts one observation per checked
+// op.
+func TestExecTrippedRunCountsOps(t *testing.T) {
+	k, _ := workloads.KernelByName("gemm")
+	prog, err := Compile(k.Source(k.DefaultN / 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	_, err = prog.Exec("main", WithMetrics(reg), WithLimits(interp.Limits{MaxSteps: 5000}))
+	var re *interp.ResourceExhausted
+	if !errors.As(err, &re) || re.Resource != interp.ResSteps {
+		t.Fatalf("want a step-budget trip, got %v", err)
+	}
+	ops := reg.Counter("pd_shadow_ops_total").Value()
+	checked := reg.Histogram("pd_op_err_bits").Count()
+	if ops == 0 || checked > ops {
+		t.Fatalf("pd_shadow_ops_total = %d after a tripped run, pd_op_err_bits_count = %d", ops, checked)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	positdebug "positdebug"
 	"positdebug/internal/backend"
@@ -24,29 +23,7 @@ func Fig7(opts Options) (*Table, error) {
 		Title:   "Figure 7: PositDebug slowdown vs SoftPosit baseline (×)",
 		Columns: []string{"PD-512", "PD-256", "PD-128"},
 	}
-	err := overheadSweep(opts, t, func(c compiled) (time.Duration, []time.Duration, error) {
-		base, err := measure(opts.repeats(), func() error {
-			_, err := c.pos.Run("main")
-			return err
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		var instr []time.Duration
-		for _, prec := range []uint{512, 256, 128} {
-			cfg := shadowConfig(prec, true)
-			d, err := measure(opts.repeats(), func() error {
-				_, err := c.pos.Exec("main", positdebug.WithShadow(cfg))
-				return err
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			instr = append(instr, d)
-		}
-		return base, instr, nil
-	})
-	return t, err
+	return t, overheadSweep(opts, t, compiled.positProg, precisionConfigs())
 }
 
 // Fig8 measures PositDebug at 256 bits with and without tracing metadata
@@ -56,29 +33,7 @@ func Fig8(opts Options) (*Table, error) {
 		Title:   "Figure 8: PositDebug-256 with vs without tracing (×)",
 		Columns: []string{"tracing", "no-tracing"},
 	}
-	err := overheadSweep(opts, t, func(c compiled) (time.Duration, []time.Duration, error) {
-		base, err := measure(opts.repeats(), func() error {
-			_, err := c.pos.Run("main")
-			return err
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		var instr []time.Duration
-		for _, tracing := range []bool{true, false} {
-			cfg := shadowConfig(256, tracing)
-			d, err := measure(opts.repeats(), func() error {
-				_, err := c.pos.Exec("main", positdebug.WithShadow(cfg))
-				return err
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			instr = append(instr, d)
-		}
-		return base, instr, nil
-	})
-	return t, err
+	return t, overheadSweep(opts, t, compiled.positProg, tracingConfigs())
 }
 
 // Fig9 measures FPSanitizer's slowdown over the uninstrumented FP baseline
@@ -88,29 +43,7 @@ func Fig9(opts Options) (*Table, error) {
 		Title:   "Figure 9: FPSanitizer slowdown vs FP baseline (×)",
 		Columns: []string{"FPS-512", "FPS-256", "FPS-128"},
 	}
-	err := overheadSweep(opts, t, func(c compiled) (time.Duration, []time.Duration, error) {
-		base, err := measure(opts.repeats(), func() error {
-			_, err := c.fp.Run("main")
-			return err
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		var instr []time.Duration
-		for _, prec := range []uint{512, 256, 128} {
-			cfg := shadowConfig(prec, true)
-			d, err := measure(opts.repeats(), func() error {
-				_, err := c.fp.Exec("main", positdebug.WithShadow(cfg))
-				return err
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			instr = append(instr, d)
-		}
-		return base, instr, nil
-	})
-	return t, err
+	return t, overheadSweep(opts, t, compiled.floatProg, precisionConfigs())
 }
 
 // Fig10 measures FPSanitizer at 256 bits with and without tracing
@@ -120,36 +53,27 @@ func Fig10(opts Options) (*Table, error) {
 		Title:   "Figure 10: FPSanitizer-256 with vs without tracing (×)",
 		Columns: []string{"tracing", "no-tracing"},
 	}
-	err := overheadSweep(opts, t, func(c compiled) (time.Duration, []time.Duration, error) {
-		base, err := measure(opts.repeats(), func() error {
-			_, err := c.fp.Run("main")
-			return err
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		var instr []time.Duration
-		for _, tracing := range []bool{true, false} {
-			cfg := shadowConfig(256, tracing)
-			d, err := measure(opts.repeats(), func() error {
-				_, err := c.fp.Exec("main", positdebug.WithShadow(cfg))
-				return err
-			})
-			if err != nil {
-				return 0, nil, err
-			}
-			instr = append(instr, d)
-		}
-		return base, instr, nil
-	})
-	return t, err
+	return t, overheadSweep(opts, t, compiled.floatProg, tracingConfigs())
 }
 
-// overheadSweep runs one measurement function over every kernel and fills
-// the table with slowdown factors. With opts.Parallel the kernels shard
+// precisionConfigs are the Figure 7/9 columns: 512, 256 and 128 bits.
+func precisionConfigs() []shadow.Config {
+	return []shadow.Config{shadowConfig(512, true), shadowConfig(256, true), shadowConfig(128, true)}
+}
+
+// tracingConfigs are the Figure 8/10 columns: 256 bits with and without
+// tracing.
+func tracingConfigs() []shadow.Config {
+	return []shadow.Config{shadowConfig(256, true), shadowConfig(256, false)}
+}
+
+// overheadSweep fills the table with each kernel's slowdown under every
+// config over its baseline run, for the kernel form pick selects. The
+// baseline and the configs are timed interleaved (measureEach), so a host
+// slowdown hits every column alike. With opts.Parallel the kernels shard
 // across CPUs (rows still land in kernel order; see Options.Parallel for
 // why the ratios survive contention).
-func overheadSweep(opts Options, t *Table, f func(compiled) (time.Duration, []time.Duration, error)) error {
+func overheadSweep(opts Options, t *Table, pick func(compiled) *positdebug.Program, cfgs []shadow.Config) error {
 	kernels := append(workloads.PolyBench(), workloads.SpecLike()...)
 	workers := 1
 	if opts.Parallel {
@@ -161,13 +85,24 @@ func overheadSweep(opts Options, t *Table, f func(compiled) (time.Duration, []ti
 		if err != nil {
 			return Row{}, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		base, instr, err := f(c)
+		prog := pick(c)
+		runs := []func() error{func() error {
+			_, err := prog.Run("main")
+			return err
+		}}
+		for _, cfg := range cfgs {
+			runs = append(runs, func() error {
+				_, err := prog.Exec("main", positdebug.WithShadow(cfg))
+				return err
+			})
+		}
+		d, err := measureEach(opts.repeats(), runs...)
 		if err != nil {
 			return Row{}, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		vals := make([]float64, len(instr))
-		for i, d := range instr {
-			vals[i] = float64(d) / float64(base)
+		vals := make([]float64, len(cfgs))
+		for i := range vals {
+			vals[i] = float64(d[i+1]) / float64(d[0])
 		}
 		return Row{Name: k.Name, Values: vals}, nil
 	})

@@ -52,15 +52,29 @@ func (o Options) size(defaultN int) int {
 
 // measure returns the best-of-k wall time of f.
 func measure(k int, f func() error) (time.Duration, error) {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < k; i++ {
-		runtime.GC()
-		t0 := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(t0); d < best {
-			best = d
+	best, err := measureEach(k, f)
+	if err != nil {
+		return 0, err
+	}
+	return best[0], nil
+}
+
+// measureEach returns the best-of-k wall time of each f, interleaved: each
+// of the k repetitions runs every f in turn, so a stretch of slow host time
+// lands on all of them rather than on whichever was being repeated.
+func measureEach(k int, fs ...func() error) ([]time.Duration, error) {
+	best := make([]time.Duration, len(fs))
+	for i := range best {
+		best[i] = time.Duration(math.MaxInt64)
+	}
+	for rep := 0; rep < k; rep++ {
+		for i, f := range fs {
+			runtime.GC()
+			t0 := time.Now()
+			if err := f(); err != nil {
+				return nil, err
+			}
+			best[i] = min(best[i], time.Since(t0))
 		}
 	}
 	return best, nil
@@ -139,6 +153,10 @@ type compiled struct {
 	fp  *positdebug.Program
 	pos *positdebug.Program
 }
+
+func (c compiled) floatProg() *positdebug.Program { return c.fp }
+
+func (c compiled) positProg() *positdebug.Program { return c.pos }
 
 func compileBoth(src string) (compiled, error) {
 	fp, err := positdebug.Compile(src)

@@ -38,25 +38,28 @@ const HistMax = 64
 
 // Histogram counts integer observations on the 0..HistMax scale (the
 // error-bits domain of the paper's §4.2 metric), one bucket per value plus
-// an overflow bucket. Safe for concurrent use.
+// an overflow bucket. Observations arrive in batches through Fold; safe
+// for concurrent use.
 type Histogram struct {
 	buckets [HistMax + 2]atomic.Int64 // [0..64] exact, [65] overflow
 	count   atomic.Int64
 	sum     atomic.Int64
 }
 
-// Observe records one value (negative values clamp to 0).
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
+// Fold adds c's observations to h and empties c.
+func (h *Histogram) Fold(c *HistCounts) {
+	var n int64
+	for i, b := range c.buckets {
+		if b != 0 {
+			h.buckets[i].Add(b)
+			n += b
+		}
 	}
-	i := v
-	if i > HistMax {
-		i = HistMax + 1
+	if n != 0 {
+		h.count.Add(n)
+		h.sum.Add(c.sum)
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(v))
+	*c = HistCounts{}
 }
 
 // Count returns the number of observations.
@@ -107,12 +110,29 @@ func (h *Histogram) Quantile(q float64) int {
 	return HistMax + 1
 }
 
+// HistCounts is a Histogram's single-goroutine counterpart: plain counts
+// that a hot loop observes into without atomics and folds into a shared
+// Histogram once it is done (Histogram.Fold).
+type HistCounts struct {
+	buckets [HistMax + 2]int64
+	sum     int64
+}
+
+// Observe records one value (negative values clamp to 0).
+func (c *HistCounts) Observe(v int) {
+	v = max(v, 0)
+	c.buckets[min(v, HistMax+1)]++
+	c.sum += int64(v)
+}
+
 // Registry holds named counters, gauges and histograms. Metric names may
 // carry Prometheus-style labels inline (`pd_detections_total{kind="nar"}`);
 // the text dump sorts names, so output is deterministic given deterministic
 // metric values. Get-or-create lookups take a mutex; the returned metric
-// pointers are lock-free, so hot paths cache them once and pay only an
-// atomic add per update.
+// pointers are lock-free atomics, safe to update from concurrent runs. A
+// hot path that updates per operation counts into run-local plain values
+// instead (HistCounts for histograms) and adds them here once a run ends,
+// so a dump shows a run's observations after that run is over.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

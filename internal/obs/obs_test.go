@@ -158,6 +158,40 @@ func TestMultiFanOut(t *testing.T) {
 	}
 }
 
+// observe folds vs into h the way a run's counts reach the registry.
+func observe(h *Histogram, vs ...int) {
+	var c HistCounts
+	for _, v := range vs {
+		c.Observe(v)
+	}
+	h.Fold(&c)
+}
+
+// TestHistogramFold: folding run-local counts adds them bucket by bucket,
+// clamps like the buckets do, and empties the counts.
+func TestHistogramFold(t *testing.T) {
+	var h Histogram
+	var c HistCounts
+	for _, v := range []int{-3, 0, 5, 5, 64, 65, 1000} {
+		c.Observe(v)
+	}
+	h.Fold(&c)
+	h.Fold(&c) // empty now: adds nothing
+	observe(&h, 5)
+	want := map[int]int64{0: 2, 5: 3, 64: 1, HistMax + 1: 2}
+	for v := 0; v <= HistMax+1; v++ {
+		if got := h.Bucket(v); got != want[v] {
+			t.Errorf("bucket %d = %d, want %d", v, got, want[v])
+		}
+	}
+	if h.Count() != 8 || h.Sum() != 1144 { // -3 counts as 0
+		t.Errorf("count %d sum %d, want 8 and 1144", h.Count(), h.Sum())
+	}
+	if c != (HistCounts{}) {
+		t.Error("Fold left counts behind")
+	}
+}
+
 func TestRegistryPromDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`pd_detections_total{kind="nar"}`).Add(2)
@@ -165,10 +199,7 @@ func TestRegistryPromDump(t *testing.T) {
 	r.Counter("pd_shadow_ops_total").Add(100)
 	r.Gauge("pd_precision_bits").Set(256)
 	h := r.Histogram("pd_op_err_bits")
-	h.Observe(10)
-	h.Observe(10)
-	h.Observe(64)
-	h.Observe(999) // overflow
+	observe(h, 10, 10, 64, 999) // 999 overflows
 
 	out := r.String()
 	for _, want := range []string{
@@ -202,7 +233,7 @@ func TestRegistryPromDump(t *testing.T) {
 
 func TestLabeledHistogramProm(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram(`pd_inst_err_bits{inst="7"}`).Observe(3)
+	observe(r.Histogram(`pd_inst_err_bits{inst="7"}`), 3)
 	out := r.String()
 	for _, want := range []string{
 		`pd_inst_err_bits_bucket{inst="7",le="3"} 1`,

@@ -212,7 +212,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 
 	var single Histogram
-	single.Observe(7)
+	observe(&single, 7)
 	for _, q := range []float64{-0.5, 0, 0.5, 1, 1.5} {
 		if got := single.Quantile(q); got != 7 {
 			t.Errorf("single.Quantile(%v) = %d, want 7", q, got)
@@ -221,10 +221,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 	var h Histogram
 	for i := 0; i < 90; i++ {
-		h.Observe(1)
+		observe(&h, 1)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(60)
+		observe(&h, 60)
 	}
 	if got := h.Quantile(0); got != 1 {
 		t.Errorf("Quantile(0) = %d, want 1", got)

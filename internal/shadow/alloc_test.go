@@ -95,10 +95,10 @@ func TestWarmRuntimeAllocsOracles(t *testing.T) {
 
 // TestWarmRuntimeAllocsEventsAttached: attaching an event sink and a
 // metrics registry must not cost the warm path anything when no detector
-// fires — events are only built on detection, and metric updates are
-// cached-pointer atomic adds plus one map read for the per-instruction
-// histogram. AllocsPerRun must stay at zero with tracing observability
-// enabled but quiet, on both backends.
+// fires — events are only built on detection, and metric updates go to
+// run-local counts that each run's Reset folds into histograms resolved
+// on the first run. AllocsPerRun must stay at zero with tracing
+// observability enabled but quiet, on both backends.
 func TestWarmRuntimeAllocsEventsAttached(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Events = obs.NewRing(64)

@@ -121,11 +121,8 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 	if bits > r.maxOpErr {
 		r.maxOpErr = bits
 	}
-	if r.metErrHist != nil {
-		r.metErrHist.Observe(bits)
-		if id >= 0 {
-			r.instHistFor(id).Observe(bits)
-		}
+	if r.reg != nil {
+		r.observeErr(id, bits)
 	}
 	if r.prof != nil {
 		r.prof.Checked(id, bits)

@@ -322,11 +322,8 @@ func (r *Runtime) fastCheckOp(id int32, typ ir.Type, subLike bool, d, ta, tb *Te
 	if bits > r.maxOpErr {
 		r.maxOpErr = bits
 	}
-	if r.metErrHist != nil {
-		r.metErrHist.Observe(bits)
-		if id >= 0 {
-			r.instHistFor(id).Observe(bits)
-		}
+	if r.reg != nil {
+		r.observeErr(id, bits)
 	}
 	if r.prof != nil {
 		r.prof.Checked(id, bits)

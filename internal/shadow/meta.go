@@ -97,29 +97,40 @@ const (
 	pageMask = pageSize - 1
 )
 
-// shadowPage is one second-level page plus the generation that last touched
-// it. Pages survive Runtime.Reset: a new run bumps the trie's generation and
-// each page lazily invalidates its cells on first touch, so the cells' lazily
-// grown big.Float mantissas stay warm across runs.
+// shadowPage is one second-level page, the generation that last touched
+// it, and the index of every cell a run set. Pages survive Runtime.Reset,
+// which clears exactly the set cells and bumps the trie's generation, so
+// the cells' lazily grown big.Float mantissas stay warm across runs.
 type shadowPage struct {
 	gen   uint64
 	cells [pageSize]MemMeta
+	setAt []uint16 // cells whose set went true since the last clear
 }
 
-// invalidate drops every cell's metadata, writer references included, and
-// keeps the cells' allocated mantissas.
-func (pg *shadowPage) invalidate() {
-	for i := range pg.cells {
+// markSet sets cell i, recording it for clearSet.
+func (pg *shadowPage) markSet(i uint32) {
+	if c := &pg.cells[i]; !c.set {
+		c.set = true
+		pg.setAt = append(pg.setAt, uint16(i))
+	}
+}
+
+// clearSet drops the metadata of every set cell, writer references
+// included, and keeps the cells' allocated mantissas and the index list's
+// storage.
+func (pg *shadowPage) clearSet() {
+	for _, i := range pg.setAt {
 		c := &pg.cells[i]
 		c.set = false
 		c.Writer = mdRef{}
 	}
+	pg.setAt = pg.setAt[:0]
 }
 
 // freePages is the free list behind Runtime.Release: pages of finished
 // runtimes, at most pagesPerProc·GOMAXPROCS of them, which a runtime takes
-// before allocating a page. A listed page is invalidated when it is taken,
-// so until then it may still reference its last runtime's temporaries.
+// before allocating a page. A page is cleared before it is listed, so a
+// listed page holds no set cell and no reference into its last runtime.
 var freePages struct {
 	sync.Mutex
 	pages []*shadowPage
@@ -129,9 +140,8 @@ var freePages struct {
 // typical run touches two (its globals' page and the top of its stack).
 const pagesPerProc = 2
 
-// takePage returns a page for an empty trie slot: a released one,
-// invalidated the way a new generation's first touch invalidates a kept
-// page, or a fresh one.
+// takePage returns a page for an empty trie slot: a released one or a
+// fresh one.
 func takePage(gen uint64) *shadowPage {
 	freePages.Lock()
 	var pg *shadowPage
@@ -144,7 +154,6 @@ func takePage(gen uint64) *shadowPage {
 	if pg == nil {
 		return &shadowPage{gen: gen}
 	}
-	pg.invalidate()
 	pg.gen = gen
 	return pg
 }
@@ -167,11 +176,16 @@ func newShadowMem(limit uint32) *shadowMem {
 	return &shadowMem{pages: make([]*shadowPage, n), gen: 1}
 }
 
-// reset starts a new generation: pages (and their mantissas) are kept, but
-// every cell is invalidated on its page's first touch of the new generation.
-// The touched-page counter restarts so the shadow-memory budget keeps its
-// per-run semantics.
+// reset starts a new generation: pages (and their mantissas) are kept with
+// every set cell cleared. The touched-page counter restarts, and a kept
+// page counts again on its first touch of the new generation, so the
+// shadow-memory budget keeps its per-run semantics.
 func (s *shadowMem) reset() {
+	for _, pg := range s.pages {
+		if pg != nil {
+			pg.clearSet()
+		}
+	}
 	s.gen++
 	s.allocated = 0
 	s.last = nil
@@ -203,9 +217,7 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 		s.pages[p] = pg
 		s.allocated++
 	case pg.gen != s.gen:
-		// First touch this generation: invalidate every cell in place,
-		// dropping writer references but preserving allocated mantissas.
-		pg.invalidate()
+		// First touch this generation; reset already cleared the page.
 		pg.gen = s.gen
 		s.allocated++
 	}
@@ -213,12 +225,18 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 	return &pg.cells[addr&pageMask]
 }
 
+// markSet sets the cell at addr, which get has returned this generation.
+func (s *shadowMem) markSet(addr uint32) {
+	s.pages[addr>>pageBits].markSet(addr & pageMask)
+}
+
 // pageCount reports second-level pages touched this generation (tests,
 // stats, and the shadow-memory budget).
 func (s *shadowMem) pageCount() int { return s.allocated }
 
-// release empties the trie onto the free list, up to the list's bound;
-// pages past it are left to the garbage collector.
+// release empties the trie onto the free list, up to the list's bound,
+// clearing each page it lists; pages past the bound are left to the garbage
+// collector.
 func (s *shadowMem) release() {
 	s.last = nil
 	freePages.Lock()
@@ -230,6 +248,7 @@ func (s *shadowMem) release() {
 		}
 		s.pages[i] = nil
 		if room > 0 {
+			pg.clearSet()
 			freePages.pages = append(freePages.pages, pg)
 			room--
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"time"
 
 	"positdebug/internal/interp"
@@ -75,7 +76,9 @@ type Config struct {
 	// kind (pd_detections_total{kind=...}), shadowed ops
 	// (pd_shadow_ops_total), the per-operation error-bits distribution
 	// (pd_op_err_bits) and its per-instruction breakdown
-	// (pd_inst_err_bits{inst=...}).
+	// (pd_inst_err_bits{inst=...}). Detections are counted as they happen;
+	// ops and error bits are counted run-locally and added at the end of
+	// each attempt (Release, Summary or the next Reset).
 	Metrics *obs.Registry
 	// Profile, when set, accumulates per-static-instruction error
 	// statistics (error-bits histogram, cancellation severity,
@@ -183,14 +186,16 @@ type Runtime struct {
 	qsA, qsB, qProd big.Float
 
 	// Observability bindings (see Config.Events / Config.Metrics). Metric
-	// pointers are resolved once in New, so the hot path pays one nil
-	// check plus an atomic add, never a registry lookup.
+	// pointers are resolved once in New. checkOp observes into the
+	// run-local opErr and instErr (by instruction id) without atomics;
+	// foldMetrics adds them to the registry once per attempt.
 	events     obs.Sink
 	reg        *obs.Registry
 	metOps     *obs.Counter
 	metDet     [KindWrongOutput + 1]*obs.Counter
 	metErrHist *obs.Histogram
-	instHist   map[int32]*obs.Histogram
+	opErr      obs.HistCounts
+	instErr    []*instErrCounts
 
 	// prof, when non-nil, receives per-instruction error statistics from
 	// checkOp (see Config.Profile).
@@ -317,7 +322,6 @@ func New(mod *ir.Module, cfg Config) (*Runtime, error) {
 			r.metDet[k] = reg.Counter(`pd_detections_total{kind="` + k.String() + `"}`)
 		}
 		r.metErrHist = reg.Histogram("pd_op_err_bits")
-		r.instHist = map[int32]*obs.Histogram{}
 	}
 	return r, nil
 }
@@ -399,16 +403,58 @@ func (r *Runtime) recordLatency(id int32, t0 int64) {
 	r.prof.Latency(id, monoNanos()-t0)
 }
 
-// instHistFor returns the per-instruction error histogram, creating it on
-// first observation. The map persists across Reset, so repeated runs on
-// one runtime reach a steady state with no per-run allocation.
-func (r *Runtime) instHistFor(id int32) *obs.Histogram {
-	h, ok := r.instHist[id]
-	if !ok {
-		h = r.reg.Histogram(`pd_inst_err_bits{inst="` + fmt.Sprint(id) + `"}`)
-		r.instHist[id] = h
+// instErrCounts is one instruction's run-local pd_inst_err_bits counts and
+// its registry histogram, resolved at the counts' first fold. Counts are
+// created with their first observation, so the registry gains an
+// instruction's histogram only once it has observed something.
+type instErrCounts struct {
+	obs.HistCounts
+	hist *obs.Histogram
+}
+
+// observeErr records one checked op's error bits in the run-local counts.
+// Per-id counts are allocated on the id's first observation and kept
+// across Reset, so repeated runs on one runtime allocate nothing here.
+func (r *Runtime) observeErr(id int32, bits int) {
+	r.opErr.Observe(bits)
+	if id < 0 {
+		return
 	}
-	return h
+	if int(id) >= len(r.instErr) {
+		grown := make([]*instErrCounts, max(int(id)+1, len(r.mod.Registry)))
+		copy(grown, r.instErr)
+		r.instErr = grown
+	}
+	c := r.instErr[id]
+	if c == nil {
+		c = &instErrCounts{}
+		r.instErr[id] = c
+	}
+	c.Observe(bits)
+}
+
+// foldMetrics adds the run's not yet exported shadowed ops and error-bits
+// counts to the registry. Release, Summary and Reset call it, so every
+// attempt's ops and observations reach the registry exactly once, whether
+// the run succeeded or not.
+func (r *Runtime) foldMetrics() {
+	if r.reg == nil {
+		return
+	}
+	if r.totalOps > r.flushedOps {
+		r.metOps.Add(int64(r.totalOps - r.flushedOps))
+		r.flushedOps = r.totalOps
+	}
+	r.metErrHist.Fold(&r.opErr)
+	for id, c := range r.instErr {
+		if c == nil {
+			continue
+		}
+		if c.hist == nil {
+			c.hist = r.reg.Histogram(`pd_inst_err_bits{inst="` + strconv.Itoa(id) + `"}`)
+		}
+		c.hist.Fold(&c.HistCounts)
+	}
 }
 
 // Reset clears all state at the start of a run. It reuses the shadow-memory
@@ -435,7 +481,7 @@ func (r *Runtime) Reset() {
 	// Summaries hand out the reports slice, so start a fresh one rather
 	// than truncating the backing array a previous caller may still hold.
 	r.reports = nil
-	r.flushOps()
+	r.foldMetrics()
 	r.totalOps = 0
 	r.flushedOps = 0
 	r.maxOpErr = 0
@@ -444,19 +490,9 @@ func (r *Runtime) Reset() {
 	r.uninstrWrites = 0
 }
 
-// flushOps forwards the not-yet-exported portion of totalOps to the
-// shadow-ops counter. Delta tracking keeps Summary and Reset both safe to
-// call without double-counting.
-func (r *Runtime) flushOps() {
-	if r.metOps != nil && r.totalOps > r.flushedOps {
-		r.metOps.Add(int64(r.totalOps - r.flushedOps))
-		r.flushedOps = r.totalOps
-	}
-}
-
 // Summary returns the aggregated detections of the last run.
 func (r *Runtime) Summary() *Summary {
-	r.flushOps()
+	r.foldMetrics()
 	counts := make(map[Kind]int, len(r.counts))
 	for k, v := range r.counts {
 		counts[k] = v
@@ -472,13 +508,17 @@ func (r *Runtime) Summary() *Summary {
 	}
 }
 
-// Release returns the runtime's shadow pages to a package-level free list
-// that later runtimes take pages from before allocating; a taken page is
-// invalidated the way a new run's first touch invalidates a kept one. Call
-// it once the run's Summary has been taken: the runtime stays usable, but
-// its next run starts with an empty trie. ShadowMemPages and
-// ShadowMemBytes keep reporting the last run.
-func (r *Runtime) Release() { r.mem.release() }
+// Release ends an attempt: it folds the run's op and error-bits counts into
+// the registry, clears the cells the run set, and returns the runtime's shadow
+// pages to a package-level free list that later runtimes take pages from
+// before allocating. Call it once the run's Summary has been taken, or
+// when the run failed: the runtime stays usable, but its next run starts
+// with an empty trie. ShadowMemPages and ShadowMemBytes keep reporting the
+// last run.
+func (r *Runtime) Release() {
+	r.foldMetrics()
+	r.mem.release()
+}
 
 // ShadowMemPages reports allocated shadow pages (ablation instrumentation).
 func (r *Runtime) ShadowMemPages() int { return r.mem.pageCount() }
@@ -983,6 +1023,7 @@ func (r *Runtime) loadImpl(id int32, typ ir.Type, dst int32, addr uint32, bits u
 	return mm, d
 }
 
+// seedMemFromProgram re-seeds the set cell mm from the program's bits.
 func (r *Runtime) seedMemFromProgram(mm *MemMeta, typ ir.Type, bits uint64) {
 	f := interp.ToFloat64(typ, bits)
 	if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -997,7 +1038,6 @@ func (r *Runtime) seedMemFromProgram(mm *MemMeta, typ ir.Type, bits uint64) {
 	mm.Err = 0
 	mm.Writer = mdRef{}
 	mm.epoch = r.flipEpoch
-	mm.set = true
 }
 
 // Store propagates metadata from a temporary to shadow memory (§3.3
@@ -1027,7 +1067,7 @@ func (r *Runtime) storeImpl(id int32, typ ir.Type, addr uint32, src int32, bits 
 		mm.Writer = mdRef{}
 	}
 	mm.epoch = r.flipEpoch
-	mm.set = true
+	r.mem.markSet(addr)
 	if injected {
 		var tmp TempMeta
 		r.copyMeta(&tmp, s)
