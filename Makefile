@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-frontend fuzz-bytecode campaign-smoke bench bench-json bench-serve bench-profile bench-fabric trace-smoke profile-smoke fabric-smoke chaos-smoke fleet-obs-smoke vm-smoke oracle-smoke
+.PHONY: all build vet test race fuzz fuzz-frontend fuzz-bytecode campaign-smoke bench bench-json bench-profile bench-fabric bench-perf trace-smoke profile-smoke fabric-smoke chaos-smoke fleet-obs-smoke vm-smoke oracle-smoke
 
 all: build vet test
 
@@ -18,9 +18,10 @@ race:
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestExecGoldenReplay|TestExecRecycledImageAdversarial|TestExecConcurrentFreshProgram|TestMetricsFoldConcurrent' .
 	$(GO) test -race -count=1 -cpu=1,4 -run ParallelDeterminism ./internal/faultinject/ ./internal/harness/
 
-# Regenerate every checked-in benchmark report. Each records the commit
-# and pdbench command that produced it.
-bench: bench-json bench-serve bench-profile bench-fabric
+# Regenerate every checked-in benchmark report. Each records the commit it
+# measured, whether tracked files differed from that commit ("dirty"), and
+# the command that produced it.
+bench: bench-json bench-profile bench-fabric bench-perf
 
 # Regenerate the checked-in benchmark report (BENCH_shadow.json),
 # including the per-oracle speed/precision frontier rows (@dd/@residue).
@@ -42,11 +43,6 @@ oracle-smoke: build
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestDegradation' ./internal/server/
 	@echo "oracle-smoke: dd/residue agree with bigfp within contract ✓"
 
-# Regenerate the checked-in serve-path report (BENCH_serve.json):
-# requests/sec and p50/p99 latency through the full HTTP service.
-bench-serve: build
-	$(GO) run ./cmd/pdbench -serve -out BENCH_serve.json
-
 # Regenerate the checked-in profiler-overhead report (BENCH_profile.json):
 # full-shadow vs sampled-shadow cost and checked-op fraction on gemm.
 bench-profile: build
@@ -54,10 +50,27 @@ bench-profile: build
 
 # Regenerate the checked-in fabric report (BENCH_fabric.json): 1- vs
 # 3-worker distributed campaign throughput, the fleet-tracing overhead
-# row, and merged-report latency. Production shard size and a campaign
-# long enough that per-shard fixed costs don't masquerade as overhead.
+# row, and merged-report latency.
 bench-fabric: build
-	$(GO) run ./cmd/pdbench -fabric -fabric-runs 240 -fabric-shard-size 16 -out BENCH_fabric.json
+	$(GO) run ./cmd/pdbench -fabric -out BENCH_fabric.json
+
+# Regenerate the checked-in end-to-end report (BENCH_perf.json): perfbench
+# serve and campaign, the workloads BENCHMARK.json declares, at seeds 1-3
+# for 40 s each, in calibrated CPU time (perfbench/README.md). Each result
+# carries the provenance perfbench records (commit, Go version,
+# GOMAXPROCS, seed, command, with the binary's path made relative to the
+# checkout); the file adds whether tracked files other than the BENCH
+# reports differed from that commit.
+PERF_RUNS = serve-seed1 serve-seed2 serve-seed3 campaign-seed1 campaign-seed2 campaign-seed3
+bench-perf:
+	for r in $(PERF_RUNS); do \
+		python3 perfbench/run.py --workload $${r%-seed*} --seed $${r#*-seed} --seconds 40 --trace 0 > /dev/null || exit 1; \
+	done
+	{ printf '{"commit": "%s", "dirty": %s, "command": ["make", "bench-perf"], "results": [' \
+		"`git rev-parse HEAD`" \
+		"`git status --porcelain --untracked-files=no -- ':/' ':(top,exclude)BENCH_*.json' | grep -q . && echo true || echo false`"; \
+	  sep=; for r in $(PERF_RUNS); do printf '%s' "$$sep"; sed 's|$(CURDIR)/||' .bench_build/results/$$r-trace0.json; sep=,; done; \
+	  echo "]}"; } | python3 -m json.tool --indent 2 > BENCH_perf.json
 
 fuzz:
 	$(GO) test . -run FuzzInjector -fuzz FuzzInjector -fuzztime 30s
@@ -227,5 +240,5 @@ fleet-obs-smoke: build
 	test -s $(FLEETDIR)/status.json
 	grep -q '"total_shards"' $(FLEETDIR)/status.json
 	grep -q '"workers"' $(FLEETDIR)/status.json
-	$(GO) run ./cmd/pdbench -fabric -strict -fabric-runs 240 -fabric-shard-size 16 -out $(FLEETDIR)/BENCH_fabric.json
+	$(GO) run ./cmd/pdbench -fabric -strict -out $(FLEETDIR)/BENCH_fabric.json
 	@echo "fleet-obs-smoke: merged fleet trace valid, live status served, tracing overhead inside budget ✓"

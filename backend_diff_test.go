@@ -241,6 +241,70 @@ func TestBackendDiffStepLimits(t *testing.T) {
 	}
 }
 
+// loadTrapSrc dirties shadow memory, then loads past the end of memory
+// inside a fused load.
+const loadTrapSrc = `
+var g: [64]p32;
+
+func main(): p32 {
+	for (var i: i64 = 0; i < 64; i += 1) {
+		g[i] = p32(i) * 0.5;
+	}
+	return g[7] + g[268435456];
+}
+`
+
+// TestBackendDiffTraps runs programs that trap part-way, shadowed the way
+// pdserve serves them and as a baseline, on both backends, and requires
+// the same error text, event stream and Prometheus dump (diffTrap).
+// trapSrc and loadTrapSrc trap in the base half of a fused store and
+// load, divTrapSrc on an unshadowed integer division. A third shadowed
+// run gets a step budget that ends on the trapping instruction, so the
+// VM replays a fused pair's base half alone and must trap at the same
+// count.
+func TestBackendDiffTraps(t *testing.T) {
+	for _, p := range []struct{ name, src string }{
+		{"store", trapSrc}, {"load", loadTrapSrc}, {"div", divTrapSrc},
+	} {
+		prog, err := positdebug.Compile(p.src)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		served := positdebug.WithShadow(servedShadowConfig())
+		steps := diffTrap(t, p.name+"/shadow", prog, served)
+		diffTrap(t, p.name+"/baseline", prog, positdebug.WithBaseline())
+		diffTrap(t, p.name+"/split", prog, served, positdebug.WithLimits(interp.Limits{MaxSteps: steps}))
+	}
+}
+
+// diffTrap runs prog on both backends, each into its own metrics
+// registry, requires a trap with the same error text, event stream and
+// metrics dump, and returns the tree-walker's step count. A trap carries
+// no step count, so pd_steps_total and the run-end event are where a
+// miscounted trap shows.
+func diffTrap(t *testing.T, name string, prog *positdebug.Program, opts ...positdebug.Option) int64 {
+	t.Helper()
+	run := func(k backend.Kind) (execOutcome, string, int64) {
+		reg := obs.NewRegistry()
+		oc := runOnBackend(t, prog, k, append(opts, positdebug.WithMetrics(reg))...)
+		var sb strings.Builder
+		if err := reg.WriteProm(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return oc, sb.String(), reg.Counter("pd_steps_total").Value()
+	}
+	tw, twDump, steps := run(backend.Treewalk)
+	vm, vmDump, _ := run(backend.VM)
+	if !strings.Contains(tw.Err, "trap") {
+		t.Errorf("%s: want a trap, got %q", name, tw.Err)
+	}
+	diffOutcomes(t, name, tw, vm)
+	if twDump != vmDump {
+		t.Errorf("%s: metrics dump diverged\n  treewalk:\n%s\n  vm:\n%s", name, twDump, vmDump)
+	}
+	return steps
+}
+
 // TestBackendDiffCampaign runs the same small fault campaign on both
 // backends — posit and float arches, traced — and requires byte-identical
 // report JSON and event streams. The Backend field is excluded from the

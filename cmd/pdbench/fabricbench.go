@@ -13,10 +13,12 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"testing"
 	"time"
 
 	"positdebug/internal/fabric"
 	"positdebug/internal/faultinject"
+	"positdebug/internal/harness"
 	"positdebug/internal/obs"
 	"positdebug/internal/server"
 )
@@ -25,9 +27,12 @@ import (
 // the whole distributed run (dispatch + execution + merge) and the
 // resulting per-architecture-run throughput.
 type FabricBenchRow struct {
-	Name       string  `json:"name"`
-	Workers    int     `json:"workers"`
+	Name    string `json:"name"`
+	Workers int    `json:"workers"`
+	// Seconds is the median over fabricReps interleaved campaigns, and
+	// SpreadPct their quartile spread over that median.
 	Seconds    float64 `json:"seconds"`
+	SpreadPct  float64 `json:"spread_pct"`
 	RunsPerSec float64 `json:"runs_per_sec"`
 	// Speedup is this row's throughput over the 1-worker row's.
 	Speedup float64 `json:"speedup_vs_1_worker"`
@@ -47,8 +52,13 @@ type FabricReport struct {
 	Rows       []FabricBenchRow `json:"rows"`
 	// TraceOverheadPct is the wall-clock cost of full fleet tracing
 	// (coordinator span collection + worker flight recorders + per-request
-	// span-batch fetches) on the 3-worker row, in percent over untraced.
-	TraceOverheadPct float64 `json:"trace_overhead_pct"`
+	// span-batch fetches) on the 3-worker fleet: the median, over
+	// fabricReps untraced/traced campaign pairs run back to back, of each
+	// pair's traced-over-untraced excess in percent.
+	// TraceOverheadSpreadPct is the quartile spread of those per-pair
+	// figures, in percentage points.
+	TraceOverheadPct       float64 `json:"trace_overhead_pct"`
+	TraceOverheadSpreadPct float64 `json:"trace_overhead_spread_pct"`
 	// MergeMS is the merged-report latency alone: assembling the final
 	// report from already-fetched shard results (the coordinator's
 	// critical section after the last worker answers).
@@ -87,167 +97,153 @@ type Percentiles struct {
 	P95    float64 `json:"p95"`
 }
 
+// The -fabric campaign: production shard size, and enough runs that
+// per-shard fixed costs don't masquerade as overhead. fabricReps is how
+// many interleaved campaigns each fleet runs.
+const (
+	fabricRuns      = 240
+	fabricShardSize = 16
+	fabricReps      = 41
+)
+
 // fabricBench measures distributed campaign throughput with 1 vs 3
 // in-process pdserve workers, plus the shard-merge latency on its own.
 // Workers share this process's cores, so the 3-worker speedup is a lower
 // bound for what distinct machines would show — the number reported is
 // about fabric overhead (HTTP, scheduling, merge), not linear scaling.
-// A traced 3-worker row measures the fleet-observability tax; -strict
+// A traced 3-worker fleet measures the fleet-observability tax; -strict
 // fails the bench if it exceeds maxTraceOverheadPct.
-func fabricBench(out, workload string, n, runs, shardSize int, strict bool) error {
+//
+// Each fleet starts once and serves every one of its campaigns, so
+// after the first sample the workers' compile caches are warm, as in a
+// long-running fleet. The three fleets take turns (harness.Sample), so
+// host noise lands on neighbouring samples of all three.
+func fabricBench(out string, strict bool) error {
 	const maxTraceOverheadPct = 5.0
-	ccfg := faultinject.CampaignConfig{Workload: workload, N: n, Arch: "posit", Runs: runs, Seed: 42}
+	workload := "polybench/" + benchKernel
+	ccfg := faultinject.CampaignConfig{Workload: workload, N: benchN, Arch: "posit", Runs: fabricRuns, Seed: 42}
 	rep := &FabricReport{
 		Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Workload: workload, N: n,
-		Runs: runs, ShardSize: shardSize,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), Workload: workload, N: benchN,
+		Runs: fabricRuns, ShardSize: fabricShardSize,
 	}
 
-	// campaign runs one whole distributed campaign and reports wall-clock
-	// seconds. With tracing, workers run flight recorders and the
-	// coordinator collects spans and fetches every request's span batch —
-	// the full observability plane, not just the cheap parts.
-	campaign := func(nWorkers int, traced bool) (float64, error) {
+	// fleet starts nWorkers in-process workers. With tracing, workers run
+	// flight recorders and every campaign collects spans and fetches every
+	// request's span batch — the full observability plane, not just the
+	// cheap parts. Each traced campaign's trace is kept for validation.
+	var traces []*fabric.FleetTrace
+	var servers []*httptest.Server
+	defer func() {
+		for _, ts := range servers {
+			ts.Close()
+		}
+	}()
+	fleet := func(nWorkers int, traced bool) func() error {
 		scfg := server.Config{DefaultTimeout: 30 * time.Second}
 		if traced {
 			scfg.FlightRecorder = 256
 			scfg.FlightLog = io.Discard
 		}
 		urls := make([]string, nWorkers)
-		servers := make([]*httptest.Server, nWorkers)
 		for i := range urls {
-			servers[i] = httptest.NewServer(server.New(scfg).Handler())
-			urls[i] = servers[i].URL
+			ts := httptest.NewServer(server.New(scfg).Handler())
+			servers = append(servers, ts)
+			urls[i] = ts.URL
 		}
-		defer func() {
-			for _, ts := range servers {
-				ts.Close()
+		return func() error {
+			fcfg := fabric.Config{Workers: urls, ShardSize: fabricShardSize}
+			if traced {
+				trace := fabric.NewFleetTrace(workload, fmt.Sprint(fabricRuns), "bench")
+				traces = append(traces, trace)
+				fcfg.Trace = trace
+				fcfg.Progress = fabric.NewProgress()
 			}
-		}()
-		fcfg := fabric.Config{Workers: urls, ShardSize: shardSize}
-		var trace *fabric.FleetTrace
-		if traced {
-			trace = fabric.NewFleetTrace(workload, fmt.Sprint(runs), "bench")
-			fcfg.Trace = trace
-			fcfg.Progress = fabric.NewProgress()
-		}
-		co, err := fabric.New(fcfg)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := co.RunCampaign(context.Background(), ccfg); err != nil {
-			return 0, err
-		}
-		secs := time.Since(start).Seconds()
-		if traced {
-			// The row must measure a real trace, not a silently empty one.
-			var buf bytes.Buffer
-			if err := trace.WriteChrome(&buf, "pdbench"); err != nil {
-				return 0, err
-			}
-			if nEv, err := obs.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
-				return 0, fmt.Errorf("traced bench produced an invalid fleet trace: %w", err)
-			} else if nEv == 0 {
-				return 0, fmt.Errorf("traced bench produced an empty fleet trace")
-			}
-		}
-		return secs, nil
-	}
-
-	// Campaigns this small finish in fractions of a second, where
-	// scheduler noise swamps the signal; each configuration reports its
-	// best of three runs, the standard wall-clock noise filter.
-	best := func(nWorkers int, traced bool) (float64, error) {
-		bestSecs := 0.0
-		for rep := 0; rep < 3; rep++ {
-			secs, err := campaign(nWorkers, traced)
+			co, err := fabric.New(fcfg)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			if bestSecs == 0 || secs < bestSecs {
-				bestSecs = secs
-			}
-		}
-		return bestSecs, nil
-	}
-
-	var baseRate, plainSecs float64
-	for _, nWorkers := range []int{1, 3} {
-		secs, err := best(nWorkers, false)
-		if err != nil {
+			_, err = co.RunCampaign(context.Background(), ccfg)
 			return err
 		}
-		row := FabricBenchRow{
-			Name: fmt.Sprintf("campaign/%d-worker", nWorkers), Workers: nWorkers,
-			Seconds: secs, RunsPerSec: float64(runs) / secs,
-		}
-		if nWorkers == 1 {
-			baseRate = row.RunsPerSec
-			row.Speedup = 1
-		} else if baseRate > 0 {
-			row.Speedup = row.RunsPerSec / baseRate
-			plainSecs = secs
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(os.Stderr, "%-22s %8.2fs %10.2f runs/s %6.2fx\n", row.Name, row.Seconds, row.RunsPerSec, row.Speedup)
 	}
-
-	tracedSecs, err := best(3, true)
+	samples, err := harness.Sample(fabricReps, fleet(1, false), fleet(3, false), fleet(3, true))
 	if err != nil {
 		return err
 	}
-	tracedRow := FabricBenchRow{
-		Name: "campaign/3-worker-traced", Workers: 3,
-		Seconds: tracedSecs, RunsPerSec: float64(runs) / tracedSecs,
+	// The traced rows must measure real traces, not silently empty ones.
+	for _, trace := range traces {
+		var buf bytes.Buffer
+		if err := trace.WriteChrome(&buf, "pdbench"); err != nil {
+			return err
+		}
+		if nEv, err := obs.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
+			return fmt.Errorf("traced bench produced an invalid fleet trace: %w", err)
+		} else if nEv == 0 {
+			return fmt.Errorf("traced bench produced an empty fleet trace")
+		}
 	}
-	if baseRate > 0 {
-		tracedRow.Speedup = tracedRow.RunsPerSec / baseRate
+
+	var baseRate float64
+	for i, row := range []FabricBenchRow{
+		{Name: "campaign/1-worker", Workers: 1},
+		{Name: "campaign/3-worker", Workers: 3},
+		{Name: "campaign/3-worker-traced", Workers: 3},
+	} {
+		q1, med, q3 := harness.Quartiles(samples[i])
+		row.Seconds, row.SpreadPct = med, 100*(q3-q1)/med
+		row.RunsPerSec = fabricRuns / med
+		if i == 0 {
+			baseRate = row.RunsPerSec
+		}
+		row.Speedup = row.RunsPerSec / baseRate
+		rep.Rows = append(rep.Rows, row)
+		fmt.Fprintf(os.Stderr, "%-26s %8.3fs (spread %4.1f%%) %10.2f runs/s %6.2fx\n",
+			row.Name, row.Seconds, row.SpreadPct, row.RunsPerSec, row.Speedup)
 	}
-	rep.Rows = append(rep.Rows, tracedRow)
-	if plainSecs > 0 {
-		rep.TraceOverheadPct = (tracedSecs - plainSecs) / plainSecs * 100
+	excess := make([]float64, fabricReps)
+	for r := range excess {
+		excess[r] = 100 * (samples[2][r]/samples[1][r] - 1)
 	}
-	fmt.Fprintf(os.Stderr, "%-22s %8.2fs %10.2f runs/s %6.2fx (trace overhead %+.1f%%)\n",
-		tracedRow.Name, tracedRow.Seconds, tracedRow.RunsPerSec, tracedRow.Speedup, rep.TraceOverheadPct)
+	q1, med, q3 := harness.Quartiles(excess)
+	rep.TraceOverheadPct, rep.TraceOverheadSpreadPct = med, q3-q1
+	fmt.Fprintf(os.Stderr, "%-26s %+7.1f%% (median of %d pairs, quartile spread %.1f points)\n",
+		"trace overhead", med, fabricReps, q3-q1)
 	if strict && rep.TraceOverheadPct > maxTraceOverheadPct {
 		return fmt.Errorf("fleet tracing costs %.1f%% wall-clock (limit %.0f%%)", rep.TraceOverheadPct, maxTraceOverheadPct)
 	}
 
 	// Merge latency: shards already in hand, how long until report bytes.
 	var shards []*faultinject.ShardResult
-	for lo := 0; lo < runs; lo += shardSize {
-		hi := lo + shardSize
-		if hi > runs {
-			hi = runs
-		}
+	for lo := 0; lo < fabricRuns; lo += fabricShardSize {
 		sh, err := faultinject.RunShard(context.Background(), faultinject.ShardRequest{
-			Version: faultinject.ShardVersion, Config: ccfg.Wire(), Arch: "posit", Lo: lo, Hi: hi,
+			Version: faultinject.ShardVersion, Config: ccfg.Wire(), Arch: "posit",
+			Lo: lo, Hi: min(lo+fabricShardSize, fabricRuns),
 		})
 		if err != nil {
 			return err
 		}
 		shards = append(shards, sh)
 	}
-	const mergeIters = 20
-	start := time.Now()
-	for i := 0; i < mergeIters; i++ {
-		if _, err := faultinject.AssembleReport(ccfg, shards); err != nil {
-			return err
+	merge := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := faultinject.AssembleReport(ccfg, shards); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	rep.MergeMS = float64(time.Since(start).Microseconds()) / 1000 / mergeIters
-	fmt.Fprintf(os.Stderr, "%-22s %8.3fms per merge (%d shards)\n", "merge", rep.MergeMS, len(shards))
+	})
+	rep.MergeMS = float64(merge.NsPerOp()) / 1e6
+	fmt.Fprintf(os.Stderr, "%-26s %8.3fms per merge (%d shards)\n", "merge", rep.MergeMS, len(shards))
 
 	rep.Ring = ringPlacement()
 	if err := liveRingFleet(rep.Ring); err != nil {
 		return err
 	}
 	ring := rep.Ring
-	fmt.Fprintf(os.Stderr, "%-22s ring moved %.3f/%.3f/%.3f (p5/median/p95 over %d fleets), mod-hash %.3f/%.3f/%.3f\n",
+	fmt.Fprintf(os.Stderr, "%-26s ring moved %.3f/%.3f/%.3f (p5/median/p95 over %d fleets), mod-hash %.3f/%.3f/%.3f\n",
 		"3→4 join", ring.MovedFraction.P5, ring.MovedFraction.Median, ring.MovedFraction.P95, ring.Fleets,
 		ring.ModHashMovedFraction.P5, ring.ModHashMovedFraction.Median, ring.ModHashMovedFraction.P95)
-	fmt.Fprintf(os.Stderr, "%-22s %5.0f%% static, %5.0f%% after join (one live fleet)\n",
+	fmt.Fprintf(os.Stderr, "%-26s %5.0f%% static, %5.0f%% after join (one live fleet)\n",
 		"cache affinity", ring.OneFleetStaticHitRate*100, ring.OneFleetChurnHitRate*100)
 
 	return writeReport(out, rep)

@@ -9,12 +9,18 @@
 //	pdbench -out BENCH.json      # write the report to a file
 //	pdbench -short               # codec + exec-run benches only
 //	pdbench -strict              # exit nonzero on a >10% ns/op regression
-//	pdbench -oracle bigfp,dd,residue       # per-oracle speed/precision frontier rows
-//	pdbench -serve -out BENCH_serve.json   # HTTP serve-path throughput/latency
+//	pdbench -oracle bigfp,dd,residue           # per-oracle speed/precision frontier rows
+//	pdbench -profile -out BENCH_profile.json   # profiler overhead on gemm n=8
+//	pdbench -fabric -out BENCH_fabric.json     # distributed campaign rows
+//
+// The -profile and -fabric rows compare whole runs side by side, timed by
+// harness.Sample: every variant runs once per repetition, in turn, and
+// each row records the median of its samples and their quartile spread.
 //
 // Every report records the commit checked out when it was produced (git
-// rev-parse HEAD; empty outside a git work tree) and the pdbench argument
-// list. `make bench` regenerates all four checked-in reports.
+// rev-parse HEAD; empty outside a git work tree), whether tracked files
+// differed from it, and the pdbench argument list. `make bench`
+// regenerates the checked-in reports.
 //
 // Unless -baseline "" disables it, the run is compared against the
 // checked-in BENCH_shadow.json: per-benchmark ns/op deltas go to stderr,
@@ -54,15 +60,24 @@ type Bench struct {
 
 // Provenance records what produced a report; every report embeds it.
 type Provenance struct {
-	Commit  string   `json:"commit"`
+	Commit string `json:"commit"`
+	// Dirty is set when tracked files differed from Commit, so the report
+	// measured uncommitted code on top of it. Changes to the BENCH_*.json
+	// reports themselves do not count: `make bench` rewrites them in turn.
+	Dirty   bool     `json:"dirty"`
 	Command []string `json:"command"`
 }
 
 // stamp records the commit checked out (git rev-parse HEAD; empty when git
-// or the work tree is unavailable) and the pdbench argument list.
+// or the work tree is unavailable), whether the tree was dirty, and the
+// pdbench argument list.
 func (p *Provenance) stamp() {
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		p.Commit = strings.TrimSpace(string(out))
+	}
+	if out, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no",
+		"--", ":/", ":(top,exclude)BENCH_*.json").Output(); err == nil {
+		p.Dirty = len(out) > 0
 	}
 	p.Command = append([]string{"pdbench"}, os.Args[1:]...)
 }
@@ -99,32 +114,20 @@ func main() {
 	short := flag.Bool("short", false, "codec and exec-run benches only (CI smoke)")
 	baseline := flag.String("baseline", "BENCH_shadow.json", "baseline report to diff against (\"\" disables)")
 	strict := flag.Bool("strict", false, "exit nonzero if any benchmark regresses more than 10% vs the baseline")
-	serve := flag.Bool("serve", false, "benchmark the HTTP serve path instead (requests/sec + latency percentiles)")
-	serveReqs := flag.Int("serve-requests", 400, "requests per serve-path scenario")
 	profileMode := flag.Bool("profile", false, "benchmark the numerical-error profiler instead: full-shadow vs sampled-shadow overhead (BENCH_profile.json)")
-	profileKernel := flag.String("profile-kernel", "gemm", "kernel for -profile")
-	profileN := flag.Int("profile-n", 8, "problem size for -profile")
-	fabricMode := flag.Bool("fabric", false, "benchmark the distributed campaign fabric instead: 1- vs 3-worker throughput and merge latency (BENCH_fabric.json)")
-	fabricRuns := flag.Int("fabric-runs", 48, "campaign runs for -fabric")
-	fabricShard := flag.Int("fabric-shard-size", 8, "shard size for -fabric")
+	fabricMode := flag.Bool("fabric", false, "benchmark the distributed campaign fabric instead: 1- vs 3-worker throughput, trace overhead and merge latency (BENCH_fabric.json)")
 	backendsFlag := flag.String("backend", "treewalk,vm", "comma-separated execution backends for the shadow and sweep benches; the first keeps the canonical bench name, the rest get an @backend suffix")
 	oraclesFlag := flag.String("oracle", "bigfp", "comma-separated shadow oracles (bigfp|dd|residue) for the shadow benches; the first keeps the canonical bench name, the rest get an @oracle suffix")
 	flag.Parse()
 
-	if *serve {
-		if err := serveBench(*out, *serveReqs); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *profileMode {
-		if err := profileBench(*out, *profileKernel, *profileN); err != nil {
+		if err := profileBench(*out); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *fabricMode {
-		if err := fabricBench(*out, "polybench/"+*profileKernel, *profileN, *fabricRuns, *fabricShard, *strict); err != nil {
+		if err := fabricBench(*out, *strict); err != nil {
 			fatal(err)
 		}
 		return

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
-	"testing"
 
 	positdebug "positdebug"
+	"positdebug/internal/harness"
 	"positdebug/internal/profile"
 	"positdebug/internal/shadow"
 	"positdebug/internal/workloads"
@@ -21,9 +20,9 @@ type ProfileBenchRow struct {
 	Name string `json:"name"`
 	// Sample is the stride: 0 = uninstrumented baseline, 1 = full shadow.
 	Sample int `json:"sample"`
-	// NsPerOp is the median over profileReps interleaved repetitions.
+	// NsPerOp is the median over profileReps interleaved samples.
 	NsPerOp float64 `json:"ns_per_op"`
-	// SpreadPct is the repetitions' range (max − min) over that median.
+	// SpreadPct is the samples' quartile spread over that median.
 	SpreadPct float64 `json:"spread_pct"`
 	// Slowdown is NsPerOp over the uninstrumented baseline's.
 	Slowdown float64 `json:"slowdown_vs_baseline"`
@@ -46,23 +45,30 @@ type ProfileReport struct {
 	Rows       []ProfileBenchRow `json:"rows"`
 }
 
-// profileReps is how many times each variant is timed. The variants take
-// turns, so a stretch of host noise lands on neighbouring samples of every
-// variant and the per-variant median drops it.
-const profileReps = 5
+// The kernel and size every -profile and -fabric row runs.
+const (
+	benchKernel = "gemm"
+	benchN      = 8
+)
+
+// profileReps is how many interleaved samples each variant gets, and
+// profileBatch how many runs one sample times.
+const (
+	profileReps  = 21
+	profileBatch = 40
+)
 
 // profileBench measures the full-shadow vs sampled-shadow overhead
 // tradeoff on one PolyBench kernel: uninstrumented baseline, plain shadow
 // execution, and shadow execution with the profiler at strides 1/4/16/64.
-// Every row times one Program.Exec per run on the default backend, the
-// baseline with WithBaseline, so the numbers compare per-run cost like for
-// like.
-func profileBench(out, kernel string, n int) error {
-	k, ok := workloads.KernelByName(kernel)
+// Every row times Program.Exec runs on the default backend, the baseline
+// with WithBaseline, so the numbers compare per-run cost like for like.
+func profileBench(out string) error {
+	k, ok := workloads.KernelByName(benchKernel)
 	if !ok {
-		return fmt.Errorf("no kernel %q", kernel)
+		return fmt.Errorf("no kernel %q", benchKernel)
 	}
-	psrc, err := positdebug.RefactorToPosit(k.Source(n))
+	psrc, err := positdebug.RefactorToPosit(k.Source(benchN))
 	if err != nil {
 		return err
 	}
@@ -70,76 +76,69 @@ func profileBench(out, kernel string, n int) error {
 	if err != nil {
 		return err
 	}
-	prog.SetSourceName(kernel)
+	prog.SetSourceName(benchKernel)
 	mod := prog.Instrumented()
 	cfg := shadow.DefaultConfig()
 	cfg.Tracing = false
 	cfg.MaxReports = 1
 
 	type variant struct {
-		row ProfileBenchRow
-		run func() error
-		col *profile.Collector // profiled variants only
-		ns  []float64
-		n   int // runs in the last timed round
+		row  ProfileBenchRow
+		opts []positdebug.Option
+		col  *profile.Collector // profiled variants only
 	}
-	execRun := func(opts ...positdebug.Option) func() error {
-		return func() error { _, err := prog.Exec("main", opts...); return err }
-	}
-	variants := []*variant{
-		{row: ProfileBenchRow{Name: "baseline"}, run: execRun(positdebug.WithBaseline())},
-		{row: ProfileBenchRow{Name: "shadow", Sample: 1}, run: execRun(positdebug.WithShadow(cfg))},
+	variants := []variant{
+		{row: ProfileBenchRow{Name: "baseline"}, opts: []positdebug.Option{positdebug.WithBaseline()}},
+		{row: ProfileBenchRow{Name: "shadow", Sample: 1}, opts: []positdebug.Option{positdebug.WithShadow(cfg)}},
 	}
 	for _, stride := range []int{1, 4, 16, 64} {
 		col := profile.NewCollector()
-		variants = append(variants, &variant{
-			row: ProfileBenchRow{Name: fmt.Sprintf("profile/sample-%d", stride), Sample: stride},
-			run: execRun(positdebug.WithShadow(cfg), positdebug.WithProfile(col), positdebug.WithSampling(stride)),
-			col: col,
+		variants = append(variants, variant{
+			row:  ProfileBenchRow{Name: fmt.Sprintf("profile/sample-%d", stride), Sample: stride},
+			opts: []positdebug.Option{positdebug.WithShadow(cfg), positdebug.WithProfile(col), positdebug.WithSampling(stride)},
+			col:  col,
 		})
 	}
-	for range profileReps {
-		for _, v := range variants {
-			r := testing.Benchmark(func(b *testing.B) {
-				// testing.Benchmark calls this once per round with a
-				// growing b.N: start each round empty, so the collector
-				// ends up holding exactly the final round's r.N runs.
-				if v.col != nil {
-					v.col.Reset()
+	runs := make([]func() error, len(variants))
+	for i, v := range variants {
+		runs[i] = func() error {
+			for range profileBatch {
+				if _, err := prog.Exec("main", v.opts...); err != nil {
+					return err
 				}
-				for i := 0; i < b.N; i++ {
-					if err := v.run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			v.ns = append(v.ns, float64(r.T.Nanoseconds())/float64(r.N))
-			v.n = r.N
+			}
+			return nil
 		}
+	}
+	samples, err := harness.Sample(profileReps, runs...)
+	if err != nil {
+		return err
 	}
 
 	rep := &ProfileReport{
 		Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Kernel: kernel, N: n,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), Kernel: benchKernel, N: benchN,
 	}
 	var baseNs float64
-	for _, v := range variants {
+	for i, v := range variants {
 		row := v.row
-		sort.Float64s(v.ns)
-		row.NsPerOp = v.ns[len(v.ns)/2]
-		row.SpreadPct = 100 * (v.ns[len(v.ns)-1] - v.ns[0]) / row.NsPerOp
+		q1, med, q3 := harness.Quartiles(samples[i])
+		row.NsPerOp = med * 1e9 / profileBatch
+		row.SpreadPct = 100 * (q3 - q1) / med
 		if baseNs == 0 {
 			baseNs = row.NsPerOp
 		}
 		row.Slowdown = row.NsPerOp / baseNs
 		if v.col != nil {
-			snap := v.col.Snapshot(mod, kernel, "posit32", int64(v.n), int64(row.Sample))
+			// The collector holds every sampled run.
+			n := int64(profileReps * profileBatch)
+			snap := v.col.Snapshot(mod, benchKernel, "posit32", n, int64(row.Sample))
 			for _, ip := range snap.Insts {
 				row.CheckedOps += ip.Checked
 				row.TotalOps += ip.Count
 			}
-			row.CheckedOps /= int64(v.n)
-			row.TotalOps /= int64(v.n)
+			row.CheckedOps /= n
+			row.TotalOps /= n
 			if row.TotalOps > 0 {
 				row.CheckedPct = 100 * float64(row.CheckedOps) / float64(row.TotalOps)
 			}

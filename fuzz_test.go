@@ -14,6 +14,7 @@ import (
 	"positdebug/internal/bytecode"
 	"positdebug/internal/faultinject"
 	"positdebug/internal/interp"
+	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
 )
 
@@ -26,7 +27,7 @@ func TestInstrumentationTransparency(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260704))
 	for trial := 0; trial < 120; trial++ {
 		typ := []string{"p32", "p16", "f64", "f32"}[rng.Intn(4)]
-		src := randomProgram(rng, typ)
+		src := randomProgram(rng, typ, false)
 		prog, err := positdebug.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: generated program does not compile: %v\n%s", trial, err, src)
@@ -57,8 +58,10 @@ func TestInstrumentationTransparency(t *testing.T) {
 
 // randomProgram emits a small single-function numeric program: a handful
 // of variables updated through random arithmetic, array traffic, branches
-// and a bounded loop, printing and returning a value.
-func randomProgram(rng *rand.Rand, typ string) string {
+// and a bounded loop, printing and returning a value. With traps set, one
+// program in four then stores or loads an array element far out of range,
+// which traps in the base half of a fused shadow pair.
+func randomProgram(rng *rand.Rand, typ string, traps bool) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "var arr: [8]%s;\n\n", typ)
 	fmt.Fprintf(&sb, "func main(): %s {\n", typ)
@@ -80,6 +83,15 @@ func randomProgram(rng *rand.Rand, typ string) string {
 	// A reduction over the array.
 	fmt.Fprintf(&sb, "\tvar s: %s = 0.0;\n", typ)
 	fmt.Fprintf(&sb, "\tfor (var i: i64 = 0; i < 8; i += 1) {\n\t\ts = s + arr[i];\n\t}\n")
+	if traps && rng.Intn(4) == 0 {
+		// Below the globals, or past the end of memory.
+		idx := []int{-100000, 1 << 28}[rng.Intn(2)]
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(&sb, "\tarr[%d] = s;\n", idx)
+		} else {
+			fmt.Fprintf(&sb, "\tc = arr[%d];\n", idx)
+		}
+	}
 	fmt.Fprintf(&sb, "\tprint(s);\n\tprint(c);\n")
 	fmt.Fprintf(&sb, "\treturn s + c;\n}\n")
 	return sb.String()
@@ -134,7 +146,7 @@ func FuzzInjector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, kind uint8, rate float64, occ int64, ops uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		typ := []string{"p32", "p16", "f64", "f32"}[rng.Intn(4)]
-		src := randomProgram(rng, typ)
+		src := randomProgram(rng, typ, false)
 		prog, err := positdebug.Compile(src)
 		if err != nil {
 			t.Fatalf("generated program does not compile: %v\n%s", err, src)
@@ -181,17 +193,21 @@ func FuzzInjector(f *testing.F) {
 // FuzzCompile fuzzes the bytecode pipeline end to end over randomly
 // generated PCL programs: the compiler must never emit a chunk the verifier
 // rejects, and the VM must execute the verifier-accepted chunk without
-// panicking — producing exactly the tree-walker's result, output, and
-// detection summary.
+// panicking — producing exactly the tree-walker's result, output, step
+// count, detection summary and metrics dump, or exactly its error. A trap
+// carries no step count, so on error the dump's pd_steps_total stands in
+// for it. The last two seeds trap inside a fused store and a fused load.
 func FuzzCompile(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(1))
 	f.Add(int64(-7), uint8(2))
 	f.Add(int64(999), uint8(3))
+	f.Add(int64(31), uint8(0))
+	f.Add(int64(13), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, typPick uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		typ := []string{"p32", "p16", "f64", "f32"}[int(typPick)%4]
-		src := randomProgram(rng, typ)
+		src := randomProgram(rng, typ, true)
 		prog, err := positdebug.Compile(src)
 		if err != nil {
 			t.Fatalf("generated program does not compile: %v\n%s", err, src)
@@ -205,25 +221,35 @@ func FuzzCompile(f *testing.F) {
 		}
 		cfg := shadow.Config{Precision: 128, Tracing: true, MaxReports: 2}
 		lim := interp.Limits{MaxSteps: 2_000_000, Timeout: 5 * time.Second}
-		run := func(bk backend.Kind) (*positdebug.Result, error) {
-			return prog.Exec("main", positdebug.WithBackend(bk),
-				positdebug.WithShadow(cfg), positdebug.WithLimits(lim))
+		run := func(bk backend.Kind) (*positdebug.Result, string, error) {
+			reg := obs.NewRegistry()
+			res, err := prog.Exec("main", positdebug.WithBackend(bk),
+				positdebug.WithShadow(cfg), positdebug.WithLimits(lim), positdebug.WithMetrics(reg))
+			var dump strings.Builder
+			if err := reg.WriteProm(&dump); err != nil {
+				t.Fatal(err)
+			}
+			return res, dump.String(), err
 		}
-		tw, errTW := run(backend.Treewalk)
-		vm, errVM := run(backend.VM)
+		tw, twDump, errTW := run(backend.Treewalk)
+		vm, vmDump, errVM := run(backend.VM)
 		if (errTW == nil) != (errVM == nil) {
 			t.Fatalf("backends disagree on failure: treewalk=%v vm=%v\n%s", errTW, errVM, src)
 		}
+		if errTW != nil && errTW.Error() != errVM.Error() {
+			t.Fatalf("backends disagree on error text:\n  treewalk: %v\n  vm:       %v\n%s",
+				errTW, errVM, src)
+		}
+		if twDump != vmDump {
+			t.Fatalf("backends diverged on metrics dump (err %v):\n--- treewalk ---\n%s\n--- vm ---\n%s\n%s",
+				errTW, twDump, vmDump, src)
+		}
 		if errTW != nil {
-			if errTW.Error() != errVM.Error() {
-				t.Fatalf("backends disagree on error text:\n  treewalk: %v\n  vm:       %v\n%s",
-					errTW, errVM, src)
-			}
 			return // bounded failure, identically reported — a valid outcome
 		}
-		if tw.Value != vm.Value || tw.Output != vm.Output {
-			t.Fatalf("backends diverged: %#x/%q vs %#x/%q\n%s",
-				tw.Value, tw.Output, vm.Value, vm.Output, src)
+		if tw.Value != vm.Value || tw.Output != vm.Output || tw.Steps != vm.Steps {
+			t.Fatalf("backends diverged: %#x/%q/%d steps vs %#x/%q/%d steps\n%s",
+				tw.Value, tw.Output, tw.Steps, vm.Value, vm.Output, vm.Steps, src)
 		}
 		if (tw.Summary == nil) != (vm.Summary == nil) {
 			t.Fatalf("backends disagree on summary presence\n%s", src)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"testing"
 	"time"
 
@@ -168,12 +170,40 @@ func registerWorker(t *testing.T, coordURL, workerURL string) {
 	}
 }
 
+// holdShards fronts target with a gate that forwards every request, but
+// holds each shard request until released is closed.
+func holdShards(t *testing.T, target string, released <-chan struct{}) string {
+	t.Helper()
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := httputil.NewSingleHostReverseProxy(u)
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/campaign/shard" {
+			select {
+			case <-released:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		fwd.ServeHTTP(w, r)
+	}))
+	t.Cleanup(gate.Close)
+	return gate.URL
+}
+
 // TestChaosChurnByteIdentical is the acceptance-criteria test: a campaign
 // through fault-injecting proxies during which one worker is killed
 // mid-run (no goodbye — backend dead, proxy answering 502) and another
 // worker joins mid-run via the registration endpoint. The merged report
-// must equal the sequential oracle byte for byte, and the joiner must
-// actually have served shards.
+// must equal the sequential oracle byte for byte, the joiner must
+// actually have served shards, and the victim must be declared dead.
+//
+// The death verdict takes two ejections a probation apart. So that it
+// does not race the campaign's drain, the survivor and the joiner hold
+// their shards until the victim's death is recorded: while they hold, the
+// victim is the only worker free to take one.
 func TestChaosChurnByteIdentical(t *testing.T) {
 	ccfg := chaosCampaign()
 	want := oracleBytes(t, ccfg)
@@ -200,8 +230,23 @@ func TestChaosChurnByteIdentical(t *testing.T) {
 	victim, survivor := fleet.Workers[0], fleet.Workers[1]
 	victim.Proxy.SetRoute("/campaign/shard", Spec{ErrorRate: 0.15})
 	survivor.Proxy.SetRoute("/campaign/shard", Spec{Latency: 25 * time.Millisecond})
+
+	const holdLimit = 20 * time.Second
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		deadline := time.Now().Add(holdLimit)
+		for metrics.Counter("pd_fabric_member_deaths_total").Value() < 1 {
+			if time.Now().After(deadline) {
+				t.Errorf("the killed worker was not declared dead within %v while the others held their shards", holdLimit)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	t.Cleanup(func() { <-released })
 	registerWorker(t, coordSrv.URL, victim.URL())
-	registerWorker(t, coordSrv.URL, survivor.URL())
+	registerWorker(t, coordSrv.URL, holdShards(t, survivor.URL(), released))
 
 	// Mid-campaign churn, triggered by real traffic: after the victim has
 	// served two shards its backend dies (kill -9 shape: connections
@@ -221,7 +266,7 @@ func TestChaosChurnByteIdentical(t *testing.T) {
 				return
 			}
 			joiner = w
-			registerWorker(t, coordSrv.URL, w.URL())
+			registerWorker(t, coordSrv.URL, holdShards(t, w.URL(), released))
 		}()
 	})
 

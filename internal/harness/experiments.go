@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	positdebug "positdebug"
@@ -69,7 +70,7 @@ func tracingConfigs() []shadow.Config {
 
 // overheadSweep fills the table with each kernel's slowdown under every
 // config over its baseline run, for the kernel form pick selects. The
-// baseline and the configs are timed interleaved (measureEach), so a host
+// baseline and the configs are timed interleaved (Sample), so a host
 // slowdown hits every column alike. With opts.Parallel the kernels shard
 // across CPUs (rows still land in kernel order; see Options.Parallel for
 // why the ratios survive contention).
@@ -96,13 +97,13 @@ func overheadSweep(opts Options, t *Table, pick func(compiled) *positdebug.Progr
 				return err
 			})
 		}
-		d, err := measureEach(opts.repeats(), runs...)
+		d, err := Sample(opts.repeats(), runs...)
 		if err != nil {
 			return Row{}, fmt.Errorf("%s: %w", k.Name, err)
 		}
 		vals := make([]float64, len(cfgs))
 		for i := range vals {
-			vals[i] = float64(d[i+1]) / float64(d[0])
+			vals[i] = slices.Min(d[i+1]) / slices.Min(d[0])
 		}
 		return Row{Name: k.Name, Values: vals}, nil
 	})
@@ -137,31 +138,22 @@ func HerbgrindTable(opts Options) (*Table, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		base, err := measure(opts.repeats(), func() error {
+		cfg := shadowConfig(256, true)
+		d, err := Sample(opts.repeats(), func() error {
 			_, err := c.fp.Run("main")
 			return err
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		cfg := shadowConfig(256, true)
-		fps, err := measure(opts.repeats(), func() error {
+		}, func() error {
 			_, err := c.fp.Exec("main", positdebug.WithShadow(cfg))
 			return err
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		hg, err := measure(opts.repeats(), func() error {
+		}, func() error {
 			_, err := c.fp.Exec("main", positdebug.WithHerbgrind(256))
 			return err
 		})
 		if err != nil {
-			return Row{}, err
+			return Row{}, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		return Row{Name: k.Name, Values: []float64{
-			float64(fps) / float64(base), float64(hg) / float64(base), float64(hg) / float64(fps),
-		}}, nil
+		base, fps, hg := slices.Min(d[0]), slices.Min(d[1]), slices.Min(d[2])
+		return Row{Name: k.Name, Values: []float64{fps / base, hg / base, hg / fps}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -189,7 +181,7 @@ func SoftPositBaseline(n int, repeats int) (ratio float64) {
 		ap[i] = posit.P32FromFloat64(af[i])
 		bp[i] = posit.P32FromFloat64(bf[i])
 	}
-	fTime, _ := measure(repeats, func() error {
+	d, _ := Sample(repeats, func() error {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				s := 0.0
@@ -200,8 +192,7 @@ func SoftPositBaseline(n int, repeats int) (ratio float64) {
 			}
 		}
 		return nil
-	})
-	pTime, _ := measure(repeats, func() error {
+	}, func() error {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				var s posit.Posit32
@@ -213,7 +204,7 @@ func SoftPositBaseline(n int, repeats int) (ratio float64) {
 		}
 		return nil
 	})
-	return float64(pTime) / float64(fTime)
+	return slices.Min(d[1]) / slices.Min(d[0])
 }
 
 // DetectionRow is one line of the §5.1 effectiveness table.

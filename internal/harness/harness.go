@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,7 +23,8 @@ type Options struct {
 	// Quick shrinks problem sizes so a full figure regenerates in seconds
 	// (used by tests); the default sizes regenerate in minutes.
 	Quick bool
-	// Repeats is the number of timing repetitions (best-of); default 2.
+	// Repeats is the number of interleaved timing repetitions (see
+	// Sample); the tables keep each variant's best. Default 2.
 	Repeats int
 	// Parallel shards the per-kernel sweeps across CPUs. Tables come out in
 	// the same kernel order either way; because every figure reports
@@ -50,34 +52,50 @@ func (o Options) size(defaultN int) int {
 	return n
 }
 
-// measure returns the best-of-k wall time of f.
-func measure(k int, f func() error) (time.Duration, error) {
-	best, err := measureEach(k, f)
-	if err != nil {
-		return 0, err
-	}
-	return best[0], nil
-}
-
-// measureEach returns the best-of-k wall time of each f, interleaved: each
-// of the k repetitions runs every f in turn, so a stretch of slow host time
-// lands on all of them rather than on whichever was being repeated.
-func measureEach(k int, fs ...func() error) ([]time.Duration, error) {
-	best := make([]time.Duration, len(fs))
-	for i := range best {
-		best[i] = time.Duration(math.MaxInt64)
-	}
-	for rep := 0; rep < k; rep++ {
-		for i, f := range fs {
+// Sample is the one wall-clock sampler behind every timed comparison: the
+// paper's tables here and pdbench's profile and fabric rows. Each of the k
+// repetitions runs every f once, in turn, from a collected heap, so a
+// stretch of slow host time lands on neighbouring samples of every
+// variant rather than on whichever was being repeated. Odd repetitions
+// run the variants in reverse order, so no variant always runs first or
+// always right after another. Every sample is kept, in seconds:
+// out[i][r] is fs[i]'s time in repetition r. The tables reduce a
+// variant's samples to their best (slices.Min); pdbench reduces them with
+// Quartiles.
+func Sample(k int, fs ...func() error) ([][]float64, error) {
+	out := make([][]float64, len(fs))
+	for r := range k {
+		for j := range fs {
+			i := j
+			if r%2 == 1 {
+				i = len(fs) - 1 - j
+			}
 			runtime.GC()
 			t0 := time.Now()
-			if err := f(); err != nil {
+			if err := fs[i](); err != nil {
 				return nil, err
 			}
-			best[i] = min(best[i], time.Since(t0))
+			out[i] = append(out[i], time.Since(t0).Seconds())
 		}
 	}
-	return best, nil
+	return out, nil
+}
+
+// Quartiles returns the lower quartile, median and upper quartile of xs,
+// interpolating linearly between order statistics. q3 − q1 is the
+// quartile spread pdbench records beside each median.
+func Quartiles(xs []float64) (q1, median, q3 float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return at(0.25), at(0.5), at(0.75)
 }
 
 // Table is a named grid of per-benchmark values with a geometric-mean row,

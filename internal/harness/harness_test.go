@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +75,45 @@ func TestSoftPositBaseline(t *testing.T) {
 	ratio := SoftPositBaseline(40, 2)
 	if ratio < 3 {
 		t.Fatalf("software posit only %.1f× slower than native float64", ratio)
+	}
+}
+
+// TestSampleInterleaves: every repetition runs each variant once, in
+// turn, odd repetitions in reverse, and every sample is kept; an error
+// stops the sampling.
+func TestSampleInterleaves(t *testing.T) {
+	var order []int
+	variant := func(i int) func() error {
+		return func() error { order = append(order, i); return nil }
+	}
+	d, err := Sample(3, variant(0), variant(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 1, 0, 0, 1}; !slices.Equal(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
+	}
+	if len(d) != 2 || len(d[0]) != 3 || len(d[1]) != 3 {
+		t.Fatalf("want 3 samples per variant, got %v", d)
+	}
+	if _, err := Sample(3, func() error { return errors.New("boom") }); err == nil {
+		t.Fatal("a failing variant must fail the sampling")
+	}
+}
+
+// TestQuartiles: linear interpolation between order statistics, on an
+// unsorted input that must come back untouched.
+func TestQuartiles(t *testing.T) {
+	xs := []float64{9, 1, 5, 3, 7}
+	q1, med, q3 := Quartiles(xs)
+	if q1 != 3 || med != 5 || q3 != 7 {
+		t.Fatalf("quartiles of %v = %v %v %v, want 3 5 7", xs, q1, med, q3)
+	}
+	if q1, med, q3 := Quartiles([]float64{1, 2, 3, 4}); q1 != 1.75 || med != 2.5 || q3 != 3.25 {
+		t.Fatalf("quartiles of 1..4 = %v %v %v, want 1.75 2.5 3.25", q1, med, q3)
+	}
+	if xs[0] != 9 {
+		t.Fatalf("Quartiles sorted its input: %v", xs)
 	}
 }
 

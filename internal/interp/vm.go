@@ -145,6 +145,14 @@ func (m *Machine) vmStoreHit(ch *bytecode.Module, fname string, id int32, t ir.T
 	return nb, true, m.vmStore(ch, fname, t.Size(), addr, nb)
 }
 
+// pairTrap passes on err from the base half of a fused pair. The dispatch
+// loop charged the pair two steps up front; the shadow half never ran, so
+// one is taken back and the count stops where the tree-walker's does.
+func (m *Machine) pairTrap(err error) error {
+	m.steps--
+	return err
+}
+
 // memTrap builds the out-of-bounds trap off the hot path, keeping
 // vmLoad/vmStore within the inlining budget.
 func (m *Machine) memTrap(fname string, size, addr uint32) error {
@@ -315,7 +323,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 					m.curBlk, m.curIdx = pos[pc].Blk, int(pos[pc].Idx)
 					m.vmPC = -1
 					if err := m.vmFirstHalf(ch, f, in, regs); err != nil {
-						return 0, err
+						return 0, m.pairTrap(err)
 					}
 				} else if w == 2 {
 					m.steps--
@@ -621,7 +629,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			av, bv := regs[in.A], regs[in.B]
 			v, err := binEvalN(f.Name, ir.BinKind(in.K), ir.Type(in.T), av, bv)
 			if err != nil {
-				return 0, err
+				return 0, m.pairTrap(err)
 			}
 			regs[in.Dst] = v
 			if fh != nil && m.inj == nil {
@@ -667,7 +675,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			addr := uint32(regs[in.A])
 			sz := uint32(in.K)
 			if addr < ch.GlobalBase || uint64(addr)+uint64(sz) > uint64(len(m.mem)) {
-				return 0, m.memTrap(f.Name, sz, addr)
+				return 0, m.pairTrap(m.memTrap(f.Name, sz, addr))
 			}
 			var v uint64
 			switch sz {
@@ -693,7 +701,7 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			saddr := uint32(regs[in.A])
 			ssz := uint32(in.K)
 			if saddr < ch.GlobalBase || uint64(saddr)+uint64(ssz) > uint64(len(m.mem)) {
-				return 0, m.memTrap(f.Name, ssz, saddr)
+				return 0, m.pairTrap(m.memTrap(f.Name, ssz, saddr))
 			}
 			if sb := ch.GlobalBase + ch.GlobalSize; saddr+ssz > sb && saddr < m.lowWater {
 				m.lowWater = saddr
@@ -715,6 +723,8 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				hit := false
 				if m.inj != nil {
 					var err error
+					// The injected write belongs to the shadow half, which
+					// the tree-walker has counted too: both steps stand.
 					if sv, hit, err = m.vmStoreHit(ch, f.Name, in.ID, ir.Type(in.T), saddr, sv); err != nil {
 						return 0, err
 					}
