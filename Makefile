@@ -28,7 +28,7 @@ bench: bench-json bench-profile bench-fabric bench-perf
 # CI runs the same tool with -short as a smoke check and uploads the
 # artifact.
 bench-json: build
-	$(GO) run ./cmd/pdbench -oracle bigfp,dd,residue -out BENCH_shadow.json
+	$(GO) run ./cmd/pdbench -out BENCH_shadow.json
 
 # Cross-oracle differential suite under the race detector at -cpu=1,4:
 # the dd oracle must agree with bigfp-256 on every exhaustive ⟨8,0⟩ op
@@ -218,7 +218,7 @@ chaos-smoke: build
 FLEETDIR ?= /tmp/pd-fleet-obs-smoke
 fleet-obs-smoke: build
 	$(GO) test -race -count=1 -cpu=1,4 -run TestChaosFleetTraceThroughStorm ./internal/chaos/
-	$(GO) test -race -count=1 -run 'TestFleetTraceEndToEnd|TestFleetStatusShape|TestFleetEventsSSE|TestWeightedRing' ./internal/fabric/
+	$(GO) test -race -count=1 -run 'TestFleetTraceEndToEnd|TestFleetStatusShape|TestFleetEventsSSE' ./internal/fabric/
 	mkdir -p $(FLEETDIR)
 	$(GO) build -o $(FLEETDIR)/pdserve ./cmd/pdserve
 	$(FLEETDIR)/pdserve -addr 127.0.0.1:8715 -coordinator http://127.0.0.1:8732 -heartbeat 250ms & echo $$! > $(FLEETDIR)/w1.pid

@@ -254,35 +254,65 @@ func main(): p32 {
 }
 `
 
+// callDepthTrapSrc recurses without bound on shadowed values, so the
+// call-depth limit trips.
+const callDepthTrapSrc = `
+func down(x: f64): f64 {
+	return down(x * 0.5 + 1.0) - x;
+}
+
+func main(): f64 {
+	return down(3.0);
+}
+`
+
+// stackTrapSrc recurses with an 8000-byte local array, so the stack runs
+// out long before the call-depth limit.
+const stackTrapSrc = `
+func deep(n: i64): f64 {
+	var buf: [1000]f64;
+	buf[n % 1000] = f64(n) * 1.5;
+	return deep(n + 1) + buf[0];
+}
+
+func main(): f64 {
+	return deep(0);
+}
+`
+
 // TestBackendDiffTraps runs programs that trap part-way, shadowed the way
 // pdserve serves them and as a baseline, on both backends, and requires
 // the same error text, event stream and Prometheus dump (diffTrap).
 // trapSrc and loadTrapSrc trap in the base half of a fused store and
-// load, divTrapSrc on an unshadowed integer division. A third shadowed
-// run gets a step budget that ends on the trapping instruction, so the
-// VM replays a fused pair's base half alone and must trap at the same
-// count.
+// load, divTrapSrc on an unshadowed integer division, callDepthTrapSrc
+// and stackTrapSrc on a call. A third shadowed run gets a step budget
+// that ends on the trapping instruction, so the VM replays a fused pair's
+// base half alone and must trap at the same count.
 func TestBackendDiffTraps(t *testing.T) {
-	for _, p := range []struct{ name, src string }{
-		{"store", trapSrc}, {"load", loadTrapSrc}, {"div", divTrapSrc},
+	for _, p := range []struct{ name, src, want string }{
+		{"store", trapSrc, "out of bounds"},
+		{"load", loadTrapSrc, "out of bounds"},
+		{"div", divTrapSrc, "division by zero"},
+		{"call-depth", callDepthTrapSrc, "call depth exceeded"},
+		{"stack", stackTrapSrc, "stack overflow"},
 	} {
 		prog, err := positdebug.Compile(p.src)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		served := positdebug.WithShadow(servedShadowConfig())
-		steps := diffTrap(t, p.name+"/shadow", prog, served)
-		diffTrap(t, p.name+"/baseline", prog, positdebug.WithBaseline())
-		diffTrap(t, p.name+"/split", prog, served, positdebug.WithLimits(interp.Limits{MaxSteps: steps}))
+		steps := diffTrap(t, p.name+"/shadow", p.want, prog, served)
+		diffTrap(t, p.name+"/baseline", p.want, prog, positdebug.WithBaseline())
+		diffTrap(t, p.name+"/split", p.want, prog, served, positdebug.WithLimits(interp.Limits{MaxSteps: steps}))
 	}
 }
 
 // diffTrap runs prog on both backends, each into its own metrics
-// registry, requires a trap with the same error text, event stream and
-// metrics dump, and returns the tree-walker's step count. A trap carries
-// no step count, so pd_steps_total and the run-end event are where a
-// miscounted trap shows.
-func diffTrap(t *testing.T, name string, prog *positdebug.Program, opts ...positdebug.Option) int64 {
+// registry, requires a trap whose text contains want, with the same error
+// text, event stream and metrics dump on both, and returns the
+// tree-walker's step count. A trap carries no step count, so
+// pd_steps_total and the run-end event are where a miscounted trap shows.
+func diffTrap(t *testing.T, name, want string, prog *positdebug.Program, opts ...positdebug.Option) int64 {
 	t.Helper()
 	run := func(k backend.Kind) (execOutcome, string, int64) {
 		reg := obs.NewRegistry()
@@ -295,8 +325,8 @@ func diffTrap(t *testing.T, name string, prog *positdebug.Program, opts ...posit
 	}
 	tw, twDump, steps := run(backend.Treewalk)
 	vm, vmDump, _ := run(backend.VM)
-	if !strings.Contains(tw.Err, "trap") {
-		t.Errorf("%s: want a trap, got %q", name, tw.Err)
+	if !strings.Contains(tw.Err, "trap") || !strings.Contains(tw.Err, want) {
+		t.Errorf("%s: want a trap containing %q, got %q", name, want, tw.Err)
 	}
 	diffOutcomes(t, name, tw, vm)
 	if twDump != vmDump {

@@ -265,8 +265,8 @@ func ringPlacement() *RingBenchReport {
 	modMoved := make([]float64, fleets)
 	for f := range moved {
 		members := []string{member(), member(), member()}
-		before := fabric.NewRing(members, fabric.DefaultVirtualNodes)
-		after := fabric.NewRing(append(members, member()), fabric.DefaultVirtualNodes)
+		before := fabric.NewRing(members)
+		after := fabric.NewRing(append(members, member()))
 		was, is := before.Members(), after.Members()
 		n, nMod := 0, 0
 		for _, k := range keys {
@@ -344,7 +344,7 @@ func liveRingFleet(rep *RingBenchReport) error {
 	}
 
 	rep.OneFleetKernels = kernels
-	ring3 := fabric.NewRing(urls, fabric.DefaultVirtualNodes)
+	ring3 := fabric.NewRing(urls)
 
 	// Cold pass then warm pass on the stable fleet, both ring-routed.
 	for _, src := range srcs {
@@ -366,7 +366,7 @@ func liveRingFleet(rep *RingBenchReport) error {
 
 	// A fourth worker joins; the ring moves only the keys on its arcs.
 	urls4 := append(append([]string{}, urls...), addWorker())
-	ring4 := fabric.NewRing(urls4, fabric.DefaultVirtualNodes)
+	ring4 := fabric.NewRing(urls4)
 	churnHits := 0
 	for _, src := range srcs {
 		hit, err := post(ring4.Owner(src), src)

@@ -7,11 +7,19 @@
 //
 //	pdbench                      # full suite to stdout
 //	pdbench -out BENCH.json      # write the report to a file
-//	pdbench -short               # codec + exec-run benches only
-//	pdbench -strict              # exit nonzero on a >10% ns/op regression
-//	pdbench -oracle bigfp,dd,residue           # per-oracle speed/precision frontier rows
+//	pdbench -short               # codec, exec-run and oracle rows only
+//	pdbench -strict              # exit nonzero when a twin row fails its gate
 //	pdbench -profile -out BENCH_profile.json   # profiler overhead on gemm n=8
 //	pdbench -fabric -out BENCH_fabric.json     # distributed campaign rows
+//
+// The shadow and sweep rows run on the tree-walker under their canonical
+// names and on the VM under name@vm; the shadow rows also run under the
+// dd and residue oracles (name@dd, name@residue), next to one
+// multiply-accumulate row per oracle. Each twin is compared with its
+// canonical row from the same report, on stderr: a twin more than 10%
+// slower, or dd arithmetic less than 2x faster than bigfp, is flagged,
+// and -strict turns a flag into a nonzero exit. The twins are single
+// testing.Benchmark runs, so a flag can be host noise.
 //
 // The -profile and -fabric rows compare whole runs side by side, timed by
 // harness.Sample: every variant runs once per repetition, in turn, and
@@ -21,11 +29,6 @@
 // rev-parse HEAD; empty outside a git work tree), whether tracked files
 // differed from it, and the pdbench argument list. `make bench`
 // regenerates the checked-in reports.
-//
-// Unless -baseline "" disables it, the run is compared against the
-// checked-in BENCH_shadow.json: per-benchmark ns/op deltas go to stderr,
-// regressions beyond 10% are flagged, and -strict turns them into a
-// nonzero exit for CI.
 package main
 
 import (
@@ -111,13 +114,10 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	short := flag.Bool("short", false, "codec and exec-run benches only (CI smoke)")
-	baseline := flag.String("baseline", "BENCH_shadow.json", "baseline report to diff against (\"\" disables)")
-	strict := flag.Bool("strict", false, "exit nonzero if any benchmark regresses more than 10% vs the baseline")
+	short := flag.Bool("short", false, "codec, exec-run and oracle rows only (CI smoke)")
+	strict := flag.Bool("strict", false, "exit nonzero if a @vm/@dd/@residue row is more than 10% slower than its canonical row or dd arithmetic is less than 2x faster than bigfp; with -fabric, if trace overhead exceeds 5%")
 	profileMode := flag.Bool("profile", false, "benchmark the numerical-error profiler instead: full-shadow vs sampled-shadow overhead (BENCH_profile.json)")
 	fabricMode := flag.Bool("fabric", false, "benchmark the distributed campaign fabric instead: 1- vs 3-worker throughput, trace overhead and merge latency (BENCH_fabric.json)")
-	backendsFlag := flag.String("backend", "treewalk,vm", "comma-separated execution backends for the shadow and sweep benches; the first keeps the canonical bench name, the rest get an @backend suffix")
-	oraclesFlag := flag.String("oracle", "bigfp", "comma-separated shadow oracles (bigfp|dd|residue) for the shadow benches; the first keeps the canonical bench name, the rest get an @oracle suffix")
 	flag.Parse()
 
 	if *profileMode {
@@ -131,15 +131,6 @@ func main() {
 			fatal(err)
 		}
 		return
-	}
-
-	kinds, err := parseBackends(*backendsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	orcs, err := parseOracles(*oraclesFlag)
-	if err != nil {
-		fatal(err)
 	}
 
 	rep := &Report{
@@ -157,99 +148,38 @@ func main() {
 	}
 
 	codecBenches(add)
-	for i, k := range kinds {
-		// The first backend keeps the canonical bench names so reports stay
-		// diffable against old baselines; the rest are recorded side by side
-		// under name@backend for the comparison below.
+	for _, k := range backend.Kinds() {
+		// The tree-walker keeps the canonical bench names; the VM's rows
+		// are recorded side by side under name@vm for compareBackends.
 		suffix := ""
-		if i > 0 {
+		if k != backend.Treewalk {
 			suffix = "@" + k.String()
 		}
-		shadowBenches(add, k, benchShadowConfig(orcs[0]), suffix)
+		shadowBenches(add, k, benchShadowConfig(oracle.BigFP), suffix)
 		if !*short {
 			sweepBenches(add, k, suffix)
 		}
 	}
-	// Non-canonical oracles get their own shadow rows on the canonical
-	// backend — the per-oracle speed/precision frontier recorded in
-	// BENCH_shadow.json (shadow/gemm8-exec-run@dd and friends).
-	if len(orcs) > 1 {
-		oracleArithBenches(add, orcs[0], "")
-	}
-	for _, orc := range orcs[1:] {
+	// dd and residue get their own rows on the tree-walker next to bigfp's
+	// — the per-oracle speed/precision frontier (shadow/gemm8-exec-run@dd
+	// and friends) that compareOracles reads.
+	oracleArithBenches(add, oracle.BigFP, "")
+	for _, orc := range []oracle.Kind{oracle.DD, oracle.Residue} {
 		oracleArithBenches(add, orc, "@"+string(orc))
-		shadowBenches(add, kinds[0], benchShadowConfig(orc), "@"+string(orc))
+		shadowBenches(add, backend.Treewalk, benchShadowConfig(orc), "@"+string(orc))
 	}
 
 	if err := writeReport(*out, rep); err != nil {
 		fatal(err)
 	}
 
-	regressed := false
-	if *baseline != "" {
-		regressed = compareBaseline(*baseline, rep)
-	}
-	if compareBackends(rep) {
-		regressed = true
-	}
-	if compareOracles(rep, orcs[0]) {
+	regressed := compareBackends(rep)
+	if compareOracles(rep) {
 		regressed = true
 	}
 	if regressed && *strict {
-		fatal(fmt.Errorf("benchmarks regressed more than %d%% (vs baseline %s or VM vs treewalk)", regressPct, *baseline))
+		fatal(fmt.Errorf("a twin row failed its gate (more than %d%% slower than its canonical row, or dd arithmetic under 2x bigfp)", regressPct))
 	}
-}
-
-// parseBackends maps the -backend flag ("treewalk,vm") to backend kinds,
-// rejecting duplicates so each bench name stays unique in the report.
-func parseBackends(list string) ([]backend.Kind, error) {
-	var kinds []backend.Kind
-	seen := map[backend.Kind]bool{}
-	for _, part := range strings.Split(list, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := backend.Parse(part)
-		if err != nil {
-			return nil, err
-		}
-		if seen[k] {
-			return nil, fmt.Errorf("backend %v listed twice", k)
-		}
-		seen[k] = true
-		kinds = append(kinds, k)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-backend lists no backends")
-	}
-	return kinds, nil
-}
-
-// parseOracles maps the -oracle flag ("bigfp,dd,residue") to oracle kinds,
-// rejecting duplicates so each bench name stays unique in the report.
-func parseOracles(list string) ([]oracle.Kind, error) {
-	var kinds []oracle.Kind
-	seen := map[oracle.Kind]bool{}
-	for _, part := range strings.Split(list, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := oracle.Parse(part)
-		if err != nil {
-			return nil, err
-		}
-		if seen[k] {
-			return nil, fmt.Errorf("oracle %s listed twice", k)
-		}
-		seen[k] = true
-		kinds = append(kinds, k)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-oracle lists no oracles")
-	}
-	return kinds, nil
 }
 
 // benchShadowConfig is the shadow configuration the shadow benches run
@@ -329,13 +259,12 @@ func compareBackends(rep *Report) bool {
 }
 
 // compareOracles diffs each benchmark recorded under a non-canonical
-// shadow oracle (name@dd, name@residue) against its canonical twin — the
-// speed/precision frontier. When the canonical oracle is bigfp the
-// comparison is also a gate: the double-double oracle exists to be cheap,
-// so its oracle/ arithmetic row must stay at least 2x faster than
-// bigfp-256, and any other oracle row slower than bigfp beyond regressPct
-// counts as a regression.
-func compareOracles(rep *Report, canonical oracle.Kind) bool {
+// shadow oracle (name@dd, name@residue) against its bigfp twin — the
+// speed/precision frontier. The comparison is also a gate: the
+// double-double oracle exists to be cheap, so its oracle/ arithmetic row
+// must stay at least 2x faster than bigfp-256, and any other oracle row
+// slower than bigfp beyond regressPct counts as a regression.
+func compareOracles(rep *Report) bool {
 	byName := make(map[string]Bench, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
@@ -356,14 +285,12 @@ func compareOracles(rep *Report, canonical oracle.Kind) bool {
 			continue
 		}
 		if !header {
-			fmt.Fprintf(os.Stderr, "\noracle comparison (canonical = %s):\n", canonical)
+			fmt.Fprintln(os.Stderr, "\noracle comparison:")
 			header = true
 		}
 		speedup := base.NsPerOp / b.NsPerOp
 		mark := ""
 		switch {
-		case canonical != oracle.BigFP:
-			// Non-bigfp canonical rows have no speed contract to enforce.
 		case kind == oracle.DD && strings.HasPrefix(b.Name, "oracle/") && speedup < 2:
 			// The oracle choice controls the per-op shadow arithmetic, so
 			// that is where dd's 2x-over-bigfp-256 contract is enforced; the
@@ -382,48 +309,9 @@ func compareOracles(rep *Report, canonical oracle.Kind) bool {
 	return regressed
 }
 
-// regressPct is the ns/op slowdown beyond which a benchmark counts as a
-// regression against the baseline report.
+// regressPct is the ns/op slowdown beyond which a twin row counts as a
+// regression against its canonical row.
 const regressPct = 10
-
-// compareBaseline diffs the fresh report against the checked-in baseline
-// and prints per-benchmark ns/op deltas to stderr. Returns whether any
-// benchmark regressed beyond regressPct. A missing or unreadable baseline
-// is a note, not an error: fresh checkouts and new machines produce one
-// with `pdbench -out BENCH_shadow.json`.
-func compareBaseline(path string, rep *Report) bool {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdbench: no baseline %s (%v); skipping comparison\n", path, err)
-		return false
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "pdbench: baseline %s unreadable (%v); skipping comparison\n", path, err)
-		return false
-	}
-	byName := make(map[string]Bench, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		byName[b.Name] = b
-	}
-	fmt.Fprintf(os.Stderr, "\nvs baseline %s (go %s):\n", path, base.Go)
-	regressed := false
-	for _, b := range rep.Benchmarks {
-		old, ok := byName[b.Name]
-		if !ok || old.NsPerOp == 0 {
-			fmt.Fprintf(os.Stderr, "  %-28s %14.2f ns/op  (new, no baseline entry)\n", b.Name, b.NsPerOp)
-			continue
-		}
-		delta := 100 * (b.NsPerOp - old.NsPerOp) / old.NsPerOp
-		mark := ""
-		if delta > regressPct {
-			mark = fmt.Sprintf("  ** regression > %d%% **", regressPct)
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "  %-28s %14.2f ns/op  %+7.1f%%%s\n", b.Name, b.NsPerOp, delta, mark)
-	}
-	return regressed
-}
 
 // codecBenches: raw posit arithmetic, fast paths vs the generic pipeline
 // (mirrors BenchmarkAblationPositFast).

@@ -86,7 +86,6 @@ func main() {
 	minWorkers := flag.Int("min-workers", 1, "with -listen: wait for this many registered workers before dispatching")
 	heartbeatTTL := flag.Duration("heartbeat-ttl", 15*time.Second, "with -listen: drop a registered worker whose heartbeats stop for this long")
 	probeInterval := flag.Duration("probe-interval", 3*time.Second, "with -listen: /readyz probe cadence for every member (negative = off)")
-	vnodes := flag.Int("vnodes", fabric.DefaultVirtualNodes, "virtual nodes per worker on the consistent-hash ring")
 	jitterSeed := flag.Int64("jitter-seed", 0, "seed for backoff/hedge jitter (0 = time-derived); fixed seeds replay retry schedules")
 	workload := flag.String("workload", "polybench/gemm", "workload: polybench/<kernel>, spec/<kernel>, suite/<program>")
 	n := flag.Int("n", 0, "problem size (0 = campaign default)")
@@ -142,7 +141,6 @@ func main() {
 		HedgeAfter:   *hedge,
 		EjectAfter:   *eject,
 		Probation:    *probation,
-		VirtualNodes: *vnodes,
 		JitterSeed:   *jitterSeed,
 	}
 	if *verbose {

@@ -43,8 +43,6 @@ type execConfig struct {
 	sampleSet  bool
 	spans      *obs.Tracer
 	backend    backend.Kind
-	oracleKind oracle.Kind
-	oracleSet  bool
 }
 
 // WithContext governs the run with a context: cancelling it stops the
@@ -154,19 +152,6 @@ func WithSampling(n int) Option {
 	return func(ec *execConfig) { ec.sample = int64(n); ec.sampleSet = true }
 }
 
-// WithShadowOracle selects the shadow-arithmetic backend for the run:
-// oracle.BigFP (arbitrary precision, the default; governed by
-// shadow.Config.Precision), oracle.DD (allocation-free double-double,
-// ~106 bits) or oracle.Residue (float64 estimate with per-op rounding
-// residues, 53 bits). It composes with WithShadow — the oracle choice
-// overrides the config's Oracle field — and requires shadow execution.
-// Fixed-precision oracles do not take part in shadow-memory precision
-// degradation: if a dd/residue run trips the budget, the structured
-// *interp.ResourceExhausted is returned as-is.
-func WithShadowOracle(kind oracle.Kind) Option {
-	return func(ec *execConfig) { ec.oracleKind = kind; ec.oracleSet = true }
-}
-
 // WithBackend selects the execution engine for the run: the
 // fused-bytecode VM (backend.VM, the default) or the tree-walking
 // reference interpreter (backend.Treewalk). The two produce byte-identical
@@ -204,18 +189,13 @@ func buildExecConfig(opts []Option) (*execConfig, error) {
 		return nil, fmt.Errorf("positdebug: WithInjector requires shadow execution")
 	case (ec.baseline || ec.herb) && (ec.profSet || ec.sampleSet):
 		return nil, fmt.Errorf("positdebug: WithProfile/WithSampling require shadow execution")
-	case (ec.baseline || ec.herb) && ec.oracleSet:
-		return nil, fmt.Errorf("positdebug: WithShadowOracle requires shadow execution")
 	case ec.sampleSet && ec.sample < 0:
 		return nil, fmt.Errorf("positdebug: negative sampling stride %d", ec.sample)
 	}
 	if !ec.shadowSet && !ec.baseline && !ec.herb {
 		ec.shadowCfg = shadow.DefaultConfig()
 	}
-	// The oracle and the option-level sinks override the configuration's.
-	if ec.oracleSet {
-		ec.shadowCfg.Oracle = ec.oracleKind
-	}
+	// The option-level sinks override the configuration's.
 	if ec.traceSet {
 		ec.shadowCfg.Events = ec.trace
 	}

@@ -48,7 +48,7 @@ var goldenConfigs = []goldenConfig{
 		return []positdebug.Option{positdebug.WithBaseline()}
 	}},
 	{"dd", func() []positdebug.Option {
-		return []positdebug.Option{positdebug.WithShadowOracle(oracle.DD)}
+		return []positdebug.Option{positdebug.WithShadow(shadow.ConfigFor(oracle.DD, 0))}
 	}},
 	{"sample16", func() []positdebug.Option {
 		return []positdebug.Option{positdebug.WithSampling(16)}

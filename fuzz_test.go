@@ -56,15 +56,17 @@ func TestInstrumentationTransparency(t *testing.T) {
 	}
 }
 
-// randomProgram emits a small single-function numeric program: a handful
-// of variables updated through random arithmetic, array traffic, branches
-// and a bounded loop, printing and returning a value. With traps set, one
-// program in four then stores or loads an array element far out of range,
-// which traps in the base half of a fused shadow pair.
+// randomProgram emits a small numeric program: a handful of variables
+// updated through random arithmetic, array traffic, branches and a bounded
+// loop, printing and returning a value. One program in three also passes
+// a value to a helper function that loops over shadowed arithmetic. With
+// traps set, one program in four stores or loads an array element far out
+// of range, which traps in the base half of a fused shadow pair, and half
+// the helpers divide an integer by a variable that holds zero, which traps
+// inside the callee. The helper is drawn last, so a seed's main body is
+// the same with or without one.
 func randomProgram(rng *rand.Rand, typ string, traps bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "var arr: [8]%s;\n\n", typ)
-	fmt.Fprintf(&sb, "func main(): %s {\n", typ)
 	vars := []string{"a", "b", "c"}
 	for _, v := range vars {
 		fmt.Fprintf(&sb, "\tvar %s: %s = %s;\n", v, typ, randomLiteral(rng))
@@ -92,9 +94,20 @@ func randomProgram(rng *rand.Rand, typ string, traps bool) string {
 			fmt.Fprintf(&sb, "\tc = arr[%d];\n", idx)
 		}
 	}
+	var helper strings.Builder
+	if rng.Intn(3) == 0 {
+		fmt.Fprintf(&helper, "func helper(x: %s, n: i64): %s {\n\tvar y: %s = x;\n", typ, typ, typ)
+		fmt.Fprintf(&helper, "\tfor (var j: i64 = 0; j < n; j += 1) {\n\t\ty = %s;\n\t}\n",
+			randomExpr(rng, []string{"x", "y"}, 0))
+		if traps && rng.Intn(2) == 0 {
+			fmt.Fprintf(&helper, "\tvar z: i64 = 0;\n\ty = y + %s(n / z);\n", typ)
+		}
+		fmt.Fprintf(&helper, "\treturn y;\n}\n\n")
+		fmt.Fprintf(&sb, "\tc = helper(c, %d);\n", 1+rng.Intn(4))
+	}
 	fmt.Fprintf(&sb, "\tprint(s);\n\tprint(c);\n")
 	fmt.Fprintf(&sb, "\treturn s + c;\n}\n")
-	return sb.String()
+	return fmt.Sprintf("var arr: [8]%s;\n\n%sfunc main(): %s {\n%s", typ, helper.String(), typ, sb.String())
 }
 
 func randomExpr(rng *rand.Rand, vars []string, depth int) string {
@@ -196,7 +209,8 @@ func FuzzInjector(f *testing.F) {
 // panicking — producing exactly the tree-walker's result, output, step
 // count, detection summary and metrics dump, or exactly its error. A trap
 // carries no step count, so on error the dump's pd_steps_total stands in
-// for it. The last two seeds trap inside a fused store and a fused load.
+// for it. Seeds (31, p32) and (13, f64) trap inside a fused store and a
+// fused load, and seed (11, p32) on an integer division inside the callee.
 func FuzzCompile(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(1))
@@ -204,6 +218,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add(int64(999), uint8(3))
 	f.Add(int64(31), uint8(0))
 	f.Add(int64(13), uint8(2))
+	f.Add(int64(11), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, typPick uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		typ := []string{"p32", "p16", "f64", "f32"}[int(typPick)%4]

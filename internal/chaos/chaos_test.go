@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,6 +315,9 @@ func TestChaosChurnByteIdentical(t *testing.T) {
 // registration loop begins draining mid-campaign; its deregistration must
 // reach the registrar and migrate its in-flight lease immediately — the
 // campaign must finish far inside the deliberately long lease timeout.
+// The drain begins when the worker's third shard request arrives, and
+// that request is held until the coordinator gives up on it, so only the
+// migration can end the attempt before the lease does.
 func TestChaosDrainAnnouncementMigratesLeases(t *testing.T) {
 	ccfg := chaosCampaign()
 	want := oracleBytes(t, ccfg)
@@ -336,6 +341,31 @@ func TestChaosDrainAnnouncementMigratesLeases(t *testing.T) {
 	t.Cleanup(fleet.Close)
 	leaver, stayer := fleet.Workers[0], fleet.Workers[1]
 
+	lu, err := url.Parse(leaver.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := httputil.NewSingleHostReverseProxy(lu)
+	var leaverShards atomic.Int32
+	stop := make(chan struct{})
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/campaign/shard" && leaverShards.Add(1) == 3 {
+			// Graceful drain: new requests get 503, and the
+			// registration loop posts the departure. Reading the body
+			// lets the server notice the coordinator hanging up.
+			leaver.Server.BeginDrain()
+			_, _ = io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-stop:
+			}
+			return
+		}
+		fwd.ServeHTTP(w, r)
+	}))
+	t.Cleanup(gate.Close)
+	t.Cleanup(func() { close(stop) })
+
 	// The leaver runs the real worker-side registration loop; its drain
 	// will announce departure over the wire.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -345,7 +375,7 @@ func TestChaosDrainAnnouncementMigratesLeases(t *testing.T) {
 		defer close(loopDone)
 		leaver.Server.RegisterLoop(ctx, server.RegisterConfig{
 			Coordinator: coordSrv.URL,
-			Advertise:   leaver.URL(),
+			Advertise:   gate.URL,
 			Interval:    100 * time.Millisecond,
 			Logf:        t.Logf,
 		})
@@ -358,16 +388,6 @@ func TestChaosDrainAnnouncementMigratesLeases(t *testing.T) {
 	if members.Len() < 2 {
 		t.Fatal("fleet never assembled")
 	}
-
-	// After the leaver serves two shards, its graceful drain begins: new
-	// requests get 503, and the registration loop posts the departure.
-	var drained bool
-	leaver.Proxy.OnForward(func(path string, n int) {
-		if path == "/campaign/shard" && n == 2 && !drained {
-			drained = true
-			leaver.Server.BeginDrain()
-		}
-	})
 
 	cfg := chaosCfg()
 	cfg.Members = members
@@ -394,8 +414,8 @@ func TestChaosDrainAnnouncementMigratesLeases(t *testing.T) {
 	if got := fabricBytes(t, rep); !bytes.Equal(got, want) {
 		t.Fatal("drained campaign differs from sequential oracle")
 	}
-	if !drained {
-		t.Fatal("drain trigger never fired")
+	if leaverShards.Load() < 3 {
+		t.Fatal("drain trigger never fired: the leaver got fewer than 3 shards")
 	}
 	if n := metrics.Counter("pd_fabric_member_leaves_total").Value(); n < 1 {
 		t.Fatal("no member ever left; the departure announcement was lost")

@@ -52,11 +52,6 @@ type Config struct {
 	// the first registration. When nil, a private roster is built from
 	// Workers.
 	Members *Membership
-	// VirtualNodes is the consistent-hash ring's per-worker vnode count
-	// (default DefaultVirtualNodes). The ring keys worker selection by
-	// kernel identity so same-kernel shards keep hitting warm compile
-	// caches, and membership churn moves only the affected arc.
-	VirtualNodes int
 	// DeadAfter is the ejection count that upgrades a worker's verdict
 	// from "unlucky" to "dead": the worker is removed from the roster and
 	// only a fresh registration re-admits it (default 4; negative
@@ -149,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Probation <= 0 {
 		c.Probation = 10 * time.Second
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
 	}
 	if c.DeadAfter == 0 {
 		c.DeadAfter = 4

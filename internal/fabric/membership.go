@@ -18,10 +18,9 @@ type Member struct {
 	// URL is the worker's pdserve base URL, normalized (no trailing /).
 	URL string `json:"url"`
 	// Capacity is the worker's advertised concurrent-run capacity
-	// (pdserve's MaxConcurrent). It weights the member's arc of the
-	// scheduler's ring (NewWeightedRing), so a larger worker owns more
-	// shard keys; the scheduler still dispatches one shard per worker at a
-	// time.
+	// (pdserve's MaxConcurrent), reported at /fleet/status. Placement
+	// ignores it: every member gets the same arc of the scheduler's ring,
+	// and the scheduler dispatches one shard per worker at a time.
 	Capacity int `json:"capacity,omitempty"`
 	// Oracle and Backend are the shadow-oracle and execution-backend tier
 	// the worker advertised — surfaced at /fabric/members so an operator
@@ -122,11 +121,8 @@ func (m *Membership) Join(mem Member) (bool, error) {
 	defer m.mu.Unlock()
 	if cur, ok := m.members[u]; ok {
 		cur.LastBeat = now
-		if mem.Capacity != 0 && mem.Capacity != cur.Capacity {
-			// Capacity weights the scheduler's ring arcs, so a change is a
-			// membership change: bump the version to trigger a rebuild.
+		if mem.Capacity != 0 {
 			cur.Capacity = mem.Capacity
-			m.changedLocked()
 		}
 		if mem.Oracle != "" {
 			cur.Oracle = mem.Oracle

@@ -25,7 +25,6 @@ const DefaultVirtualNodes = 64
 // (rebuilds are microseconds at fleet scale). The zero-member ring is
 // valid and owns nothing.
 type Ring struct {
-	vnodes int
 	points []ringPoint
 	urls   []string // distinct members, sorted
 }
@@ -35,57 +34,23 @@ type ringPoint struct {
 	url  string
 }
 
-// NewRing builds a ring over the given worker URLs with vnodes virtual
-// nodes per member (<=0 selects DefaultVirtualNodes). Duplicate URLs
-// collapse to one member. Every member weighs the same; NewWeightedRing
-// scales arcs by advertised capacity.
-func NewRing(urls []string, vnodes int) *Ring {
-	caps := make(map[string]int, len(urls))
+// NewRing builds a ring over the given worker URLs with
+// DefaultVirtualNodes points per member. Duplicate and empty URLs
+// collapse to one member or none.
+func NewRing(urls []string) *Ring {
+	distinct := make([]string, 0, len(urls))
+	seen := make(map[string]bool, len(urls))
 	for _, u := range urls {
-		if u != "" {
-			caps[u] = 1
-		}
-	}
-	return NewWeightedRing(caps, vnodes)
-}
-
-// MaxRingWeight caps a member's capacity weight: a worker advertising an
-// enormous capacity gets at most this multiple of a capacity-1 member's
-// arc, bounding both ring size and the damage a misconfigured
-// advertisement can do to load balance.
-const MaxRingWeight = 16
-
-// NewWeightedRing builds a ring whose per-member arc share scales with
-// advertised capacity: a member of capacity c places c× the vnodes of a
-// capacity-1 member (clamped to [1, MaxRingWeight]; <=0 means
-// "unadvertised" and weighs 1), so an 8-slot worker absorbs ~8× the
-// keyspace of a 1-slot one. Weighting is minimal-movement by
-// construction — a member's first vnodes points are exactly the points
-// the unweighted ring places, and raising one member's weight only adds
-// points owned by that member, so keys only ever move toward (or away
-// from) the member whose weight changed, never between bystanders.
-func NewWeightedRing(capacities map[string]int, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	distinct := make([]string, 0, len(capacities))
-	for u := range capacities {
-		if u != "" {
+		if u != "" && !seen[u] {
+			seen[u] = true
 			distinct = append(distinct, u)
 		}
 	}
 	sort.Strings(distinct)
-	r := &Ring{vnodes: vnodes, urls: distinct}
-	r.points = make([]ringPoint, 0, len(distinct)*vnodes)
+	r := &Ring{urls: distinct}
+	r.points = make([]ringPoint, 0, len(distinct)*DefaultVirtualNodes)
 	for _, u := range distinct {
-		w := capacities[u]
-		if w < 1 {
-			w = 1
-		}
-		if w > MaxRingWeight {
-			w = MaxRingWeight
-		}
-		for i := 0; i < vnodes*w; i++ {
+		for i := 0; i < DefaultVirtualNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(u + "#" + strconv.Itoa(i)), url: u})
 		}
 	}

@@ -22,14 +22,14 @@ func ringKeys(n int) []string {
 func TestRingMinimalMovement(t *testing.T) {
 	workers := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
 	keys := ringKeys(300)
-	full := NewRing(workers, 0)
+	full := NewRing(workers)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
 		before[k] = full.Owner(k)
 	}
 
 	// Remove d: only d's keys may change owner.
-	smaller := NewRing(workers[:3], 0)
+	smaller := NewRing(workers[:3])
 	moved := 0
 	for _, k := range keys {
 		after := smaller.Owner(k)
@@ -46,7 +46,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 
 	// Add e: keys either stay put or move onto e, never between survivors.
-	bigger := NewRing(append(append([]string{}, workers...), "http://e:5"), 0)
+	bigger := NewRing(append(append([]string{}, workers...), "http://e:5"))
 	movedToE := 0
 	for _, k := range keys {
 		after := bigger.Owner(k)
@@ -72,8 +72,8 @@ func TestRingMinimalMovement(t *testing.T) {
 // worker for a kernel is as sticky as its first choice.
 func TestRingOrderDeterministic(t *testing.T) {
 	workers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1 := NewRing(workers, 0)
-	r2 := NewRing([]string{"http://c:3", "http://a:1", "http://b:2"}, 0) // order-independent
+	r1 := NewRing(workers)
+	r2 := NewRing([]string{"http://c:3", "http://a:1", "http://b:2"}) // order-independent
 	for _, k := range ringKeys(50) {
 		o1, o2 := r1.Order(k), r2.Order(k)
 		if !reflect.DeepEqual(o1, o2) {
@@ -99,7 +99,7 @@ func TestRingOrderDeterministic(t *testing.T) {
 // uniform keyspace stays within a sane band of fair share.
 func TestRingBalance(t *testing.T) {
 	workers := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	r := NewRing(workers, 0)
+	r := NewRing(workers)
 	counts := map[string]int{}
 	keys := ringKeys(2000)
 	for _, k := range keys {
@@ -128,8 +128,8 @@ func TestRingJoinMovesFairShare(t *testing.T) {
 	moved := make([]float64, fleets)
 	for f := range moved {
 		members := []string{port(), port(), port()}
-		before := NewRing(members, 0)
-		after := NewRing(append(members, port()), 0)
+		before := NewRing(members)
+		after := NewRing(append(members, port()))
 		n := 0
 		for _, k := range keys {
 			if before.Owner(k) != after.Owner(k) {
@@ -146,91 +146,15 @@ func TestRingJoinMovesFairShare(t *testing.T) {
 	t.Logf("3→4 join moved fraction over %d fleets: p5 %.3f, p95 %.3f", fleets, p5, p95)
 }
 
-// TestWeightedRingCapacityProportional: arc share tracks advertised
-// capacity, unadvertised capacity weighs like 1, and absurd
-// advertisements clamp at MaxRingWeight.
-func TestWeightedRingCapacityProportional(t *testing.T) {
-	keys := ringKeys(4000)
-	r := NewWeightedRing(map[string]int{"http://big:1": 4, "http://small:2": 1}, 0)
-	counts := map[string]int{}
-	for _, k := range keys {
-		counts[r.Owner(k)]++
-	}
-	frac := float64(counts["http://big:1"]) / float64(len(keys))
-	if frac < 0.65 || frac > 0.95 {
-		t.Fatalf("capacity-4 member owns %.0f%% of keys next to a capacity-1 member; want ~80%%", frac*100)
-	}
-
-	// Capacity 0 (never advertised) weighs exactly 1: owners match the
-	// unweighted ring for every key.
-	workers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	unweighted := NewRing(workers, 0)
-	zero := NewWeightedRing(map[string]int{"http://a:1": 0, "http://b:2": 0, "http://c:3": 0}, 0)
-	for _, k := range keys[:500] {
-		if unweighted.Owner(k) != zero.Owner(k) {
-			t.Fatalf("zero-capacity weighted ring disagrees with unweighted ring on %q", k)
-		}
-	}
-
-	// A runaway advertisement clamps: 1<<20 weighs the same as MaxRingWeight.
-	clamped := NewWeightedRing(map[string]int{"http://big:1": 1 << 20, "http://small:2": 1}, 0)
-	max := NewWeightedRing(map[string]int{"http://big:1": MaxRingWeight, "http://small:2": 1}, 0)
-	for _, k := range keys[:500] {
-		if clamped.Owner(k) != max.Owner(k) {
-			t.Fatalf("clamping failed: weight 1<<20 and %d disagree on %q", MaxRingWeight, k)
-		}
-	}
-}
-
-// TestWeightedRingMinimalMovement: re-weighting one member moves keys
-// only to or from that member — bystanders keep their warm workers, the
-// same contract membership changes honor.
-func TestWeightedRingMinimalMovement(t *testing.T) {
-	keys := ringKeys(1000)
-	caps := map[string]int{"http://a:1": 1, "http://b:2": 1, "http://c:3": 1}
-	before := NewWeightedRing(caps, 0)
-	owners := make(map[string]string, len(keys))
-	for _, k := range keys {
-		owners[k] = before.Owner(k)
-	}
-
-	// Raise a's weight: every moved key must land on a.
-	caps["http://a:1"] = 3
-	grown := NewWeightedRing(caps, 0)
-	movedToA := 0
-	for _, k := range keys {
-		after := grown.Owner(k)
-		if after == owners[k] {
-			continue
-		}
-		if after != "http://a:1" {
-			t.Fatalf("raising a's weight moved key %q from %s to %s (not a)", k, owners[k], after)
-		}
-		movedToA++
-	}
-	if movedToA == 0 {
-		t.Fatal("tripling a member's weight moved no keys; test has no power")
-	}
-
-	// Lower it back: the ring must return to the exact original ownership.
-	caps["http://a:1"] = 1
-	shrunk := NewWeightedRing(caps, 0)
-	for _, k := range keys {
-		if shrunk.Owner(k) != owners[k] {
-			t.Fatalf("restoring a's weight did not restore ownership of %q", k)
-		}
-	}
-}
-
 func TestRingEdgeCases(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("k"); got != "" {
 		t.Fatalf("empty ring Owner = %q, want empty", got)
 	}
 	if got := empty.Order("k"); got != nil {
 		t.Fatalf("empty ring Order = %v, want nil", got)
 	}
-	dup := NewRing([]string{"http://a:1", "http://a:1", "", "http://a:1"}, 0)
+	dup := NewRing([]string{"http://a:1", "http://a:1", "", "http://a:1"})
 	if dup.Len() != 1 {
 		t.Fatalf("duplicate/empty URLs not collapsed: %v", dup.Members())
 	}

@@ -115,11 +115,9 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 	st.version = c.members.Version()
 	snap := c.members.Snapshot()
 	seen := make(map[string]bool, len(snap))
-	caps := make(map[string]int, len(snap))
 	changed := st.ring == nil
 	for _, mem := range snap {
 		seen[mem.URL] = true
-		caps[mem.URL] = mem.Capacity
 		if w, ok := st.byURL[mem.URL]; ok {
 			if w.removed {
 				// Rejoined after leaving: a fresh process, a fresh record.
@@ -157,19 +155,17 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 		}
 	}
 	if changed {
-		// The ring weights each live member's arc by its advertised
-		// capacity, so a beefy worker absorbs proportionally more kernels.
-		liveCaps := make(map[string]int, len(st.workers))
+		live := make([]string, 0, len(st.workers))
 		for _, w := range st.workers {
 			if !w.removed {
-				liveCaps[w.url] = caps[w.url]
+				live = append(live, w.url)
 			}
 		}
-		st.ring = NewWeightedRing(liveCaps, c.cfg.VirtualNodes)
+		st.ring = NewRing(live)
 		if !initial {
 			c.reg.Counter("pd_fabric_ring_rebalances_total").Inc()
 		}
-		c.reg.Gauge("pd_fabric_members").Set(int64(len(liveCaps)))
+		c.reg.Gauge("pd_fabric_members").Set(int64(len(live)))
 	}
 }
 

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -44,27 +45,46 @@ func TestLimitsMaxStepsOverride(t *testing.T) {
 	})
 }
 
-// panicHooks panics on the k-th Bin event — a stand-in for any bug in an
-// observer (shadow runtime, fault injector, …).
+// panicHooks panics on the at-th occurrence of one hook event (Bin, Ret,
+// EnterFunc or LeaveFunc) — a stand-in for any bug in an observer (shadow
+// runtime, fault injector, …).
 type panicHooks struct {
 	NopHooks
+	event string
 	n, at int
 }
 
-func (p *panicHooks) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
-	p.n++
-	if p.n == p.at {
+func (p *panicHooks) hit(event string) {
+	if event != p.event {
+		return
+	}
+	if p.n++; p.n == p.at {
 		panic("observer bug")
 	}
 }
 
+func (p *panicHooks) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
+	p.hit("Bin")
+}
+
+func (p *panicHooks) Ret(typ ir.Type, src int32, bits uint64) { p.hit("Ret") }
+
+func (p *panicHooks) EnterFunc(fn *ir.Func, argVals []uint64) { p.hit("EnterFunc") }
+
+func (p *panicHooks) LeaveFunc() { p.hit("LeaveFunc") }
+
+// faultSrc calls g twice from f. With the module's __init that makes five
+// Bin events, three Ret events (the fused sh.ret+ret pairs of g, g and
+// f) and four each of EnterFunc and LeaveFunc.
+const faultSrc = `func g(a: f64): f64 { return a * 2.0 + 1.0; }
+func f(a: f64): f64 { return g(a) + g(a); }`
+
 func TestInternalFaultRecovery(t *testing.T) {
-	mod := instrument.Instrument(compile(t, `func g(a: f64): f64 { return a * 2.0 + 1.0; }
-func f(a: f64): f64 { return g(a) + g(a); }`), instrument.Options{})
+	mod := instrument.Instrument(compile(t, faultSrc), instrument.Options{})
 	eachBackend(t, func(t *testing.T, k backend.Kind) {
 		m := New(mod)
 		m.Backend = k
-		m.Hooks = &panicHooks{at: 3}
+		m.Hooks = &panicHooks{event: "Bin", at: 3}
 		_, err := m.RunWithLimits("f", Limits{}, FromFloat64(ir.F64, 1.5))
 		var fault *InternalFault
 		if !errors.As(err, &fault) {
@@ -85,4 +105,49 @@ func f(a: f64): f64 { return g(a) + g(a); }`), instrument.Options{})
 			t.Fatalf("machine unusable after recovery: %v", err)
 		}
 	})
+}
+
+// TestInternalFaultPositionsAgree: a hook panicking at any of the first
+// five occurrences of Bin, Ret, EnterFunc or LeaveFunc yields the same
+// *InternalFault — function, block, instruction, step count and panic
+// value — on both backends. A LeaveFunc panic fires after the returning
+// frame's own recover, so the caller's recover (or RunContext's) names
+// the position; the VM must leave it at the returning instruction. A Ret
+// panic fires in the first half of a fused sh.ret+ret pair. Each faulting
+// case runs again with a step budget ending on the panicking instruction,
+// which makes the VM run only the first half of a fused pair there.
+func TestInternalFaultPositionsAgree(t *testing.T) {
+	mod := instrument.Instrument(compile(t, faultSrc), instrument.Options{})
+	run := func(k backend.Kind, event string, at int, maxSteps int64) (*InternalFault, error) {
+		m := New(mod)
+		m.Backend = k
+		m.Hooks = &panicHooks{event: event, at: at}
+		_, err := m.RunWithLimits("f", Limits{MaxSteps: maxSteps}, FromFloat64(ir.F64, 1.5))
+		var fault *InternalFault
+		if err != nil && !errors.As(err, &fault) {
+			return nil, err
+		}
+		return fault, nil
+	}
+	diff := func(event string, at int, maxSteps int64) *InternalFault {
+		ref, err := run(backend.Treewalk, event, at, maxSteps)
+		if err != nil {
+			t.Fatalf("%s #%d (budget %d) treewalk: want *InternalFault or success, got %v", event, at, maxSteps, err)
+		}
+		got, err := run(backend.VM, event, at, maxSteps)
+		if err != nil {
+			t.Fatalf("%s #%d (budget %d) vm: want *InternalFault or success, got %v", event, at, maxSteps, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s #%d (budget %d): vm fault %+v, treewalk %+v", event, at, maxSteps, got, ref)
+		}
+		return ref
+	}
+	for _, event := range []string{"Bin", "Ret", "EnterFunc", "LeaveFunc"} {
+		for at := 1; at <= 5; at++ {
+			if ref := diff(event, at, 0); ref != nil {
+				diff(event, at, ref.Steps)
+			}
+		}
+	}
 }

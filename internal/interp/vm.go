@@ -275,17 +275,22 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 			// the bytecode pc; block/index are looked up here, on the one
 			// path that reads them. A panic in the shadow half of a fused
 			// pair reports the second IR instruction of the pair, matching
-			// the tree-walker's position at the equivalent point.
-			blk, idx := m.curBlk, m.curIdx
+			// the tree-walker's position at the equivalent point — except
+			// in a fused ret, whose shadow half (sh.ret) is the first, so
+			// the tree-walker has not yet counted the ret's step.
+			blk, idx, steps := m.curBlk, m.curIdx, m.steps
 			if p := m.vmPC; p >= 0 && p < len(f.Pos) {
 				blk, idx = f.Pos[p].Blk, int(f.Pos[p].Idx)
-				if f.Code[p].Op >= bytecode.FusedFirst {
+				switch op := f.Code[p].Op; {
+				case op == bytecode.OpFusedRet:
+					steps--
+				case op >= bytecode.FusedFirst:
 					idx++
 				}
 			}
 			r = &InternalFault{
 				Func: f.Name, Block: blk, Index: idx,
-				Steps: m.steps, Recovered: fv,
+				Steps: steps, Recovered: fv,
 			}
 		}
 		panic(r)
@@ -317,14 +322,17 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 		if m.steps += w; m.steps > checkAt {
 			if m.steps > maxSteps {
 				if w == 2 && m.steps-1 <= maxSteps {
-					// Eager breadcrumb: the replayed first half is the base
-					// op, so the fused +1 in the lazy resolution must not
-					// apply.
+					// Eager breadcrumb and count: the replayed first half
+					// runs at the tree-walker's position and step, so a trap
+					// or panic there reports neither the fused +1 of the
+					// lazy resolution nor the second half's step.
 					m.curBlk, m.curIdx = pos[pc].Blk, int(pos[pc].Idx)
 					m.vmPC = -1
+					m.steps--
 					if err := m.vmFirstHalf(ch, f, in, regs); err != nil {
-						return 0, m.pairTrap(err)
+						return 0, err
 					}
+					m.steps++
 				} else if w == 2 {
 					m.steps--
 				}
@@ -489,6 +497,12 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				regs[in.Dst] = v
 			}
 		case bytecode.OpRet:
+			// Eager breadcrumb: a panicking LeaveFunc runs after this
+			// frame's recover, so the caller's recover (or RunContext's)
+			// reads the position, and this frame's pc means nothing in
+			// the caller's position table.
+			m.curBlk, m.curIdx = pos[pc-1].Blk, int(pos[pc-1].Idx)
+			m.vmPC = -1
 			if in.A >= 0 {
 				return regs[in.A], nil
 			}
@@ -777,6 +791,9 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				bits = regs[in.A]
 			}
 			m.Hooks.Ret(ir.Type(in.T), in.A, bits)
+			// Eager breadcrumb at the ret half, as for OpRet.
+			m.curBlk, m.curIdx = pos[pc-1].Blk, int(pos[pc-1].Idx)+1
+			m.vmPC = -1
 			if in.A >= 0 {
 				return regs[in.A], nil
 			}

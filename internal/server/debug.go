@@ -55,10 +55,6 @@ func traceBinding(r *http.Request) (id string, tc obs.TraceContext) {
 // straight to the worker-side flight dump.
 func (s *Server) newFlight(r *http.Request) *flight {
 	id, tc := traceBinding(r)
-	return s.buildFlight(id, tc)
-}
-
-func (s *Server) buildFlight(id string, tc obs.TraceContext) *flight {
 	if id == "" {
 		id = fmt.Sprintf("r%08d", s.reqSeq.Add(1))
 	}

@@ -14,8 +14,7 @@ import (
 
 // This file is the worker side of the distributed campaign/profile fabric
 // (internal/fabric is the coordinator side): shard endpoints that execute
-// a slice of an embarrassingly-parallel sweep, and a batch endpoint that
-// amortizes admission for many small runs. All three go through the same
+// a slice of an embarrassingly-parallel sweep. Both go through the same
 // bounded admission queue as /run — a shard occupies one slot for its
 // whole duration, so a saturated worker sheds further shards with 429 and
 // the queue-depth-derived Retry-After, which is exactly the backpressure
@@ -131,105 +130,4 @@ func shardStatusFor(err error) (int, string) {
 	default:
 		return http.StatusBadRequest, "bad-request"
 	}
-}
-
-// BatchRequest is the POST /batch body: up to MaxBatch run requests
-// admitted as one unit.
-type BatchRequest struct {
-	Requests []RunRequest `json:"requests"`
-}
-
-// BatchItem is one sub-request's outcome; exactly one of Response/Error is
-// set, and Status carries the HTTP code the same request would have
-// received on /run.
-type BatchItem struct {
-	Status   int            `json:"status"`
-	Response *RunResponse   `json:"response,omitempty"`
-	Error    *ErrorResponse `json:"error,omitempty"`
-}
-
-// BatchResponse is the POST /batch answer, responses in request order.
-type BatchResponse struct {
-	Responses []BatchItem `json:"responses"`
-}
-
-// handleBatch admits once and runs every sub-request sequentially in that
-// one slot: N small runs cost one queue transition instead of N, and a
-// coordinator submitting per-kernel probes can't starve interactive /run
-// traffic by flooding the queue. Sub-request failures are per-item — one
-// bad program doesn't fail its neighbors — and the batch as a whole
-// answers 200 whenever admission succeeded.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, "bad-request", "POST only")
-		return
-	}
-	release, code := s.admit(r.Context())
-	if code != 0 {
-		s.rejectAdmission(w, code)
-		return
-	}
-	defer release()
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.writeErr(w, http.StatusInternalServerError, "internal-fault",
-				fmt.Sprintf("panic serving batch: %v", rec))
-		}
-	}()
-
-	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes*int64(s.cfg.MaxBatch))
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, "bad-request", "invalid JSON body: "+err.Error())
-		return
-	}
-	if len(req.Requests) == 0 {
-		s.writeErr(w, http.StatusBadRequest, "bad-request", "empty batch")
-		return
-	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		s.writeErr(w, http.StatusBadRequest, "bad-request",
-			fmt.Sprintf("batch of %d exceeds the %d limit", len(req.Requests), s.cfg.MaxBatch))
-		return
-	}
-
-	// One batch arrives under one trace binding; sub-requests get derived
-	// ids (<batch-id>.N) so the coordinator can still line items up while
-	// each flight stays separable.
-	batchID, tc := traceBinding(r)
-	out := BatchResponse{Responses: make([]BatchItem, 0, len(req.Requests))}
-	for i, sub := range req.Requests {
-		if err := r.Context().Err(); err != nil {
-			// Client gone: stop burning the slot on answers nobody reads.
-			s.reg.Counter(`pd_serve_requests_total{code="499"}`).Inc()
-			return
-		}
-		subID := ""
-		if batchID != "" {
-			subID = fmt.Sprintf("%s.%d", batchID, i)
-		}
-		fl := s.buildFlight(subID, tc)
-		resp, code, kind, msg := s.execRun(r.Context(), sub, fl)
-		fl.span.End()
-		if code != http.StatusOK {
-			s.reg.Counter(`pd_serve_requests_total{code="` + fmt.Sprint(code) + `"}`).Inc()
-			out.Responses = append(out.Responses, BatchItem{
-				Status: code, Error: &ErrorResponse{Error: msg, Kind: kind, Req: fl.id},
-			})
-			if code >= 500 {
-				s.dumpFlight(fl)
-			}
-			s.closeFlight(fl)
-			continue
-		}
-		s.reg.Counter(`pd_serve_requests_total{code="200"}`).Inc()
-		rc := resp
-		out.Responses = append(out.Responses, BatchItem{Status: http.StatusOK, Response: &rc})
-		if len(resp.Detections) > 0 {
-			s.dumpFlight(fl)
-		}
-		s.closeFlight(fl)
-	}
-	s.reg.Counter("pd_serve_batches_total").Inc()
-	writeJSON(w, http.StatusOK, out)
 }

@@ -127,46 +127,6 @@ func TestProfileShardEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: one admission, many runs, per-item statuses.
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4})
-	resp, body := postJSON(t, ts, "/batch", BatchRequest{Requests: []RunRequest{
-		{Source: goodSrc},
-		{Source: "func main(: oops"},
-		{Source: goodSrc, Fn: "nosuch"},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Responses) != 3 {
-		t.Fatalf("want 3 responses, got %d", len(br.Responses))
-	}
-	if br.Responses[0].Status != http.StatusOK || br.Responses[0].Response == nil {
-		t.Fatalf("item 0: %+v", br.Responses[0])
-	}
-	if br.Responses[1].Status != http.StatusBadRequest || br.Responses[1].Error == nil || br.Responses[1].Error.Kind != "compile" {
-		t.Fatalf("item 1: %+v", br.Responses[1])
-	}
-	if br.Responses[2].Status != http.StatusBadRequest {
-		t.Fatalf("item 2: %+v", br.Responses[2])
-	}
-
-	if resp, _ := postJSON(t, ts, "/batch", BatchRequest{}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch not rejected: %d", resp.StatusCode)
-	}
-	over := BatchRequest{Requests: make([]RunRequest, 5)}
-	for i := range over.Requests {
-		over.Requests[i] = RunRequest{Source: goodSrc}
-	}
-	if resp, _ := postJSON(t, ts, "/batch", over); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversize batch not rejected: %d", resp.StatusCode)
-	}
-}
-
 // TestRetryAfterScalesWithQueueDepth: the hint must reflect the backlog —
 // an empty queue advertises the floor, a deep one a proportionally longer
 // wait, and the cap keeps it sane.

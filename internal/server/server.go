@@ -98,10 +98,6 @@ type Config struct {
 	// cache hit, compile, instrumentation and bytecode are already done,
 	// so the request pays only for execution.
 	CacheSize int
-	// MaxBatch caps the sub-requests accepted in one POST /batch body
-	// (default 64). A batch takes a single admission slot — the amortized
-	// path for clients submitting many small runs.
-	MaxBatch int
 	// Metrics receives service and shadow-oracle metrics (default: a
 	// fresh registry, exposed at /metrics).
 	Metrics *obs.Registry
@@ -169,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -278,7 +271,6 @@ func New(cfg Config) *Server {
 	s.reg.Gauge("pd_serve_shadow_tier").Set(0)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/batch", s.handleBatch)
 	mux.HandleFunc("/campaign/shard", s.handleCampaignShard)
 	mux.HandleFunc("/profile/shard", s.handleProfileShard)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -619,7 +611,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.closeFlight(fl)
 }
 
-// execRun is the run pipeline shared by /run and /batch: compile (through
+// execRun is the /run pipeline: compile (through
 // the cache), resolve the entry function and arguments, execute under the
 // request context and budgets, and classify any failure onto the taxonomy.
 // The caller owns admission, the flight lifecycle and the HTTP response;

@@ -111,7 +111,7 @@ func main(): p32 {
 	}
 	var got []outcome
 	for _, kind := range oracle.Kinds() {
-		res, err := prog.Exec("main", positdebug.WithShadowOracle(kind))
+		res, err := prog.Exec("main", positdebug.WithShadow(shadow.ConfigFor(kind, 0)))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
