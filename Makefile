@@ -17,6 +17,7 @@ race:
 	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/interp/ ./internal/shadow/ ./internal/parallel/ ./internal/server/
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestExecGoldenReplay|TestExecRecycledImageAdversarial|TestExecConcurrentFreshProgram|TestMetricsFoldConcurrent' .
 	$(GO) test -race -count=1 -cpu=1,4 -run ParallelDeterminism ./internal/faultinject/ ./internal/harness/
+	$(GO) test -race -count=1 -cpu=1,4 ./internal/fabric/
 
 # Regenerate every checked-in benchmark report. Each records the commit it
 # measured, whether tracked files differed from that commit ("dirty"), and

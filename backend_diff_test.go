@@ -10,6 +10,7 @@ package positdebug_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"positdebug/internal/faultinject"
 	"positdebug/internal/harness"
 	"positdebug/internal/interp"
+	"positdebug/internal/ir"
 	"positdebug/internal/obs"
 	"positdebug/internal/shadow"
 	"positdebug/internal/shadow/oracle"
@@ -60,6 +62,16 @@ func runOnBackend(t *testing.T, prog *positdebug.Program, k backend.Kind, extra 
 		oc.Summary = mustJSON(t, res.Summary)
 	}
 	return oc
+}
+
+// promText renders reg as a Prometheus text dump.
+func promText(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func mustJSON(t *testing.T, v any) json.RawMessage {
@@ -114,11 +126,7 @@ func diffServedAndHerbgrind(t *testing.T, name string, prog *positdebug.Program)
 		cfg.Metrics = reg
 		shadowed = runOnBackend(t, prog, k, positdebug.WithShadow(cfg))
 		base = runOnBackend(t, prog, k, positdebug.WithBaseline(), positdebug.WithMetrics(reg))
-		var sb strings.Builder
-		if err := reg.WriteProm(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return shadowed, base, sb.String()
+		return shadowed, base, promText(t, reg)
 	}
 	twShadow, twBase, twDump := served(backend.Treewalk)
 	vmShadow, vmBase, vmDump := served(backend.VM)
@@ -317,11 +325,7 @@ func diffTrap(t *testing.T, name, want string, prog *positdebug.Program, opts ..
 	run := func(k backend.Kind) (execOutcome, string, int64) {
 		reg := obs.NewRegistry()
 		oc := runOnBackend(t, prog, k, append(opts, positdebug.WithMetrics(reg))...)
-		var sb strings.Builder
-		if err := reg.WriteProm(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return oc, sb.String(), reg.Counter("pd_steps_total").Value()
+		return oc, promText(t, reg), reg.Counter("pd_steps_total").Value()
 	}
 	tw, twDump, steps := run(backend.Treewalk)
 	vm, vmDump, _ := run(backend.VM)
@@ -333,6 +337,77 @@ func diffTrap(t *testing.T, name, want string, prog *positdebug.Program, opts ..
 		t.Errorf("%s: metrics dump diverged\n  treewalk:\n%s\n  vm:\n%s", name, twDump, vmDump)
 	}
 	return steps
+}
+
+// cancelInjector cancels its run's context at the at-th injectable event
+// and corrupts nothing, so the run stops at the next context poll.
+type cancelInjector struct {
+	at, n  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelInjector) Reset()      { c.n = 0 }
+func (c *cancelInjector) Spent() bool { return false }
+
+func (c *cancelInjector) Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (uint64, bool) {
+	if c.n++; c.n == c.at {
+		c.cancel()
+	}
+	return bits, false
+}
+
+// TestBackendDiffCancellation cancels shadowed kernel runs from inside,
+// at a fixed event, so both backends notice at the same context poll.
+// Polls fall every 8192 steps, on either step of a fused pair as often as
+// on a plain op. Each run repeats under a step budget ending on the first
+// poll, where the poll must still win. The error text (which carries the
+// step count), the event stream and the metrics dump must match.
+func TestBackendDiffCancellation(t *testing.T) {
+	cancelled := 0
+	for _, name := range []string{"gemm", "bicg", "atax", "mvt", "gesummv", "syrk", "trmm", "doitgen", "lu", "trisolv"} {
+		k, ok := workloads.KernelByName(name)
+		if !ok {
+			t.Fatalf("unknown kernel %q", name)
+		}
+		fpSrc := k.Source(8)
+		posSrc, err := positdebug.RefactorToPosit(fpSrc)
+		if err != nil {
+			t.Fatalf("refactor %s: %v", name, err)
+		}
+		for _, v := range []struct{ arch, src string }{{"f64", fpSrc}, {"posit32", posSrc}} {
+			prog, err := positdebug.Compile(v.src)
+			if err != nil {
+				t.Fatalf("compile %s/%s: %v", name, v.arch, err)
+			}
+			for _, maxSteps := range []int64{0, 8192} {
+				for _, at := range []int{1, 3000, 6000, 9000, 12000} {
+					run := func(bk backend.Kind) (execOutcome, string) {
+						ctx, cancel := context.WithCancel(context.Background())
+						defer cancel()
+						reg := obs.NewRegistry()
+						oc := runOnBackend(t, prog, bk, positdebug.WithShadow(shadow.DefaultConfig()),
+							positdebug.WithMetrics(reg), positdebug.WithContext(ctx),
+							positdebug.WithLimits(interp.Limits{MaxSteps: maxSteps}),
+							positdebug.WithInjector(&cancelInjector{at: at, cancel: cancel}))
+						return oc, promText(t, reg)
+					}
+					label := fmt.Sprintf("%s/%s/cancel@%d/budget%d", name, v.arch, at, maxSteps)
+					tw, twDump := run(backend.Treewalk)
+					vm, vmDump := run(backend.VM)
+					diffOutcomes(t, label, tw, vm)
+					if twDump != vmDump {
+						t.Errorf("%s: metrics dump diverged\n  treewalk:\n%s\n  vm:\n%s", label, twDump, vmDump)
+					}
+					if strings.Contains(tw.Err, "run cancelled") {
+						cancelled++
+					}
+				}
+			}
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no run was cancelled")
+	}
 }
 
 // TestBackendDiffCampaign runs the same small fault campaign on both

@@ -3,16 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -63,38 +58,6 @@ type FabricReport struct {
 	// report from already-fetched shard results (the coordinator's
 	// critical section after the last worker answers).
 	MergeMS float64 `json:"merge_ms"`
-	// Ring measures compile-cache affinity under membership churn.
-	Ring *RingBenchReport `json:"ring,omitempty"`
-}
-
-// RingBenchReport quantifies what consistent-hash worker selection buys
-// when a fourth worker joins a 3-worker fleet. The moved fractions are
-// percentiles over Fleets seeded synthetic fleets and Keys fixed keys (the
-// draw TestRingJoinMovesFairShare bounds), so they do not depend on the
-// ports one run happens to get. The hit rates come from one live fleet.
-type RingBenchReport struct {
-	VirtualNodes int `json:"virtual_nodes"`
-	Fleets       int `json:"fleets"`
-	Keys         int `json:"keys"`
-	// MovedFraction: keys whose ring owner changed (fair share 1/4).
-	MovedFraction Percentiles `json:"moved_fraction"`
-	// ModHashMovedFraction: keys that mod-hash placement over the sorted
-	// members (hash % fleet size) would move on the same join.
-	ModHashMovedFraction Percentiles `json:"mod_hash_moved_fraction"`
-	// OneFleetStaticHitRate: warm re-requests of OneFleetKernels kernels
-	// on one live 3-worker fleet, routed by ring ownership;
-	// OneFleetChurnHitRate: the same kernels re-requested through the
-	// 4-worker ring after the join — only kernels on the moved arcs go cold.
-	OneFleetKernels       int     `json:"one_fleet_kernels"`
-	OneFleetStaticHitRate float64 `json:"one_fleet_static_hit_rate"`
-	OneFleetChurnHitRate  float64 `json:"one_fleet_churn_hit_rate"`
-}
-
-// Percentiles summarises a statistic over many draws.
-type Percentiles struct {
-	P5     float64 `json:"p5"`
-	Median float64 `json:"median"`
-	P95    float64 `json:"p95"`
 }
 
 // The -fabric campaign: production shard size, and enough runs that
@@ -114,10 +77,9 @@ const (
 // A traced 3-worker fleet measures the fleet-observability tax; -strict
 // fails the bench if it exceeds maxTraceOverheadPct.
 //
-// Each fleet starts once and serves every one of its campaigns, so
-// after the first sample the workers' compile caches are warm, as in a
-// long-running fleet. The three fleets take turns (harness.Sample), so
-// host noise lands on neighbouring samples of all three.
+// Each fleet starts once and serves every one of its campaigns, as a
+// long-running fleet would. The three fleets take turns (harness.Sample),
+// so host noise lands on neighbouring samples of all three.
 func fabricBench(out string, strict bool) error {
 	const maxTraceOverheadPct = 5.0
 	workload := "polybench/" + benchKernel
@@ -235,148 +197,5 @@ func fabricBench(out string, strict bool) error {
 	rep.MergeMS = float64(merge.NsPerOp()) / 1e6
 	fmt.Fprintf(os.Stderr, "%-26s %8.3fms per merge (%d shards)\n", "merge", rep.MergeMS, len(shards))
 
-	rep.Ring = ringPlacement()
-	if err := liveRingFleet(rep.Ring); err != nil {
-		return err
-	}
-	ring := rep.Ring
-	fmt.Fprintf(os.Stderr, "%-26s ring moved %.3f/%.3f/%.3f (p5/median/p95 over %d fleets), mod-hash %.3f/%.3f/%.3f\n",
-		"3→4 join", ring.MovedFraction.P5, ring.MovedFraction.Median, ring.MovedFraction.P95, ring.Fleets,
-		ring.ModHashMovedFraction.P5, ring.ModHashMovedFraction.Median, ring.ModHashMovedFraction.P95)
-	fmt.Fprintf(os.Stderr, "%-26s %5.0f%% static, %5.0f%% after join (one live fleet)\n",
-		"cache affinity", ring.OneFleetStaticHitRate*100, ring.OneFleetChurnHitRate*100)
-
 	return writeReport(out, rep)
-}
-
-// ringPlacement draws 200 fleets of three members with seeded loopback
-// names, joins a fourth, and reports the fraction of 2000 fixed keys whose
-// owner moved, under the ring and under mod-hash placement. The draw is
-// the one TestRingJoinMovesFairShare bounds to [0.15, 0.35] at p5 and p95.
-func ringPlacement() *RingBenchReport {
-	const fleets, nKeys = 200, 2000
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("polybench/kernel-%d|8|posit", i)
-	}
-	rng := rand.New(rand.NewSource(1))
-	member := func() string { return fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64512)) }
-	moved := make([]float64, fleets)
-	modMoved := make([]float64, fleets)
-	for f := range moved {
-		members := []string{member(), member(), member()}
-		before := fabric.NewRing(members)
-		after := fabric.NewRing(append(members, member()))
-		was, is := before.Members(), after.Members()
-		n, nMod := 0, 0
-		for _, k := range keys {
-			if before.Owner(k) != after.Owner(k) {
-				n++
-			}
-			h := fnv.New64a()
-			h.Write([]byte(k))
-			if was[h.Sum64()%uint64(len(was))] != is[h.Sum64()%uint64(len(is))] {
-				nMod++
-			}
-		}
-		moved[f] = float64(n) / float64(nKeys)
-		modMoved[f] = float64(nMod) / float64(nKeys)
-	}
-	return &RingBenchReport{
-		VirtualNodes: fabric.DefaultVirtualNodes, Fleets: fleets, Keys: nKeys,
-		MovedFraction: percentiles(moved), ModHashMovedFraction: percentiles(modMoved),
-	}
-}
-
-// percentiles sorts xs and reads its 5th, 50th and 95th percentiles.
-func percentiles(xs []float64) Percentiles {
-	sort.Float64s(xs)
-	n := len(xs)
-	return Percentiles{P5: xs[n*5/100], Median: xs[n/2], P95: xs[n*95/100]}
-}
-
-// liveRingFleet measures compile-cache affinity across a membership
-// change on one fleet of in-process workers. Distinct synthetic kernels
-// are warmed on 3 workers with requests routed by ring ownership; then a
-// fourth worker joins, the ring is rebuilt, and every kernel is requested
-// once more through the new ring. Kernels off the moved arc land on the
-// worker that already compiled them (warm hit). Which kernels move depends
-// on the ports this fleet got, so these rates are one draw.
-func liveRingFleet(rep *RingBenchReport) error {
-	const kernels = 48
-	workers := make([]*httptest.Server, 0, 4)
-	defer func() {
-		for _, ts := range workers {
-			ts.Close()
-		}
-	}()
-	addWorker := func() string {
-		ts := httptest.NewServer(server.New(server.Config{DefaultTimeout: 30 * time.Second}).Handler())
-		workers = append(workers, ts)
-		return ts.URL
-	}
-	urls := []string{addWorker(), addWorker(), addWorker()}
-
-	srcs := make([]string, kernels)
-	for i := range srcs {
-		srcs[i] = fmt.Sprintf("func main(): i64 { var r: i64 = %d; print(r); return r; }", i*7+1)
-	}
-
-	post := func(workerURL, src string) (cached bool, err error) {
-		body, err := json.Marshal(server.RunRequest{Source: src})
-		if err != nil {
-			return false, err
-		}
-		resp, err := http.Post(workerURL+"/run", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			return false, fmt.Errorf("ring bench: /run on %s: %d: %s", workerURL, resp.StatusCode, b)
-		}
-		var rr server.RunResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			return false, err
-		}
-		return rr.Cached, nil
-	}
-
-	rep.OneFleetKernels = kernels
-	ring3 := fabric.NewRing(urls)
-
-	// Cold pass then warm pass on the stable fleet, both ring-routed.
-	for _, src := range srcs {
-		if _, err := post(ring3.Owner(src), src); err != nil {
-			return err
-		}
-	}
-	staticHits := 0
-	for _, src := range srcs {
-		hit, err := post(ring3.Owner(src), src)
-		if err != nil {
-			return err
-		}
-		if hit {
-			staticHits++
-		}
-	}
-	rep.OneFleetStaticHitRate = float64(staticHits) / kernels
-
-	// A fourth worker joins; the ring moves only the keys on its arcs.
-	urls4 := append(append([]string{}, urls...), addWorker())
-	ring4 := fabric.NewRing(urls4)
-	churnHits := 0
-	for _, src := range srcs {
-		hit, err := post(ring4.Owner(src), src)
-		if err != nil {
-			return err
-		}
-		if hit {
-			churnHits++
-		}
-	}
-	rep.OneFleetChurnHitRate = float64(churnHits) / kernels
-	return nil
 }

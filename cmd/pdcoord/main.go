@@ -23,10 +23,9 @@
 // leave mid-campaign — a joiner starts taking shards immediately, a drain
 // announcement migrates in-flight leases without waiting for expiry, and
 // silent workers are expired by heartbeat TTL and active /readyz probing.
-// Worker selection walks a consistent-hash ring keyed by kernel identity,
-// so same-kernel shards keep landing on workers with warm compile caches
-// and membership churn moves only the affected arc. -workers and -listen
-// compose; at least one is required.
+// Each shard goes to the first idle, healthy worker in join order: every
+// run is a pure function of its seed, so any worker can run any shard.
+// -workers and -listen compose; at least one is required.
 //
 // Worker failures are the expected case, not the exceptional one: shards
 // are retried with capped exponential backoff (429 Retry-After windows

@@ -10,10 +10,11 @@
 // beyond the queue is shed with 429 + Retry-After), every run is governed
 // by the request context (a disconnected client stops the interpreter
 // within a few thousand instructions), panics are isolated per request,
-// and -soft-mem-limit enables a watchdog that degrades shadow precision
-// 256→128→64 under memory pressure instead of falling over. SIGTERM/
-// Ctrl-C drain gracefully: in-flight requests finish, new ones get 503,
-// and the process exits 0.
+// and -soft-mem-limit enables a watchdog that steps the shadow oracle down
+// bigfp → dd → dd sampled at stride 16 (a dd or residue base steps
+// straight to its sampled rung) under memory pressure instead of falling
+// over. SIGTERM/Ctrl-C drain gracefully: in-flight requests finish, new
+// ones get 503, and the process exits 0.
 //
 // Observability: every request gets an id (X-Request-Id, stamped on every
 // event it emits). -flight N arms a per-request flight recorder — the last
@@ -32,8 +33,10 @@
 // -advertise overrides the URL the coordinator dials back (default:
 // derived from the listen address).
 //
-// Endpoints: POST /run, GET /healthz, /readyz, /metrics (Prometheus text),
-// and optionally GET /debug/profile, /debug/pprof/*.
+// Endpoints: POST /run, /campaign/shard, /profile/shard; GET /healthz,
+// /readyz, /metrics (Prometheus text); GET /debug/trace/{id} while the
+// flight recorder is on (the default); and optionally GET /debug/profile,
+// /debug/pprof/*.
 package main
 
 import (

@@ -209,8 +209,11 @@ func FuzzInjector(f *testing.F) {
 // panicking — producing exactly the tree-walker's result, output, step
 // count, detection summary and metrics dump, or exactly its error. A trap
 // carries no step count, so on error the dump's pd_steps_total stands in
-// for it. Seeds (31, p32) and (13, f64) trap inside a fused store and a
-// fused load, and seed (11, p32) on an integer division inside the callee.
+// for it. A run that completes reruns under a step budget drawn from the
+// seed, short of its step count, which often splits a fused pair; both
+// backends must stop with the same error text and dump. Seeds (31, p32)
+// and (13, f64) trap inside a fused store and a fused load, and seed
+// (11, p32) on an integer division inside the callee.
 func FuzzCompile(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(1))
@@ -240,25 +243,25 @@ func FuzzCompile(f *testing.F) {
 			reg := obs.NewRegistry()
 			res, err := prog.Exec("main", positdebug.WithBackend(bk),
 				positdebug.WithShadow(cfg), positdebug.WithLimits(lim), positdebug.WithMetrics(reg))
-			var dump strings.Builder
-			if err := reg.WriteProm(&dump); err != nil {
-				t.Fatal(err)
+			return res, promText(t, reg), err
+		}
+		sameEnd := func(errTW, errVM error, twDump, vmDump string) {
+			t.Helper()
+			if (errTW == nil) != (errVM == nil) {
+				t.Fatalf("backends disagree on failure (budget %d): treewalk=%v vm=%v\n%s", lim.MaxSteps, errTW, errVM, src)
 			}
-			return res, dump.String(), err
+			if errTW != nil && errTW.Error() != errVM.Error() {
+				t.Fatalf("backends disagree on error text (budget %d):\n  treewalk: %v\n  vm:       %v\n%s",
+					lim.MaxSteps, errTW, errVM, src)
+			}
+			if twDump != vmDump {
+				t.Fatalf("backends diverged on metrics dump (budget %d, err %v):\n--- treewalk ---\n%s\n--- vm ---\n%s\n%s",
+					lim.MaxSteps, errTW, twDump, vmDump, src)
+			}
 		}
 		tw, twDump, errTW := run(backend.Treewalk)
 		vm, vmDump, errVM := run(backend.VM)
-		if (errTW == nil) != (errVM == nil) {
-			t.Fatalf("backends disagree on failure: treewalk=%v vm=%v\n%s", errTW, errVM, src)
-		}
-		if errTW != nil && errTW.Error() != errVM.Error() {
-			t.Fatalf("backends disagree on error text:\n  treewalk: %v\n  vm:       %v\n%s",
-				errTW, errVM, src)
-		}
-		if twDump != vmDump {
-			t.Fatalf("backends diverged on metrics dump (err %v):\n--- treewalk ---\n%s\n--- vm ---\n%s\n%s",
-				errTW, twDump, vmDump, src)
-		}
+		sameEnd(errTW, errVM, twDump, vmDump)
 		if errTW != nil {
 			return // bounded failure, identically reported — a valid outcome
 		}
@@ -272,6 +275,12 @@ func FuzzCompile(f *testing.F) {
 		if tw.Summary != nil && tw.Summary.String() != vm.Summary.String() {
 			t.Fatalf("backends diverged on detection summary:\n--- treewalk ---\n%s\n--- vm ---\n%s\n%s",
 				tw.Summary, vm.Summary, src)
+		}
+		if tw.Steps > 1 {
+			lim.MaxSteps = 1 + rng.Int63n(tw.Steps-1)
+			_, twDump, errTW = run(backend.Treewalk)
+			_, vmDump, errVM = run(backend.VM)
+			sameEnd(errTW, errVM, twDump, vmDump)
 		}
 	})
 }

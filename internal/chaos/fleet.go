@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"positdebug/internal/obs"
 	"positdebug/internal/server"
 )
 
@@ -17,9 +16,6 @@ import (
 type Worker struct {
 	// Server is the live pdserve core (nil while killed).
 	Server *server.Server
-	// Metrics is the worker's own registry — per-worker cache hit/miss
-	// counters for affinity assertions.
-	Metrics *obs.Registry
 	// Proxy fronts the worker; fleet members dial Proxy.URL().
 	Proxy *Proxy
 
@@ -29,11 +25,11 @@ type Worker struct {
 }
 
 // NewWorker starts a pdserve worker behind a fresh chaos proxy. The
-// proxy's fault rolls are seeded with seed; cfg.Metrics is replaced with a
-// private registry so per-worker counters stay attributable.
+// proxy's fault rolls are seeded with seed. cfg.Metrics is dropped, so
+// each (re)start counts into its own registry (server.New makes one).
 func NewWorker(cfg server.Config, seed int64) (*Worker, error) {
 	w := &Worker{cfg: cfg}
-	w.cfg.Metrics = nil // each (re)start gets its own registry via start
+	w.cfg.Metrics = nil
 	if err := w.start(); err != nil {
 		return nil, err
 	}
@@ -49,10 +45,7 @@ func (w *Worker) start() error {
 	if err != nil {
 		return err
 	}
-	cfg := w.cfg
-	cfg.Metrics = obs.NewRegistry()
-	w.Metrics = cfg.Metrics
-	w.Server = server.New(cfg)
+	w.Server = server.New(w.cfg)
 	w.ln = ln
 	w.hs = &http.Server{Handler: w.Server.Handler()}
 	go w.hs.Serve(ln)
@@ -88,22 +81,6 @@ func (w *Worker) Restart() error {
 
 // URL is the worker's fleet identity: the chaos proxy's address.
 func (w *Worker) URL() string { return w.Proxy.URL() }
-
-// CacheHits and CacheMisses read the live backend's compile-cache
-// counters (zero while killed).
-func (w *Worker) CacheHits() int64 {
-	if w.Metrics == nil {
-		return 0
-	}
-	return w.Metrics.Counter("pd_serve_cache_hits_total").Value()
-}
-
-func (w *Worker) CacheMisses() int64 {
-	if w.Metrics == nil {
-		return 0
-	}
-	return w.Metrics.Counter("pd_serve_cache_misses_total").Value()
-}
 
 // Close tears the worker and its proxy down.
 func (w *Worker) Close() {

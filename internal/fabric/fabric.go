@@ -323,7 +323,6 @@ func (c *Coordinator) campaignTask(wire faultinject.WireConfig, arch string, lo,
 	req := faultinject.ShardRequest{Version: faultinject.ShardVersion, Config: wire, Arch: arch, Lo: lo, Hi: hi}
 	return &task{
 		label: label,
-		key:   fmt.Sprintf("%s|%d|%s", wire.Workload, wire.N, arch),
 		call: func(ctx context.Context, workerURL string) (any, error) {
 			return c.postCampaignShard(ctx, workerURL, req)
 		},
@@ -392,7 +391,6 @@ func (c *Coordinator) RunProfile(ctx context.Context, sweep ProfileSweep) (*prof
 		label := fmt.Sprintf("profile %s[%d,%d)", sweep.Kernel, lo, lo+size)
 		tasks = append(tasks, &task{
 			label: label,
-			key:   fmt.Sprintf("%s|%d|%v", sweep.Kernel, sweep.N, sweep.Posit),
 			call: func(ctx context.Context, workerURL string) (any, error) {
 				return c.postProfileShard(ctx, workerURL, req)
 			},

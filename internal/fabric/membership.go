@@ -19,8 +19,7 @@ type Member struct {
 	URL string `json:"url"`
 	// Capacity is the worker's advertised concurrent-run capacity
 	// (pdserve's MaxConcurrent), reported at /fleet/status. Placement
-	// ignores it: every member gets the same arc of the scheduler's ring,
-	// and the scheduler dispatches one shard per worker at a time.
+	// ignores it: the scheduler dispatches one shard per worker at a time.
 	Capacity int `json:"capacity,omitempty"`
 	// Oracle and Backend are the shadow-oracle and execution-backend tier
 	// the worker advertised — surfaced at /fabric/members so an operator
@@ -251,8 +250,8 @@ func (m *Membership) Len() int {
 }
 
 // Version increments on every membership change; the scheduler compares
-// it against the version it last synced to decide whether to rebuild its
-// worker table and ring.
+// it against the version it last synced to decide whether to resync its
+// worker table.
 func (m *Membership) Version() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

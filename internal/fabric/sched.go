@@ -17,19 +17,15 @@ import (
 // owned by the loop; attempt goroutines only perform the HTTP call and
 // report back on a channel, so there is no locking and no data race by
 // construction. Membership changes arrive as events too: the loop syncs
-// its worker table (and the consistent-hash ring over it) from the shared
-// Membership roster whenever the roster's version moves.
+// its worker table from the shared Membership roster whenever the
+// roster's version moves.
 
 // task is one dispatchable unit of work — a campaign shard, a golden
 // probe, or a profile shard. The scheduler is agnostic to the payload:
 // call performs one attempt against one worker, onDone commits the first
 // successful result (journal writes run here, on the event loop).
 type task struct {
-	label string
-	// key is the task's kernel identity (workload/source), the consistent-
-	// hash ring input: same-kernel tasks walk the same worker order, so
-	// they keep landing on workers whose compile caches are already warm.
-	key    string
+	label  string
 	call   func(ctx context.Context, workerURL string) (any, error)
 	onDone func(res any) error
 
@@ -83,14 +79,13 @@ type attemptEnd struct {
 	at  *attemptTrace // nil unless fleet tracing is on
 }
 
-// schedState is the event loop's view of the fleet: the worker table, the
-// tombstones of members that failed out (for the post-mortem error), and
-// the consistent-hash ring over the live members.
+// schedState is the event loop's view of the fleet: the worker table in
+// join order, and the tombstones of members that failed out (for the
+// post-mortem error).
 type schedState struct {
 	workers []*workerState
 	byURL   map[string]*workerState
 	gone    map[string]*workerState
-	ring    *Ring
 	version uint64 // Membership version the table was last synced to
 }
 
@@ -105,17 +100,15 @@ func (st *schedState) live() int {
 }
 
 // syncMembers reconciles the scheduler's worker table with the shared
-// roster: new members get a worker slot and join the ring, departed
+// roster: new members get a worker slot at the end of the table, departed
 // members are tombstoned and their in-flight attempt cancelled so the
 // shard migrates immediately (the whole point of the drain announcement —
-// no lease expiry wait), and a re-registered member returns with a clean
-// health record. The ring is rebuilt over the survivors; consistent
-// hashing guarantees only the moved arc changes owner.
+// no lease expiry wait), and a re-registered member returns to its old
+// slot with a clean health record.
 func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 	st.version = c.members.Version()
 	snap := c.members.Snapshot()
 	seen := make(map[string]bool, len(snap))
-	changed := st.ring == nil
 	for _, mem := range snap {
 		seen[mem.URL] = true
 		if w, ok := st.byURL[mem.URL]; ok {
@@ -126,7 +119,6 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 				w.offlineUntil = time.Time{}
 				w.lastErr = nil
 				delete(st.gone, w.url)
-				changed = true
 				c.noteMemberEvent("join", w.url, "re-registered", initial)
 			}
 			continue
@@ -134,7 +126,6 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 		w := &workerState{url: mem.URL}
 		st.byURL[mem.URL] = w
 		st.workers = append(st.workers, w)
-		changed = true
 		c.noteMemberEvent("join", w.url, "", initial)
 	}
 	for _, w := range st.workers {
@@ -143,7 +134,6 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 		}
 		w.removed = true
 		st.gone[w.url] = w
-		changed = true
 		c.noteMemberEvent("leave", w.url, "", initial)
 		if w.cancel != nil {
 			// Migrate the lease now: the attempt's context is torn down,
@@ -154,19 +144,7 @@ func (c *Coordinator) syncMembers(st *schedState, initial bool) {
 			c.logf("fabric: %s left the fleet mid-attempt; migrating its lease", w.url)
 		}
 	}
-	if changed {
-		live := make([]string, 0, len(st.workers))
-		for _, w := range st.workers {
-			if !w.removed {
-				live = append(live, w.url)
-			}
-		}
-		st.ring = NewRing(live)
-		if !initial {
-			c.reg.Counter("pd_fabric_ring_rebalances_total").Inc()
-		}
-		c.reg.Gauge("pd_fabric_members").Set(int64(len(live)))
-	}
+	c.reg.Gauge("pd_fabric_members").Set(int64(st.live()))
 }
 
 // noteMemberEvent logs and (when a journal is attached) write-ahead-logs
@@ -422,35 +400,25 @@ func (c *Coordinator) launch(ctx context.Context, t *task, w *workerState, done 
 	}()
 }
 
-// workerFor picks the worker for one attempt of t by walking the
-// consistent-hash ring from the task's kernel key: the arc owner first —
-// its compile cache is the one this kernel warmed — then each fallback in
-// ring order, which keeps even the second choice sticky per kernel. The
-// robustness rules layer on top of the walk: ejected, throttled, removed
-// and busy workers are skipped; a retry never goes straight back to the
-// worker that just failed it when the fleet has an alternative — waiting
-// for a busy healthy worker beats burning MaxAttempts against a dead
-// port — and a hedge never lands on the worker running the attempt it is
-// meant to outrun.
+// workerFor picks the worker for one attempt of t: the first eligible
+// worker in table order. Every run is a pure function of its seed and no
+// worker state outlives a shard, so placement cannot change a result and
+// needs no affinity. Ejected, throttled, removed and busy workers are
+// skipped; a retry never goes straight back to the worker that just
+// failed it while another worker is live — waiting for a busy healthy
+// worker beats burning MaxAttempts against a dead port — and a hedge never
+// lands on the worker running the attempt it is meant to outrun.
 func (c *Coordinator) workerFor(t *task, st *schedState, now time.Time, hedge bool) *workerState {
-	order := st.ring.Order(t.key)
 	avoid := ""
 	if hedge {
 		avoid = t.lastURL
-	} else if len(order) > 1 {
+	} else if st.live() > 1 {
 		avoid = t.lastFailURL
 	}
-	for i, url := range order {
-		w := st.byURL[url]
-		if w == nil || !w.eligible(now) || url == avoid {
-			continue
+	for _, w := range st.workers {
+		if w.eligible(now) && w.url != avoid {
+			return w
 		}
-		if i == 0 {
-			c.reg.Counter("pd_fabric_ring_affinity_hits_total").Inc()
-		} else {
-			c.reg.Counter("pd_fabric_ring_fallbacks_total").Inc()
-		}
-		return w
 	}
 	return nil
 }

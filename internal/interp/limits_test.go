@@ -110,11 +110,10 @@ func TestInternalFaultRecovery(t *testing.T) {
 // TestInternalFaultPositionsAgree: a hook panicking at any of the first
 // five occurrences of Bin, Ret, EnterFunc or LeaveFunc yields the same
 // *InternalFault — function, block, instruction, step count and panic
-// value — on both backends. A LeaveFunc panic fires after the returning
-// frame's own recover, so the caller's recover (or RunContext's) names
-// the position; the VM must leave it at the returning instruction. A Ret
-// panic fires in the first half of a fused sh.ret+ret pair. Each faulting
-// case runs again with a step budget ending on the panicking instruction,
+// value — on both backends. A LeaveFunc panic belongs to the returning
+// frame: it names that function and its ret instruction. A Ret panic
+// fires in the first half of a fused sh.ret+ret pair. Each faulting case
+// runs again with a step budget ending on the panicking instruction,
 // which makes the VM run only the first half of a fused pair there.
 func TestInternalFaultPositionsAgree(t *testing.T) {
 	mod := instrument.Instrument(compile(t, faultSrc), instrument.Options{})
@@ -143,10 +142,25 @@ func TestInternalFaultPositionsAgree(t *testing.T) {
 		}
 		return ref
 	}
+	leaving := []string{"__init", "g", "g", "f"} // in LeaveFunc order
 	for _, event := range []string{"Bin", "Ret", "EnterFunc", "LeaveFunc"} {
 		for at := 1; at <= 5; at++ {
-			if ref := diff(event, at, 0); ref != nil {
+			ref := diff(event, at, 0)
+			if ref != nil {
 				diff(event, at, ref.Steps)
+			}
+			if event != "LeaveFunc" || at > len(leaving) {
+				continue
+			}
+			want := leaving[at-1]
+			if ref == nil || ref.Func != want {
+				t.Errorf("LeaveFunc #%d: fault %+v, want one in %s", at, ref, want)
+				continue
+			}
+			blocks := mod.FuncByName(want).Blocks
+			if int(ref.Block) >= len(blocks) || ref.Index >= len(blocks[ref.Block].Instrs) ||
+				blocks[ref.Block].Instrs[ref.Index].Op != ir.OpRet {
+				t.Errorf("LeaveFunc #%d: fault at block %d, instr %d of %s, want its ret", at, ref.Block, ref.Index, want)
 			}
 		}
 	}

@@ -63,10 +63,6 @@ type Machine struct {
 	// reset, letting VM runs zero only the dirty region. Tree-walk runs
 	// poison it to "whole stack dirty".
 	lowWater uint32
-	// nextPoll is the step count at which the VM loop next polls the
-	// deadline and context (every deadlineCheckMask+1 steps, like the
-	// tree-walker's mask check, which fused two-step ops may straddle).
-	nextPoll int64
 	// fastHooks is non-nil when the current VM run's hooks implement
 	// FastShadow; fused superinstructions then deliver every event the
 	// injector leaves alone through it.
@@ -378,7 +374,6 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 	m.sp = uint32(len(m.mem))
 	if useVM {
 		m.zeroDirtyMem()
-		m.nextPoll = deadlineCheckMask + 1
 	} else {
 		clear(m.mem)
 		// A tree-walk run dirties the stack without low-water tracking;
@@ -414,6 +409,29 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		}
 	}
 	return m.call(fn, args)
+}
+
+// stepCheck is the check made before executing step s: the step budget,
+// then, every deadlineCheckMask+1 steps, the wall-clock deadline and the
+// run's context. Both backends make it for every step they count.
+func (m *Machine) stepCheck(fname string, s, maxSteps int64) error {
+	if s > maxSteps {
+		return &ResourceExhausted{Resource: ResSteps, Limit: maxSteps, Used: s, Func: fname, Steps: s}
+	}
+	if s&deadlineCheckMask != 0 {
+		return nil
+	}
+	if m.checkDeadline && time.Now().After(m.deadline) {
+		return &ResourceExhausted{Resource: ResWallClock, Limit: int64(m.limTimeout), Used: s, Func: fname, Steps: s}
+	}
+	if m.ctxDone != nil {
+		select {
+		case <-m.ctxDone:
+			return &Cancelled{Func: fname, Steps: s, Cause: context.Cause(m.runCtx)}
+		default:
+		}
+	}
+	return nil
 }
 
 func (m *Machine) trap(fn *ir.Func, format string, args ...interface{}) error {
@@ -465,7 +483,6 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 	hooked := fn.Instrumented && m.Hooks != nil
 	if hooked {
 		m.Hooks.EnterFunc(fn, regs[:len(fn.Params)])
-		defer m.Hooks.LeaveFunc()
 	}
 
 	maxSteps := m.limSteps
@@ -505,28 +522,17 @@ func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 		}
 		panic(r)
 	}()
+	// Deferred after the recover so it runs first: a panicking LeaveFunc
+	// is annotated here, at this frame's ret.
+	if hooked {
+		defer m.Hooks.LeaveFunc()
+	}
 
 	b, i := int32(0), 0
 	for {
-		if m.steps++; m.steps > maxSteps {
-			return 0, &ResourceExhausted{
-				Resource: ResSteps, Limit: maxSteps, Used: m.steps,
-				Func: fn.Name, Steps: m.steps,
-			}
-		}
-		if m.steps&deadlineCheckMask == 0 {
-			if m.checkDeadline && time.Now().After(m.deadline) {
-				return 0, &ResourceExhausted{
-					Resource: ResWallClock, Limit: int64(m.limTimeout), Used: m.steps,
-					Func: fn.Name, Steps: m.steps,
-				}
-			}
-			if m.ctxDone != nil {
-				select {
-				case <-m.ctxDone:
-					return 0, &Cancelled{Func: fn.Name, Steps: m.steps, Cause: context.Cause(m.runCtx)}
-				default:
-				}
+		if m.steps++; m.steps > maxSteps || m.steps&deadlineCheckMask == 0 {
+			if err := m.stepCheck(fn.Name, m.steps, maxSteps); err != nil {
+				return 0, err
 			}
 		}
 		m.curBlk, m.curIdx = b, i

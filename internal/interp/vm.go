@@ -1,11 +1,9 @@
 package interp
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"positdebug/internal/bytecode"
 	"positdebug/internal/ir"
@@ -238,7 +236,6 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 	copy(regs, args)
 	if f.Instrumented {
 		m.Hooks.EnterFunc(f.IR, regs[:f.NumParams])
-		defer m.Hooks.LeaveFunc()
 	}
 
 	maxSteps := m.limSteps
@@ -295,72 +292,34 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 		}
 		panic(r)
 	}()
+	// Deferred after the recover so it runs first: a panicking LeaveFunc
+	// is annotated here, at this frame's ret.
+	if f.Instrumented {
+		defer m.Hooks.LeaveFunc()
+	}
 
 	code := f.Code
 	pos := f.Pos
 	fh := m.fastHooks
 	pc := 0
-	// checkAt folds the step limit and the poll cadence into one per-op
-	// comparison: the slow path below disambiguates and recomputes it. A
-	// stale (too low) checkAt after a nested call merely re-enters the slow
-	// path early; nextPoll only grows and maxSteps is fixed per run, so the
-	// cached value never overshoots either threshold.
-	checkAt := maxSteps
-	if m.nextPoll-1 < checkAt {
-		checkAt = m.nextPoll - 1
-	}
+	// checkAt is the last step before the next one stepCheck can trip on
+	// (the budget or the next poll), so the loop pays one comparison per
+	// op. After a nested call it is stale (too low), which merely enters
+	// vmCheck early; the steps it checks were never checked before.
+	checkAt := min(maxSteps, m.steps|deadlineCheckMask)
 	for {
 		in := &code[pc]
 		op := in.Op
-		// A fused superinstruction is two IR steps; charge both up front
-		// and, when the budget splits the pair, replay exactly what the
-		// tree-walker would have executed before tripping.
+		// A fused superinstruction is two IR steps; charge both up front.
 		var w int64 = 1
 		if op >= bytecode.FusedFirst {
 			w = 2
 		}
 		if m.steps += w; m.steps > checkAt {
-			if m.steps > maxSteps {
-				if w == 2 && m.steps-1 <= maxSteps {
-					// Eager breadcrumb and count: the replayed first half
-					// runs at the tree-walker's position and step, so a trap
-					// or panic there reports neither the fused +1 of the
-					// lazy resolution nor the second half's step.
-					m.curBlk, m.curIdx = pos[pc].Blk, int(pos[pc].Idx)
-					m.vmPC = -1
-					m.steps--
-					if err := m.vmFirstHalf(ch, f, in, regs); err != nil {
-						return 0, err
-					}
-					m.steps++
-				} else if w == 2 {
-					m.steps--
-				}
-				return 0, &ResourceExhausted{
-					Resource: ResSteps, Limit: maxSteps, Used: m.steps,
-					Func: f.Name, Steps: m.steps,
-				}
+			if err := m.vmCheck(ch, f, pc, regs, w, maxSteps); err != nil {
+				return 0, err
 			}
-			if m.steps >= m.nextPoll {
-				m.nextPoll = (m.steps &^ deadlineCheckMask) + deadlineCheckMask + 1
-				if m.checkDeadline && time.Now().After(m.deadline) {
-					return 0, &ResourceExhausted{
-						Resource: ResWallClock, Limit: int64(m.limTimeout), Used: m.steps,
-						Func: f.Name, Steps: m.steps,
-					}
-				}
-				if m.ctxDone != nil {
-					select {
-					case <-m.ctxDone:
-						return 0, &Cancelled{Func: f.Name, Steps: m.steps, Cause: context.Cause(m.runCtx)}
-					default:
-					}
-				}
-			}
-			checkAt = maxSteps
-			if m.nextPoll-1 < checkAt {
-				checkAt = m.nextPoll - 1
-			}
+			checkAt = min(maxSteps, m.steps|deadlineCheckMask)
 		}
 		m.vmPC = pc
 		pc++
@@ -497,12 +456,6 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				regs[in.Dst] = v
 			}
 		case bytecode.OpRet:
-			// Eager breadcrumb: a panicking LeaveFunc runs after this
-			// frame's recover, so the caller's recover (or RunContext's)
-			// reads the position, and this frame's pc means nothing in
-			// the caller's position table.
-			m.curBlk, m.curIdx = pos[pc-1].Blk, int(pos[pc-1].Idx)
-			m.vmPC = -1
 			if in.A >= 0 {
 				return regs[in.A], nil
 			}
@@ -791,7 +744,9 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 				bits = regs[in.A]
 			}
 			m.Hooks.Ret(ir.Type(in.T), in.A, bits)
-			// Eager breadcrumb at the ret half, as for OpRet.
+			// Eager breadcrumb at the ret half: a panicking LeaveFunc
+			// runs after the whole pair, which the lazy resolution (a
+			// panic in the sh.ret half) would misread.
 			m.curBlk, m.curIdx = pos[pc-1].Blk, int(pos[pc-1].Idx)+1
 			m.vmPC = -1
 			if in.A >= 0 {
@@ -804,10 +759,38 @@ func (m *Machine) vmCall(ch *bytecode.Module, fi int32, args []uint64) (uint64, 
 	}
 }
 
+// vmCheck makes stepCheck for each of the w steps the dispatch loop just
+// charged for the op at pc, as the tree-walker would before each. A check
+// that trips on the first step reports it and runs nothing. One that
+// trips on the second step of a fused pair reports it after running the
+// pair's first half, as the tree-walker would have: at its position and
+// step count, so a trap or panic there reports neither the fused +1 of
+// the lazy breadcrumb nor the second half's step.
+func (m *Machine) vmCheck(ch *bytecode.Module, f *bytecode.Func, pc int, regs []uint64, w, maxSteps int64) error {
+	first := m.steps - w + 1
+	for s := first; s <= m.steps; s++ {
+		err := m.stepCheck(f.Name, s, maxSteps)
+		if err == nil {
+			continue
+		}
+		if s > first {
+			m.curBlk, m.curIdx = f.Pos[pc].Blk, int(f.Pos[pc].Idx)
+			m.vmPC = -1
+			m.steps = first
+			if ferr := m.vmFirstHalf(ch, f, &f.Code[pc], regs); ferr != nil {
+				return ferr
+			}
+		}
+		m.steps = s
+		return err
+	}
+	return nil
+}
+
 // vmFirstHalf executes only the first IR instruction of a fused pair — the
 // base operation, or for sh.ret+ret the shadow event — reproducing exactly
-// what the tree-walker would have run before a step budget that splits the
-// pair trips. The second half is never executed.
+// what the tree-walker would have run before a check on the pair's second
+// step trips (vmCheck). The second half is never executed.
 func (m *Machine) vmFirstHalf(ch *bytecode.Module, f *bytecode.Func, in *bytecode.Inst, regs []uint64) error {
 	switch in.Op {
 	case bytecode.OpFusedConst:

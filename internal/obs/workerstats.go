@@ -16,8 +16,9 @@ type WorkerStats struct {
 	// Degraded is true when the memory watchdog has stepped the worker
 	// down from its configured tier.
 	Degraded bool `json:"degraded,omitempty"`
-	// CacheHits / CacheMisses are cumulative compile-cache counters; the
-	// hit rate they imply is the payoff of ring affinity.
+	// CacheHits / CacheMisses are cumulative compile-cache counters. Only
+	// /run reads the cache; campaign and profile shards compile from
+	// source on every call.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// Detections is the cumulative shadow-oracle detection count across

@@ -294,8 +294,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the service's HTTP handler (/run, /healthz, /readyz,
-// /metrics).
+// Handler returns the service's HTTP handler: /run, /campaign/shard,
+// /profile/shard, /healthz, /readyz and /metrics, plus /debug/trace/{id},
+// /debug/profile and /debug/pprof/ when configured.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // InFlight reports currently executing runs (tests and the drain loop).
