@@ -486,9 +486,8 @@ func TestBackendDiffProfile(t *testing.T) {
 }
 
 // TestBackendDiffSampledInjection exercises the two seams the VM must keep
-// working: the shadow runtime's sampling gate (on the fused FastShadow
-// path) and the machine's fault injector (which sends only the events it
-// corrupts down the generic Hooks path and must see identical dynamic
+// working: the shadow runtime's sampling gate (FastBinP32 included) and
+// the machine's fault injector (which must see identical dynamic
 // instruction streams to corrupt identically), alone and combined.
 func TestBackendDiffSampledInjection(t *testing.T) {
 	k, _ := workloads.KernelByName("gemm")
@@ -548,11 +547,10 @@ func main(): p16 {
 // TestBackendDiffInjectionMatrix crosses every fault kind with each
 // injectable op class alone, in occurrence mode (the first and the middle
 // eligible event) and in rate mode capped at three faults, on a ⟨32,2⟩
-// kernel, an f64 kernel and a ⟨16,1⟩ program. The VM keeps every event
-// the injector leaves alone on FastShadow and sends only the corrupted
-// ones through Hooks, while the tree-walker takes Hooks throughout, so
-// value, summary and reports, trace events, candidate count and fault
-// schedule must all match.
+// kernel, an f64 kernel and a ⟨16,1⟩ program. The VM computes the ⟨32,2⟩
+// ops itself while the injector is live and returns them to FastBinP32
+// once it is spent, so value, summary and reports, trace events,
+// candidate count and fault schedule must all match the tree-walker's.
 func TestBackendDiffInjectionMatrix(t *testing.T) {
 	gemm, _ := workloads.KernelByName("gemm")
 	p32, err := positdebug.RefactorToPosit(gemm.Source(6))
@@ -631,9 +629,9 @@ func TestBackendDiffInjectionMatrix(t *testing.T) {
 }
 
 // TestBackendDiffSampledSuite runs every detection-suite program sampled at
-// several strides on both backends. The shadow runtime gates its FastShadow
-// compute methods exactly like its Hooks ones, so the VM delivers sampled
-// compute events through the fused superinstruction path; this test pins
+// several strides on both backends. The shadow runtime gates FastBinP32
+// exactly like its Hooks compute methods, so the VM runs sampled ⟨32,2⟩
+// ops through the fused superinstruction path; this test pins
 // that the runtime's take() decisions and skip semantics (stale metadata,
 // program result still computed) are byte-identical to the tree-walker's,
 // detection verdicts included.

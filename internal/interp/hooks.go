@@ -72,10 +72,11 @@ type Hooks interface {
 // the machine announces the corruption to hooks implementing
 // InjectionObserver before it delivers the corrupted event.
 //
-// The delivery path is chosen per event: only an event Mutate corrupts
-// reaches the generic Hooks method, and every other event keeps the VM's
-// FastShadow path. After each hit the machine asks Spent; once it reports
-// true, neither backend consults the injector again until the next run.
+// Every event an injector may corrupt reaches the generic Hooks method on
+// both backends; while the injector is live, the VM's ⟨32,2⟩
+// superinstructions therefore compute in the VM instead of FastShadow.
+// After each hit the machine asks Spent; once it reports true, neither
+// backend consults the injector again until the next run.
 type Injector interface {
 	// Reset is called at the start of every Machine.Run, so a rerun (or a
 	// precision-degraded retry) replays the same schedule.

@@ -11,21 +11,21 @@ import (
 )
 
 // deliveryHooks records how each value-producing shadow event reaches the
-// runtime — through its generic Hooks method or its FastShadow one — and
-// logs those events, plus injection announcements, in order.
+// runtime — through its Hooks method or FastShadow's FastBinP32 — and logs
+// those events, plus injection announcements, in order.
 type deliveryHooks struct {
 	NopHooks
-	fast map[string]int // FastShadow calls by event
-	log  []string
+	calls map[string]int // calls by delivery path and event
+	log   []string
 }
 
-func (h *deliveryHooks) Reset() { h.fast, h.log = map[string]int{}, nil }
+func (h *deliveryHooks) Reset() { h.calls, h.log = map[string]int{}, nil }
 
 func (h *deliveryHooks) on(fast bool, name string, id int32) {
 	if fast {
-		h.fast[name]++
 		name = "fast " + name
 	}
+	h.calls[name]++
 	h.log = append(h.log, fmt.Sprintf("%s %d", name, id))
 }
 
@@ -57,16 +57,6 @@ func (h *deliveryHooks) PostCall(id int32, typ ir.Type, dst int32, bits uint64) 
 	h.on(false, "PostCall", id)
 }
 
-func (h *deliveryHooks) FastConst(id int32, typ ir.Type, dst int32, bits uint64) {
-	h.on(true, "Const", id)
-}
-
-func (h *deliveryHooks) FastMov(id int32, typ ir.Type, dst, src int32, bits uint64) {}
-
-func (h *deliveryHooks) FastBin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
-	h.on(true, "Bin", id)
-}
-
 func (h *deliveryHooks) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64 {
 	h.on(true, "BinP32", id)
 	x, y := posit.Bits(aVal), posit.Bits(bVal)
@@ -78,22 +68,6 @@ func (h *deliveryHooks) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, a
 	default:
 		return uint64(posit.Config32.Mul(x, y))
 	}
-}
-
-func (h *deliveryHooks) FastUn(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
-	h.on(true, "Un", id)
-}
-
-func (h *deliveryHooks) FastCast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
-	h.on(true, "Cast", id)
-}
-
-func (h *deliveryHooks) FastLoad(id int32, typ ir.Type, dst int32, addr uint32, bits uint64) {
-	h.on(true, "Load", id)
-}
-
-func (h *deliveryHooks) FastStore(id int32, typ ir.Type, addr uint32, src int32, bits uint64) {
-	h.on(true, "Store", id)
 }
 
 func (h *deliveryHooks) ObserveInjection(id int32, op ir.Op, typ ir.Type, before, after uint64) {
@@ -173,12 +147,12 @@ func main(): p32 {
 }
 `
 
-// TestInjectorDeliveryRule pins the per-event delivery rule against an
-// uninjected VM run of the same program: an injector that never fires
-// leaves every fused event on FastShadow, a hit alone takes the generic
-// Hooks method right after its announcement, a spent injector is never
-// consulted again and ⟨32,2⟩ ops return to FastBinP32, and both backends
-// show the injector the same event stream.
+// TestInjectorDeliveryRule pins the delivery rule against an uninjected VM
+// run of the same program: ⟨32,2⟩ ops use FastBinP32 exactly while no
+// injector is live, every other event goes through its Hooks method, a
+// hit's event follows its announcement, a spent injector is never
+// consulted again, and both backends show the injector the same event
+// stream.
 func TestInjectorDeliveryRule(t *testing.T) {
 	mod := instrumentForTest(compile(t, deliverySrc))
 	run := func(k backend.Kind, inj Injector) (*deliveryHooks, uint64) {
@@ -197,9 +171,9 @@ func TestInjectorDeliveryRule(t *testing.T) {
 	}
 
 	base, want := run(backend.VM, nil)
-	for _, name := range []string{"BinP32", "Bin", "Un", "Const", "Cast", "Load", "Store"} {
-		if base.fast[name] == 0 {
-			t.Fatalf("program reaches no fast %s event: %v", name, base.fast)
+	for _, name := range []string{"fast BinP32", "Bin", "Un", "Const", "Cast", "Load", "Store"} {
+		if base.calls[name] == 0 {
+			t.Fatalf("program reaches no %s event: %v", name, base.calls)
 		}
 	}
 	probe := &scriptInjector{}
@@ -234,9 +208,9 @@ func TestInjectorDeliveryRule(t *testing.T) {
 			t.Errorf("hits %v: event streams diverged\nvm:\n%s\ntreewalk:\n%s", hits, vh.normalized(), th.normalized())
 		}
 
-		// Aligned with the uninjected run, each hit event alone changes
-		// path, to generic, and the ⟨32,2⟩ ops report through FastBin
-		// exactly while the injector is live.
+		// Aligned with the uninjected run, the ⟨32,2⟩ ops report through
+		// Bin exactly while the injector is live, and each hit's event
+		// follows its announcement.
 		i, injects, hitID := 0, 0, ""
 		for _, e := range vh.log {
 			if id, ok := strings.CutPrefix(e, "inject "); ok {
@@ -255,7 +229,7 @@ func TestInjectorDeliveryRule(t *testing.T) {
 					t.Errorf("hits %v: announcement of %s followed by %q, want the generic form of %q", hits, hitID, e, b)
 				}
 				hitID = ""
-			case live && e != strings.Replace(b, "fast BinP32 ", "fast Bin ", 1):
+			case live && e != strings.Replace(b, "fast BinP32 ", "Bin ", 1):
 				t.Errorf("hits %v: live injector delivered %q, want %q", hits, e, b)
 			case !live && e != b:
 				t.Errorf("hits %v: spent injector delivered %q, want %q", hits, e, b)

@@ -74,24 +74,25 @@ func (r *Runtime) emit(k Kind, inst int32, info errInfo) {
 }
 
 // checkOp classifies the error of a freshly produced value (§3.4). subLike
-// marks additive operations, the only ones that can cancel.
+// marks additive operations, the only ones that can cancel. Every
+// conversion, exponent and regime/fraction geometry it reads comes from the
+// memoized decode of the value's (bits, type) pair (pvalFor), so a value
+// produced by one operation and consumed by the next is decoded once in its
+// lifetime.
 func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMeta) {
-	progF := interp.ToFloat64(typ, d.Prog)
+	pd := d.pvalFor(typ)
+	progF := pd.f
 
 	// Exceptions first: the program produced NaR/NaN/Inf from operands
 	// that were still finite. (NaR flowing through later operations is the
 	// same exception, not a new one.)
-	progUndef := math.IsNaN(progF) || math.IsInf(progF, 0)
-	if progUndef {
+	if pd.undef {
 		opsWereFinite := true
-		for _, op := range []*TempMeta{ta, tb} {
-			if op == nil {
-				continue
-			}
-			of := interp.ToFloat64(typ, op.Prog)
-			if math.IsNaN(of) || math.IsInf(of, 0) {
-				opsWereFinite = false
-			}
+		if ta != nil && ta.pvalFor(typ).undef {
+			opsWereFinite = false
+		}
+		if tb != nil && tb.pvalFor(typ).undef {
+			opsWereFinite = false
 		}
 		if opsWereFinite {
 			r.count(KindNaR)
@@ -131,7 +132,7 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 	// Catastrophic cancellation (§3.4): cancelled leading bits AND the
 	// computed result at least a factor of ε=2 away from the real result.
 	if subLike && ta != nil && tb != nil && !ta.Undef && !tb.Undef {
-		if cb := cancelledBits(typ, ta.Prog, tb.Prog, d.Prog); cb > 0 && factorTwoOff(progF, r.orc.Float64(&d.Real), r.orc.Sign(&d.Real)) {
+		if cb := cancelled(ta.pvalFor(typ), tb.pvalFor(typ), pd); cb > 0 && factorTwoOff(progF, r.orc.Float64(&d.Real), r.orc.Sign(&d.Real)) {
 			r.count(KindCancellation)
 			if r.prof != nil {
 				r.prof.Detect(id, profile.DetectCancellation, cb)
@@ -167,7 +168,11 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 		// Loss of precision bits: the result's regime grew past both
 		// operands', shrinking the fraction beyond the threshold (§3.4).
 		if ta != nil && r.cfg.PrecisionLossThreshold > 0 {
-			if lost := fracBitsLost(cfg, d.Prog, ta, tb); lost >= r.cfg.PrecisionLossThreshold {
+			var ptb *pval
+			if tb != nil {
+				ptb = tb.pvalFor(typ)
+			}
+			if lost := fracLost(pd, ta.pvalFor(typ), ptb); lost >= r.cfg.PrecisionLossThreshold {
 				r.count(KindPrecisionLoss)
 				r.emit(KindPrecisionLoss, id, errInfo{
 					errBits: bits, ulps: ulps,
@@ -191,34 +196,22 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 	}
 }
 
-// cancelledBits computes cbits = max(exp(a), exp(b)) − exp(result): the
-// number of leading bits the additive operation cancelled. Zero results
-// with nonzero operands cancel everything (returns a large count).
-func cancelledBits(typ ir.Type, aBits, bBits, resBits uint64) int {
-	ea, aZero := valueExp(typ, aBits)
-	eb, bZero := valueExp(typ, bBits)
-	er, rZero := valueExp(typ, resBits)
-	if aZero || bZero {
+// cancelled computes cbits = max(exp(a), exp(b)) − exp(result): the number
+// of leading bits an additive operation cancelled. Zero, NaR, NaN and Inf
+// operands (pval.zero) have nothing to cancel; a zero result from nonzero
+// operands cancels everything (returns a large count).
+func cancelled(pa, pb, pr *pval) int {
+	if pa.zero || pb.zero {
 		return 0 // nothing to cancel
 	}
-	top := ea
-	if eb > top {
-		top = eb
+	top := pa.exp
+	if pb.exp > top {
+		top = pb.exp
 	}
-	if rZero {
+	if pr.zero {
 		return 64
 	}
-	return top - er
-}
-
-// valueExp returns the binary exponent of a program value and whether it is
-// zero (or NaR/NaN, treated as zero for cancellation purposes).
-func valueExp(typ ir.Type, bits uint64) (int, bool) {
-	f := interp.ToFloat64(typ, bits)
-	if f == 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, true
-	}
-	return math.Ilogb(f), false
+	return int(top - pr.exp)
 }
 
 // factorTwoOff implements the paper's ε test: v ≥ 2r or v ≤ r/2 on
@@ -243,36 +236,31 @@ func factorTwoOff(computed, shadowF float64, shadowSign int) bool {
 	return v >= 2*rf || v <= rf/2
 }
 
-// fracBitsLost computes how many fraction bits the result lost relative to
-// its best operand when its regime grew (tapered-precision loss).
-func fracBitsLost(cfg posit.Config, resBits uint64, ta, tb *TempMeta) int {
-	pr := posit.Bits(resBits)
-	if pr == 0 || cfg.IsNaR(pr) {
+// fracLost computes how many fraction bits the result pr lost relative to
+// its best operand when its regime grew (tapered-precision loss). Zero and
+// NaR values (pval.zero) have no geometry and are skipped; pb may be nil.
+func fracLost(pr, pa, pb *pval) int {
+	if pr.zero {
 		return 0
 	}
-	dr := cfg.Decode(cfg.Abs(pr))
 	bestFrac := -1
 	maxReg := 0
-	for _, op := range []*TempMeta{ta, tb} {
-		if op == nil {
-			continue
+	if !pa.zero {
+		bestFrac = int(pa.fbits)
+		maxReg = int(pa.rbits)
+	}
+	if pb != nil && !pb.zero {
+		if int(pb.fbits) > bestFrac {
+			bestFrac = int(pb.fbits)
 		}
-		pb := posit.Bits(op.Prog)
-		if pb == 0 || cfg.IsNaR(pb) {
-			continue
-		}
-		od := cfg.Decode(cfg.Abs(pb))
-		if od.FracBits > bestFrac {
-			bestFrac = od.FracBits
-		}
-		if od.RegimeBits > maxReg {
-			maxReg = od.RegimeBits
+		if int(pb.rbits) > maxReg {
+			maxReg = int(pb.rbits)
 		}
 	}
-	if bestFrac < 0 || dr.RegimeBits <= maxReg {
+	if bestFrac < 0 || int(pr.rbits) <= maxReg {
 		return 0
 	}
-	return bestFrac - dr.FracBits
+	return bestFrac - int(pr.fbits)
 }
 
 // checkOutputAt applies the output threshold to printed/returned values.
