@@ -689,7 +689,7 @@ func (g *gen) cast(e *lang.CallExpr) (int32, error) {
 	dst := g.newReg()
 	id := int32(-1)
 	if from.IsNumeric() || to.IsNumeric() {
-		id = g.track(e.Position(), exprText(e), ir.OpCast, 0, from)
+		id = g.track(e.Position(), exprText(e), ir.OpCast, 0, to)
 	}
 	g.emit(ir.Instr{Op: ir.OpCast, Type: from, Type2: to, Dst: dst, A: x, ID: id, B: -1})
 	return dst, nil
