@@ -73,6 +73,17 @@ func (p *panicHooks) EnterFunc(fn *ir.Func, argVals []uint64) { p.hit("EnterFunc
 
 func (p *panicHooks) LeaveFunc() { p.hit("LeaveFunc") }
 
+// entryHooks records the machine's step count at every EnterFunc.
+type entryHooks struct {
+	NopHooks
+	m     *Machine
+	steps []int64
+}
+
+func (h *entryHooks) EnterFunc(fn *ir.Func, argVals []uint64) {
+	h.steps = append(h.steps, h.m.Steps())
+}
+
 // faultSrc calls g twice from f. With the module's __init that makes five
 // Bin events, three Ret events (the fused sh.ret+ret pairs of g, g and
 // f) and four each of EnterFunc and LeaveFunc.
@@ -110,8 +121,10 @@ func TestInternalFaultRecovery(t *testing.T) {
 // TestInternalFaultPositionsAgree: a hook panicking at any of the first
 // five occurrences of Bin, Ret, EnterFunc or LeaveFunc yields the same
 // *InternalFault — function, block, instruction, step count and panic
-// value — on both backends. A LeaveFunc panic belongs to the returning
-// frame: it names that function and its ret instruction. A Ret panic
+// value — on both backends. An EnterFunc panic belongs to the entered
+// frame: it names that function at block 0, instr 0, with the step count
+// at entry. A LeaveFunc panic belongs to the returning frame: it names
+// that function and its ret instruction. A Ret panic
 // fires in the first half of a fused sh.ret+ret pair. Each faulting case
 // runs again with a step budget ending on the panicking instruction,
 // which makes the VM run only the first half of a fused pair there.
@@ -142,12 +155,25 @@ func TestInternalFaultPositionsAgree(t *testing.T) {
 		}
 		return ref
 	}
-	leaving := []string{"__init", "g", "g", "f"} // in LeaveFunc order
+	entry := &entryHooks{m: New(mod)}
+	entry.m.Backend = backend.Treewalk
+	entry.m.Hooks = entry
+	if _, err := entry.m.Run("f", FromFloat64(ir.F64, 1.5)); err != nil {
+		t.Fatal(err)
+	}
+	entering := []string{"__init", "f", "g", "g"} // in EnterFunc order
+	leaving := []string{"__init", "g", "g", "f"}  // in LeaveFunc order
 	for _, event := range []string{"Bin", "Ret", "EnterFunc", "LeaveFunc"} {
 		for at := 1; at <= 5; at++ {
 			ref := diff(event, at, 0)
 			if ref != nil {
 				diff(event, at, ref.Steps)
+			}
+			if event == "EnterFunc" && at <= len(entering) {
+				want := InternalFault{Func: entering[at-1], Steps: entry.steps[at-1], Recovered: "observer bug"}
+				if ref == nil || *ref != want {
+					t.Errorf("EnterFunc #%d: fault %+v, want %+v", at, ref, want)
+				}
 			}
 			if event != "LeaveFunc" || at > len(leaving) {
 				continue
