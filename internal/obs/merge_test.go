@@ -77,16 +77,20 @@ func fleetFixture() (coord []Event, workers []WorkerTrace) {
 	workerBatch := func(req string, parent uint64, withDetect bool) RequestTrace {
 		wb := &SeqBuffer{}
 		wtr := NewTracer(wb)
-		wtr.SetReq(req)
 		rs := wtr.Start("request")
 		wtr.Start("compile").End()
 		if withDetect {
 			d := NewEvent(EvDetect)
-			d.Detect, d.Req = "nar", req
+			d.Detect = "nar"
 			wb.Emit(d)
 		}
 		rs.End()
-		return RequestTrace{Req: req, Trace: DeriveTraceID("t"), Parent: parent, Events: wb.Events()}
+		// A worker stamps every event of a request with its id.
+		evs := wb.Events()
+		for i := range evs {
+			evs[i].Req = req
+		}
+		return RequestTrace{Req: req, Trace: DeriveTraceID("t"), Parent: parent, Events: evs}
 	}
 	w1 := WorkerTrace{Label: "w1", Requests: []RequestTrace{workerBatch("c1", a1.ID(), true)}}
 	w2 := WorkerTrace{Label: "w2", Requests: []RequestTrace{

@@ -48,9 +48,6 @@ const (
 	EvArchStart = "arch-start"
 	// EvSpanBegin / EvSpanEnd bracket one causal span (fields: Name = span
 	// name, Span = deterministic span id, Parent = enclosing span id or 0).
-	// EvSpanEnd additionally carries Nanos = wall duration, but only when
-	// the tracer runs in timing mode — wall clocks are nondeterministic, so
-	// the canonical stream leaves Nanos zero.
 	EvSpanBegin = "span-begin"
 	EvSpanEnd   = "span-end"
 
@@ -139,9 +136,6 @@ type Event struct {
 	// id (0 = root).
 	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Nanos is a wall-clock duration in nanoseconds, stamped only in
-	// timing mode and excluded from byte-determinism guarantees.
-	Nanos int64 `json:"nanos,omitempty"`
 }
 
 // NewEvent returns an event of the kind with the absent-field sentinels

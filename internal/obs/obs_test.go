@@ -118,46 +118,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestBufferDrainDeterministicMerge(t *testing.T) {
-	// Simulate a 2-run parallel campaign: each run buffers its own events;
-	// draining in run order into one terminal sink must produce the same
-	// bytes regardless of which buffer was filled first.
-	mkRun := func(inst int32) *Buffer {
-		b := &Buffer{}
-		e := NewEvent(EvInject)
-		e.Inst = inst
-		b.Emit(e)
-		return b
-	}
-	render := func(first, second *Buffer) string {
-		var out bytes.Buffer
-		sink := NewJSONLines(&out)
-		for run, b := range []*Buffer{first, second} {
-			run := run
-			b.DrainTo(sink, func(e *Event) { e.Run = run })
-		}
-		return out.String()
-	}
-	a := render(mkRun(10), mkRun(20))
-	b := render(mkRun(10), mkRun(20))
-	if a != b {
-		t.Fatalf("merge not deterministic:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.Contains(a, `"run":0`) || !strings.Contains(a, `"run":1`) {
-		t.Fatalf("run stamping missing: %s", a)
-	}
-}
-
-func TestMultiFanOut(t *testing.T) {
-	ring := NewRing(8)
-	buf := &Buffer{}
-	m := Multi{ring, buf}
-	m.Emit(NewEvent(EvDetect))
-	if ring.Len() != 1 || buf.Len() != 1 {
-		t.Fatalf("fan-out: ring=%d buf=%d", ring.Len(), buf.Len())
-	}
-}
-
 // observe folds vs into h the way a run's counts reach the registry.
 func observe(h *Histogram, vs ...int) {
 	var c HistCounts

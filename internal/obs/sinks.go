@@ -132,20 +132,6 @@ func (b *Buffer) Len() int { return len(b.events) }
 // Reset drops the buffered events, keeping the backing array.
 func (b *Buffer) Reset() { b.events = b.events[:0] }
 
-// DrainTo forwards every buffered event to the sink (which assigns
-// sequence numbers) and resets the buffer. stamp, when non-nil, is applied
-// to each event first — campaigns use it to set the run index.
-func (b *Buffer) DrainTo(s Sink, stamp func(*Event)) {
-	for i := range b.events {
-		e := b.events[i]
-		if stamp != nil {
-			stamp(&e)
-		}
-		s.Emit(e)
-	}
-	b.Reset()
-}
-
 // SeqBuffer is a terminal in-memory sink: like Buffer it retains every
 // event, but it assigns sequence numbers on emit. It is the sink to feed
 // WriteChromeTrace, whose virtual timestamps are the sequence numbers —
@@ -165,13 +151,3 @@ func (b *SeqBuffer) Events() []Event { return b.events }
 
 // Len reports the number of retained events.
 func (b *SeqBuffer) Len() int { return len(b.events) }
-
-// Multi fans one event out to several sinks in order.
-type Multi []Sink
-
-// Emit implements Sink.
-func (m Multi) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}

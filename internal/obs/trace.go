@@ -11,9 +11,7 @@ import (
 // stream carries no wall time, so a tracer fed by a deterministic pipeline
 // produces byte-identical spans regardless of scheduling; parallel sweeps
 // give each run its own tracer over the run's Buffer, exactly like every
-// other event. Timing mode (EnableTiming) adds wall-clock durations to
-// span-end events for human profiling, at the documented cost of byte
-// determinism.
+// other event.
 //
 // A nil *Tracer is valid and inert: Start returns a nil span whose End is
 // a no-op, so call sites can trace unconditionally:
@@ -23,38 +21,20 @@ import (
 // Not safe for concurrent use — one tracer per goroutine, like Buffer.
 type Tracer struct {
 	sink  Sink
-	req   string
 	next  uint64
 	stack []uint64
-	clock func() int64 // monotonic ns; non-nil only in timing mode
 }
 
 // NewTracer returns a tracer emitting into sink.
 func NewTracer(sink Sink) *Tracer { return &Tracer{sink: sink} }
 
-// SetReq stamps every subsequent span event with the request/run id.
-func (t *Tracer) SetReq(req string) {
-	if t != nil {
-		t.req = req
-	}
-}
-
-// EnableTiming turns on wall-clock durations using the given monotonic
-// nanosecond clock (pass nil to turn timing back off).
-func (t *Tracer) EnableTiming(clock func() int64) {
-	if t != nil {
-		t.clock = clock
-	}
-}
-
 // Span is one open span; End closes it. The zero of *Span (nil) is inert.
 type Span struct {
-	t     *Tracer
-	id    uint64
-	name  string
-	start int64
-	done  bool
-	flat  bool // opened via StartChild: not on the nesting stack
+	t    *Tracer
+	id   uint64
+	name string
+	done bool
+	flat bool // opened via StartChild: not on the nesting stack
 }
 
 // ID returns the span's id (0 for a nil span) — the value a caller
@@ -82,21 +62,15 @@ func (t *Tracer) Start(name string) *Span {
 	e.Name = name
 	e.Span = id
 	e.Parent = parent
-	e.Req = t.req
 	t.sink.Emit(e)
-	s := &Span{t: t, id: id, name: name}
-	if t.clock != nil {
-		s.start = t.clock()
-	}
-	return s
+	return &Span{t: t, id: id, name: name}
 }
 
 // StartChild opens a span explicitly parented under parent (0 = root),
 // bypassing the tracer's nesting stack entirely. It exists for event-loop
 // callers — a fleet scheduler has many attempt spans open at once, and
 // stack discipline would mis-nest them; flat spans close in any order
-// without touching each other. The stamped fields (Req, sink, timing)
-// behave exactly as for Start.
+// without touching each other.
 func (t *Tracer) StartChild(name string, parent uint64) *Span {
 	if t == nil || t.sink == nil {
 		return nil
@@ -107,13 +81,8 @@ func (t *Tracer) StartChild(name string, parent uint64) *Span {
 	e.Name = name
 	e.Span = id
 	e.Parent = parent
-	e.Req = t.req
 	t.sink.Emit(e)
-	s := &Span{t: t, id: id, name: name, flat: true}
-	if t.clock != nil {
-		s.start = t.clock()
-	}
-	return s
+	return &Span{t: t, id: id, name: name, flat: true}
 }
 
 // End closes the span, emitting its span-end event. Ending out of order
@@ -136,10 +105,6 @@ func (s *Span) End() {
 	e := NewEvent(EvSpanEnd)
 	e.Name = s.name
 	e.Span = s.id
-	e.Req = t.req
-	if t.clock != nil {
-		e.Nanos = t.clock() - s.start
-	}
 	t.sink.Emit(e)
 }
 
@@ -167,21 +132,16 @@ type chromeTrace struct {
 // loadable in Perfetto or chrome://tracing. Spans become complete ("X")
 // slices, detections and injections become instant ("i") markers.
 // Timestamps are virtual — the event's sequence number, in microsecond
-// ticks — so the output inherits the stream's byte determinism; wall
-// durations, when the tracer recorded them, ride along in args.wall_ns.
-// Tracks (tids) are assigned per distinct (run, req) in first-appearance
-// order. Spans still open at the end of the stream are dropped.
+// ticks — so the output inherits the stream's byte determinism. Tracks
+// (tids) are assigned per distinct (run, req) in first-appearance order.
+// Spans still open at the end of the stream are dropped.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	// Pre-index span ends by id so a single forward pass can emit complete
 	// slices at their begin position (keeping output order deterministic).
-	type endInfo struct {
-		seq   uint64
-		nanos int64
-	}
-	ends := map[uint64]endInfo{}
+	ends := map[uint64]uint64{} // span id → end seq
 	for _, e := range events {
 		if e.Kind == EvSpanEnd && e.Span != 0 {
-			ends[e.Span] = endInfo{seq: e.Seq, nanos: e.Nanos}
+			ends[e.Span] = e.Seq
 		}
 	}
 
@@ -201,12 +161,12 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		switch e.Kind {
 		case EvSpanBegin:
 			end, ok := ends[e.Span]
-			if !ok || end.seq < e.Seq {
+			if !ok || end < e.Seq {
 				continue
 			}
 			ce := chromeEvent{
 				Name: e.Name, Phase: "X",
-				TS: e.Seq, Dur: end.seq - e.Seq,
+				TS: e.Seq, Dur: end - e.Seq,
 				PID: 1, TID: tidOf(e),
 			}
 			if ce.Dur == 0 {
@@ -218,9 +178,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			}
 			if e.Parent != 0 {
 				args["parent"] = fmt.Sprint(e.Parent)
-			}
-			if end.nanos != 0 {
-				args["wall_ns"] = fmt.Sprint(end.nanos)
 			}
 			if len(args) > 0 {
 				ce.Args = args
