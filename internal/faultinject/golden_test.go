@@ -104,3 +104,49 @@ func TestCampaignTraceGolden(t *testing.T) {
 	}
 	checkGolden(t, "trace.jsonl.golden", out.Bytes())
 }
+
+// TestCampaignMetricsGolden pins the Prometheus dump of local single-fault
+// campaigns with Metrics attached: detections by kind, shadowed ops, steps,
+// error-bit histograms and outcomes, summed over every run of gemm on both
+// architectures and of a memory/call-only sweep. A run that skips work
+// another run already did must still count every event exactly once.
+func TestCampaignMetricsGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, m := range []Model{
+		{Kind: BitFlip, BitPos: -1},
+		{Kind: BitFlip, BitPos: -1, Ops: ClassCall | ClassStore},
+	} {
+		cfg := CampaignConfig{
+			Workload: "polybench/gemm", Arch: "both", Runs: 24, Seed: 42,
+			Model: m, Metrics: reg,
+		}
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metrics.prom.golden", buf.Bytes())
+}
+
+// TestCampaignTraceSingleGolden pins a traced single-fault campaign's
+// JSON-lines event stream at campaign size: each run's run-start, its one
+// inject event among the detections, and its run-end and outcome.
+func TestCampaignTraceSingleGolden(t *testing.T) {
+	var out bytes.Buffer
+	sink := obs.NewJSONLines(&out)
+	cfg := CampaignConfig{
+		Workload: "polybench/gemm", Arch: "both", Runs: 8, Seed: 42,
+		Model: Model{Kind: BitFlip, BitPos: -1},
+		Trace: sink,
+	}
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "trace_single.jsonl.golden", out.Bytes())
+}
