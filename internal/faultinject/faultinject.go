@@ -264,6 +264,23 @@ func (j *Injector) Spent() bool {
 		j.model.MaxInjections > 0 && j.injected >= j.model.MaxInjections
 }
 
+// SaveCheckpoint implements interp.Checkpointer: an injector's part of a
+// checkpoint is its candidate count.
+func (j *Injector) SaveCheckpoint() (any, bool) { return j.candidates, true }
+
+// RestoreCheckpoint implements interp.Checkpointer. Only a single-site
+// injector (Occurrence mode) takes a count: before its site its state is
+// nothing but the count, because it draws from its PRNG only when it
+// hits. A count that has already reached the site does not fit.
+func (j *Injector) RestoreCheckpoint(state any) bool {
+	n, ok := state.(int64)
+	if !ok || j.CountOnly || j.model.Occurrence <= 0 || n >= j.model.Occurrence {
+		return false
+	}
+	j.candidates = n
+	return true
+}
+
 // Schedule returns the faults injected by the last run, in order.
 func (j *Injector) Schedule() []Record { return j.schedule }
 

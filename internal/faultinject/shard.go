@@ -161,7 +161,7 @@ func RunShard(ctx context.Context, req ShardRequest) (*ShardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := prepArch(ctx, cfg, req.Arch, src)
+	p, err := prepArch(ctx, cfg, req.Arch, src, req.Lo != req.Hi)
 	if err != nil {
 		return nil, err
 	}

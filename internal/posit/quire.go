@@ -29,6 +29,11 @@ func NewQuire(cfg Config) *Quire {
 	return &Quire{cfg: cfg, w: make([]uint64, words)}
 }
 
+// Clone returns an independent copy of the quire.
+func (q *Quire) Clone() *Quire {
+	return &Quire{cfg: q.cfg, w: append([]uint64(nil), q.w...), nar: q.nar}
+}
+
 // Clear resets the quire to zero.
 func (q *Quire) Clear() {
 	for i := range q.w {

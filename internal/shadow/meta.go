@@ -198,6 +198,12 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 	if p == s.lastIdx && s.last != nil {
 		return &s.last.cells[addr&pageMask]
 	}
+	return &s.touch(p).cells[addr&pageMask]
+}
+
+// touch returns page p, allocating it or counting its first touch of this
+// generation, and makes it the lookup cache's page.
+func (s *shadowMem) touch(p uint32) *shadowPage {
 	if int(p) >= len(s.pages) {
 		// Grow geometrically for machines with larger stacks than the
 		// initial limit: doubling keeps page-table extension amortized O(1)
@@ -222,7 +228,7 @@ func (s *shadowMem) get(addr uint32) *MemMeta {
 		s.allocated++
 	}
 	s.lastIdx, s.last = p, pg
-	return &pg.cells[addr&pageMask]
+	return pg
 }
 
 // markSet sets the cell at addr, which get has returned this generation.
