@@ -140,8 +140,10 @@ profile-smoke: build
 # flips, verified deterministic by running it twice and diffing the JSON.
 # Then two sweeps run on the reference tree-walker with -schedules and are
 # diffed against the default VM, fault schedules included: the default
-# single-fault sweep, and a multi-fault rate sweep over loads, stores and
-# call returns. CI runs this in the test job.
+# single-fault sweep, whose VM runs resume from golden-run checkpoints
+# (its metrics dumps are diffed too, so every counter of a resumed run is
+# checked against a run from step 0), and a multi-fault rate sweep over
+# loads, stores and call returns. CI runs this in the test job.
 CAMPAIGNDIR ?= /tmp/pd-campaign-smoke
 CAMPAIGN = $(CAMPAIGNDIR)/pdfault -workload polybench/gemm -seed 42 -runs 200 -arch both
 MULTIFLIP = -model multiflip -rate 0.002 -ops load,store,call
@@ -152,9 +154,10 @@ campaign-smoke: build
 	$(CAMPAIGN) -model bitflip -json > $(CAMPAIGNDIR)/run-1.json
 	$(CAMPAIGN) -model bitflip -json > $(CAMPAIGNDIR)/run-2.json
 	diff $(CAMPAIGNDIR)/run-1.json $(CAMPAIGNDIR)/run-2.json
-	$(CAMPAIGN) -json -schedules > $(CAMPAIGNDIR)/single-vm.json
-	$(CAMPAIGN) -json -schedules -backend treewalk > $(CAMPAIGNDIR)/single-treewalk.json
+	$(CAMPAIGN) -json -schedules -metrics $(CAMPAIGNDIR)/single-vm.prom > $(CAMPAIGNDIR)/single-vm.json
+	$(CAMPAIGN) -json -schedules -metrics $(CAMPAIGNDIR)/single-treewalk.prom -backend treewalk > $(CAMPAIGNDIR)/single-treewalk.json
 	diff $(CAMPAIGNDIR)/single-vm.json $(CAMPAIGNDIR)/single-treewalk.json
+	diff $(CAMPAIGNDIR)/single-vm.prom $(CAMPAIGNDIR)/single-treewalk.prom
 	$(CAMPAIGN) $(MULTIFLIP) -json -schedules > $(CAMPAIGNDIR)/multiflip-vm.json
 	$(CAMPAIGN) $(MULTIFLIP) -json -schedules -backend treewalk > $(CAMPAIGNDIR)/multiflip-treewalk.json
 	diff $(CAMPAIGNDIR)/multiflip-vm.json $(CAMPAIGNDIR)/multiflip-treewalk.json
