@@ -34,15 +34,18 @@ bench-json: build
 # Cross-oracle differential suite under the race detector at -cpu=1,4:
 # the dd oracle must agree with bigfp-256 on every exhaustive ⟨8,0⟩ op
 # pair and on the full §5.1 detection suite's verdicts (both backends),
-# the cheap oracles must run allocation-free warm, and the server's
-# watchdog must walk the bigfp → dd → dd-sampled ladder under memory
-# pressure. CI runs this as the oracle-smoke job.
+# the bigfp oracle must run the §5.1 suite and every PolyBench kernel
+# byte-identically to its math/big.Float reference at 64, 128, 256 and
+# 512 bits (TestReferenceOracle, in the oracle package), the cheap
+# oracles must run allocation-free warm, and the server's watchdog must
+# walk the bigfp → dd → dd-sampled ladder under memory pressure. CI runs
+# this as the oracle-smoke job.
 oracle-smoke: build
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestOracleDiff' .
 	$(GO) test -race -count=1 -cpu=1,4 ./internal/shadow/oracle/
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestWarmRuntimeAllocsOracles' ./internal/shadow/
 	$(GO) test -race -count=1 -cpu=1,4 -run 'TestDegradation' ./internal/server/
-	@echo "oracle-smoke: dd/residue agree with bigfp within contract ✓"
+	@echo "oracle-smoke: bigfp matches its math/big reference, dd/residue agree with bigfp within contract ✓"
 
 # Regenerate the checked-in profiler-overhead report (BENCH_profile.json):
 # full-shadow vs sampled-shadow cost and checked-op fraction on gemm.
@@ -75,6 +78,7 @@ bench-perf:
 
 fuzz:
 	$(GO) test . -run FuzzInjector -fuzz FuzzInjector -fuzztime 30s
+	$(GO) test ./internal/bigfp/ -run FuzzFloat -fuzz FuzzFloat -fuzztime 30s
 
 # The service compiles untrusted request bodies: the parser and type
 # checker must error, never panic, on arbitrary input. CI runs this as

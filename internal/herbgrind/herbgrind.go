@@ -46,9 +46,10 @@ func (in influence) union(other influence, extra int32) influence {
 	return out
 }
 
-// meta is the per-temporary shadow state.
+// meta is the per-temporary shadow state. Metadata is copied field by field
+// (assign), never by struct assignment, which would share real's words.
 type meta struct {
-	real    big.Float
+	real    bigfp.Float
 	undef   bool
 	trace   *TraceNode
 	infl    influence
@@ -62,7 +63,7 @@ type frame struct {
 // Runtime implements interp.Hooks with Herbgrind-style metadata.
 type Runtime struct {
 	mod *ir.Module
-	ctx bigfp.Context
+	ctx *bigfp.Context
 
 	frames   []*frame
 	mem      map[uint32]*meta
@@ -82,9 +83,11 @@ type Runtime struct {
 	// Herbgrind's per-op local-vs-global error attribution.
 	maxLocal  map[int32]int
 	maxGlobal map[int32]int
-	scratchA  big.Float
-	scratchB  big.Float
-	scratchR  big.Float
+	scratchA  bigfp.Float
+	scratchB  bigfp.Float
+	scratchR  bigfp.Float
+	// qa, qb and qProd bridge shadow values into the 768-bit quires.
+	qa, qb, qProd big.Float
 
 	totalOps uint64
 }
@@ -207,7 +210,7 @@ func (r *Runtime) EnterFunc(fn *ir.Func, argVals []uint64) {
 		base := len(r.argStack) - n
 		for i := 0; i < n; i++ {
 			if fn.Params[i].IsNumeric() && r.argStack[base+i].written {
-				f.temps[i] = r.argStack[base+i]
+				r.assign(&f.temps[i], &r.argStack[base+i])
 			} else if fn.Params[i].IsNumeric() {
 				r.seed(&f.temps[i], fn.Params[i], argVals[i])
 			}
@@ -230,7 +233,7 @@ func (r *Runtime) seed(m *meta, typ ir.Type, bits uint64) {
 	f := interp.ToFloat64(typ, bits)
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		m.undef = true
-		m.real.SetPrec(r.ctx.Prec()).SetInt64(0)
+		r.ctx.SetInt64(&m.real, 0)
 	} else {
 		m.undef = false
 		r.ctx.SetFloat64(&m.real, f)
@@ -262,8 +265,12 @@ func (r *Runtime) Const(id int32, typ ir.Type, dst int32, bits uint64) {
 // Mov copies metadata.
 func (r *Runtime) Mov(id int32, typ ir.Type, dst, src int32, bits uint64) {
 	s := r.ensure(src, typ, bits)
-	d := &r.cur().temps[dst]
-	r.ctx.Copy(&d.real, &s.real)
+	r.assign(&r.cur().temps[dst], s)
+}
+
+// assign copies s's metadata into d.
+func (r *Runtime) assign(d, s *meta) {
+	r.ctx.Set(&d.real, &s.real)
 	d.undef = s.undef
 	d.trace = s.trace
 	d.infl = s.infl
@@ -285,8 +292,7 @@ func (r *Runtime) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, d
 		case ir.BinMul:
 			r.ctx.Mul(&d.real, &ta.real, &tb.real)
 		case ir.BinDiv:
-			_, bad := r.ctx.Div(&d.real, &ta.real, &tb.real)
-			undef = undef || bad
+			undef = r.ctx.Div(&d.real, &ta.real, &tb.real)
 		}
 	}
 	d.undef = undef
@@ -306,7 +312,7 @@ func (r *Runtime) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, d
 // the local error, while the distance to the fully shadowed result is the
 // global error. Two extra high-precision operations and two ULP
 // computations per dynamic instruction.
-func (r *Runtime) attributeError(id int32, kind ir.BinKind, typ ir.Type, dstVal, aVal, bVal uint64, global *big.Float) {
+func (r *Runtime) attributeError(id int32, kind ir.BinKind, typ ir.Type, dstVal, aVal, bVal uint64, global *bigfp.Float) {
 	av := interp.ToFloat64(typ, aVal)
 	bv := interp.ToFloat64(typ, bVal)
 	dv := interp.ToFloat64(typ, dstVal)
@@ -325,14 +331,13 @@ func (r *Runtime) attributeError(id int32, kind ir.BinKind, typ ir.Type, dstVal,
 	case ir.BinMul:
 		r.ctx.Mul(&r.scratchR, &r.scratchA, &r.scratchB)
 	case ir.BinDiv:
-		_, bad := r.ctx.Div(&r.scratchR, &r.scratchA, &r.scratchB)
-		ok = !bad
+		ok = !r.ctx.Div(&r.scratchR, &r.scratchA, &r.scratchB)
 	}
 	if !ok {
 		return
 	}
-	local := ulp.Bits(ulp.DistanceBig(dv, &r.scratchR))
-	glob := ulp.Bits(ulp.DistanceBig(dv, global))
+	local := ulp.Bits(ulp.Distance(dv, r.scratchR.Float64()))
+	glob := ulp.Bits(ulp.Distance(dv, global.Float64()))
 	if local > r.maxLocal[id] {
 		r.maxLocal[id] = local
 	}
@@ -353,10 +358,9 @@ func (r *Runtime) Un(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal
 		case ir.UnAbs:
 			r.ctx.Abs(&d.real, &ta.real)
 		case ir.UnSqrt:
-			_, bad := r.ctx.Sqrt(&d.real, &ta.real)
-			undef = bad
+			undef = r.ctx.Sqrt(&d.real, &ta.real)
 		default:
-			r.ctx.Copy(&d.real, &ta.real)
+			r.ctx.Set(&d.real, &ta.real)
 		}
 	}
 	d.undef = undef
@@ -391,14 +395,14 @@ func (r *Runtime) Cast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVa
 			r.newTrace(id, "toint", s.trace)
 			return
 		}
-		r.ctx.Copy(&d.real, &s.real)
+		r.ctx.Set(&d.real, &s.real)
 		d.undef = s.undef
 		d.trace = r.newTrace(id, "cast", s.trace)
 		d.infl = s.infl
 		d.written = true
 		return
 	}
-	d.real.SetPrec(r.ctx.Prec()).SetInt64(int64(srcVal))
+	r.ctx.SetInt64(&d.real, int64(srcVal))
 	d.undef = false
 	d.trace = r.newTrace(id, "fromint")
 	d.written = true
@@ -412,11 +416,7 @@ func (r *Runtime) Load(id int32, typ ir.Type, dst int32, addr uint32, bits uint6
 		r.seed(d, typ, bits)
 		return
 	}
-	r.ctx.Copy(&d.real, &mm.real)
-	d.undef = mm.undef
-	d.trace = mm.trace
-	d.infl = mm.infl
-	d.written = true
+	r.assign(d, mm)
 }
 
 // Store writes the full trace into memory metadata.
@@ -427,26 +427,16 @@ func (r *Runtime) Store(id int32, typ ir.Type, addr uint32, src int32, bits uint
 		mm = &meta{}
 		r.mem[addr] = mm
 	}
-	r.ctx.Copy(&mm.real, &s.real)
-	mm.undef = s.undef
-	mm.trace = s.trace
-	mm.infl = s.infl
-	mm.written = true
+	r.assign(mm, s)
 }
 
 // PreCall pushes argument metadata.
 func (r *Runtime) PreCall(callee *ir.Func, args []int32, argVals []uint64) {
 	for i, reg := range args {
-		var entry meta
+		r.argStack = append(r.argStack, meta{})
 		if callee.Params[i].IsNumeric() {
-			src := r.ensure(reg, callee.Params[i], argVals[i])
-			r.ctx.Copy(&entry.real, &src.real)
-			entry.undef = src.undef
-			entry.trace = src.trace
-			entry.infl = src.infl
-			entry.written = true
+			r.assign(&r.argStack[len(r.argStack)-1], r.ensure(reg, callee.Params[i], argVals[i]))
 		}
-		r.argStack = append(r.argStack, entry)
 	}
 }
 
@@ -456,12 +446,7 @@ func (r *Runtime) Ret(typ ir.Type, src int32, bits uint64) {
 	if src < 0 || !typ.IsNumeric() {
 		return
 	}
-	s := r.ensure(src, typ, bits)
-	r.ctx.Copy(&r.retMeta.real, &s.real)
-	r.retMeta.undef = s.undef
-	r.retMeta.trace = s.trace
-	r.retMeta.infl = s.infl
-	r.retMeta.written = true
+	r.assign(&r.retMeta, r.ensure(src, typ, bits))
 	r.retValid = true
 }
 
@@ -472,11 +457,7 @@ func (r *Runtime) PostCall(id int32, typ ir.Type, dst int32, bits uint64) {
 	}
 	d := &r.cur().temps[dst]
 	if r.retValid {
-		r.ctx.Copy(&d.real, &r.retMeta.real)
-		d.undef = r.retMeta.undef
-		d.trace = r.retMeta.trace
-		d.infl = r.retMeta.infl
-		d.written = true
+		r.assign(d, &r.retMeta)
 	} else {
 		r.seed(d, typ, bits)
 	}
@@ -500,9 +481,7 @@ func (r *Runtime) FMA(id int32, typ ir.Type, dst, a, b, c int32, dstVal, aVal, b
 	d := &r.cur().temps[dst]
 	undef := ta.undef || tb.undef || tc.undef
 	if !undef {
-		var prod big.Float
-		prod.SetPrec(2*r.ctx.Prec()).Mul(&ta.real, &tb.real)
-		d.real.SetPrec(r.ctx.Prec()).Add(&prod, &tc.real)
+		r.ctx.FMA(&d.real, &ta.real, &tb.real, &tc.real)
 	}
 	d.undef = undef
 	d.trace = r.newTrace(id, "fma", ta.trace, tb.trace, tc.trace)
@@ -531,11 +510,11 @@ func (r *Runtime) squire(typ ir.Type) *big.Float {
 // QAdd mirrors quire accumulation.
 func (r *Runtime) QAdd(typ ir.Type, a int32, aVal uint64, negate bool) {
 	q := r.squire(typ)
-	ta := r.ensure(a, typ, aVal)
+	r.ctx.Big(&r.qa, &r.ensure(a, typ, aVal).real)
 	if negate {
-		q.Sub(q, &ta.real)
+		q.Sub(q, &r.qa)
 	} else {
-		q.Add(q, &ta.real)
+		q.Add(q, &r.qa)
 	}
 }
 
@@ -544,19 +523,18 @@ func (r *Runtime) QMAdd(typ ir.Type, a, b int32, aVal, bVal uint64, negate bool)
 	q := r.squire(typ)
 	ta := r.ensure(a, typ, aVal)
 	tb := r.ensure(b, typ, bVal)
-	var prod big.Float
-	prod.SetPrec(768).Mul(&ta.real, &tb.real)
+	r.qProd.SetPrec(768).Mul(r.ctx.Big(&r.qa, &ta.real), r.ctx.Big(&r.qb, &tb.real))
 	if negate {
-		q.Sub(q, &prod)
+		q.Sub(q, &r.qProd)
 	} else {
-		q.Add(q, &prod)
+		q.Add(q, &r.qProd)
 	}
 }
 
 // QVal binds the rounded quire value.
 func (r *Runtime) QVal(id int32, typ ir.Type, dst int32, bits uint64) {
 	d := &r.cur().temps[dst]
-	r.ctx.Copy(&d.real, r.squire(typ))
+	r.ctx.SetBig(&d.real, r.squire(typ))
 	d.trace = r.newTrace(id, "qval")
 	d.written = true
 	r.totalOps++

@@ -64,7 +64,7 @@ func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
 // shadow-memory trie, frame pool, quire accumulators and counts map in
 // place, the interpreter pools register frames (one pool on the Machine,
 // shared by tree-walk and VM runs), and the load/store/binop path only
-// touches pre-grown big.Float mantissas.
+// touches mantissa words allocated on an earlier run.
 func TestWarmRuntimeAllocs(t *testing.T) {
 	_, m := buildPipeline(t, allocSrc, DefaultConfig())
 	eachBackend(t, func(t *testing.T, k backend.Kind) {

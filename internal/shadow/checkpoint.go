@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"slices"
 
+	"positdebug/internal/bigfp"
 	"positdebug/internal/interp"
 	"positdebug/internal/ir"
 	"positdebug/internal/obs"
@@ -96,7 +97,7 @@ type cpCell struct {
 
 type cpQuire struct {
 	typ   ir.Type
-	acc   int32 // the 768-bit accumulator, among vals' big values
+	acc   *big.Float // a copy of the 768-bit accumulator
 	undef bool
 }
 
@@ -105,95 +106,48 @@ type cpInstErr struct {
 	counts obs.HistCounts
 }
 
-// valStore holds shadow values flat. A bigfp value is its mantissa as an
-// integer (the fewest words that hold it exactly) in one word slice, plus
-// a fixed-size record of exponent, precision, rounding mode and sign: no
-// big.Float per value, and no allocation per value once the slices have
+// valStore holds shadow values flat. A bigfp value is a fixed-size record
+// of exponent, sign and form plus its mantissa words in one word slice: no
+// bigfp.Float per value, and no allocation per value once the slices have
 // grown. The fixed-precision oracles' values are float64 pairs.
 type valStore struct {
-	big    bool // the oracle's values are big.Floats
+	big    bool // the oracle's values are bigfp.Floats
 	bigs   []bigRec
-	words  []big.Word
+	words  []uint64
 	hi, lo []float64
 }
 
-// bigRec is one big.Float: mantissa words[off:off+n] as an integer m, the
-// value being ±m·2^exp at precision prec.
+// bigRec is one bigfp.Float: ±0.words[off:off+n] × 2^exp when finite.
 type bigRec struct {
 	exp  int32
 	off  uint32
-	prec uint32
-	n    uint8
-	mode big.RoundingMode
+	n    uint16
+	form bigfp.Form
 	neg  bool
-	inf  bool
-}
-
-// bigScratch is the encoding and decoding scratch of a runtime's
-// checkpoints.
-type bigScratch struct {
-	mant big.Float
-	bi   big.Int
 }
 
 // add stores v and returns its index.
-func (s *valStore) add(v *oracle.Value, sc *bigScratch) int32 {
+func (s *valStore) add(v *oracle.Value) int32 {
 	if s.big {
-		return s.addBig(&v.Big, sc)
+		form, neg, exp, mant := v.Big.Parts()
+		s.bigs = append(s.bigs, bigRec{exp: exp, off: uint32(len(s.words)), n: uint16(len(mant)), form: form, neg: neg})
+		s.words = append(s.words, mant...)
+		return int32(len(s.bigs) - 1)
 	}
 	s.hi = append(s.hi, v.Hi)
 	s.lo = append(s.lo, v.Lo)
 	return int32(len(s.hi) - 1)
 }
 
-// get sets z to value i.
-func (s *valStore) get(i int32, z *oracle.Value, sc *bigScratch) {
+// get sets z to value i. It only reads the store, which concurrent
+// restores share.
+func (s *valStore) get(i int32, z *oracle.Value) {
 	if s.big {
-		s.getBig(i, &z.Big, sc)
+		rec := &s.bigs[i]
+		z.Big.SetParts(rec.form, rec.neg, rec.exp, s.words[rec.off:rec.off+uint32(rec.n)])
 		return
 	}
 	z.Hi, z.Lo = s.hi[i], s.lo[i]
-}
-
-// addBig stores x and returns its index among the big values.
-func (s *valStore) addBig(x *big.Float, sc *bigScratch) int32 {
-	rec := bigRec{prec: uint32(x.Prec()), mode: x.Mode(), neg: x.Signbit(), inf: x.IsInf(), off: uint32(len(s.words))}
-	if !rec.inf && x.Sign() != 0 {
-		exp := x.MantExp(&sc.mant) // x = mant·2^exp, ½ ≤ |mant| < 1
-		mp := sc.mant.MinPrec()
-		sc.mant.SetMantExp(&sc.mant, int(mp)) // an integer of mp bits
-		sc.mant.Int(&sc.bi)
-		rec.exp = int32(exp - int(mp))
-		w := sc.bi.Bits()
-		rec.n = uint8(len(w))
-		s.words = append(s.words, w...)
-	}
-	s.bigs = append(s.bigs, rec)
-	return int32(len(s.bigs) - 1)
-}
-
-// getBig sets z exactly to big value i. It only reads the store, which
-// concurrent restores share.
-func (s *valStore) getBig(i int32, z *big.Float, sc *bigScratch) {
-	rec := &s.bigs[i]
-	z.SetMode(rec.mode).SetPrec(uint(rec.prec))
-	switch {
-	case rec.inf:
-		z.SetInf(rec.neg)
-		return
-	case rec.n == 0:
-		z.SetInt64(0)
-	default:
-		// SetBits aliases the shared words and SetInt copies them; bi
-		// lets go of them before anything could write through it.
-		sc.bi.SetBits(s.words[rec.off : rec.off+uint32(rec.n)])
-		z.SetInt(&sc.bi)
-		sc.bi.SetBits(nil)
-		z.SetMantExp(z, int(rec.exp))
-	}
-	if rec.neg {
-		z.Neg(z)
-	}
 }
 
 // checkpointable reports whether the runtime's state is all a checkpoint
@@ -209,7 +163,7 @@ func (r *Runtime) checkpointable() bool {
 func (r *Runtime) saveMeta(s *valStore, t *TempMeta) cpMeta {
 	m := cpMeta{prog: t.Prog, inst: t.Inst, err: t.Err, undef: t.Undef, written: t.written, val: -1}
 	if t.written {
-		m.val = s.add(&t.Real, &r.cpScratch)
+		m.val = s.add(&t.Real)
 	}
 	return m
 }
@@ -217,7 +171,7 @@ func (r *Runtime) saveMeta(s *valStore, t *TempMeta) cpMeta {
 func (r *Runtime) loadMeta(s *valStore, t *TempMeta, m *cpMeta) {
 	t.Prog, t.Inst, t.Err, t.Undef, t.written = m.prog, m.inst, m.err, m.undef, m.written
 	if m.val >= 0 {
-		s.get(m.val, &t.Real, &r.cpScratch)
+		s.get(m.val, &t.Real)
 	}
 }
 
@@ -278,7 +232,7 @@ func (r *Runtime) SaveCheckpoint() (any, bool) {
 			c := &pg.cells[i]
 			cp.cells = append(cp.cells, cpCell{
 				addr: uint32(p)<<pageBits | uint32(i), epoch: c.epoch,
-				meta: cpMeta{prog: c.Prog, inst: c.Inst, err: c.Err, undef: c.Undef, written: true, val: s.add(&c.Real, &r.cpScratch)},
+				meta: cpMeta{prog: c.Prog, inst: c.Inst, err: c.Err, undef: c.Undef, written: true, val: s.add(&c.Real)},
 			})
 		}
 	}
@@ -287,7 +241,7 @@ func (r *Runtime) SaveCheckpoint() (any, bool) {
 	}
 	cp.ret = r.saveMeta(s, &r.retMeta)
 	for t, q := range r.quires {
-		cp.quires = append(cp.quires, cpQuire{typ: t, acc: s.addBig(&q.acc, &r.cpScratch), undef: q.undef})
+		cp.quires = append(cp.quires, cpQuire{typ: t, acc: new(big.Float).Copy(&q.acc), undef: q.undef})
 	}
 	cp.vals = valStore{
 		big: s.big, bigs: slices.Clone(s.bigs), words: slices.Clone(s.words),
@@ -348,7 +302,7 @@ func (r *Runtime) RestoreCheckpoint(state any) bool {
 		mm := &pg.cells[c.addr&pageMask]
 		mm.Prog, mm.Inst, mm.Err, mm.Undef, mm.epoch = c.meta.prog, c.meta.inst, c.meta.err, c.meta.undef, c.epoch
 		mm.Writer = mdRef{}
-		s.get(c.meta.val, &mm.Real, &r.cpScratch)
+		s.get(c.meta.val, &mm.Real)
 		pg.markSet(c.addr & pageMask)
 	}
 	for i := range cp.args {
@@ -360,7 +314,7 @@ func (r *Runtime) RestoreCheckpoint(state any) bool {
 	r.flipEpoch = cp.flipEpoch
 	for _, cq := range cp.quires {
 		q := r.squire(cq.typ)
-		s.getBig(cq.acc, &q.acc, &r.cpScratch)
+		q.acc.Copy(cq.acc)
 		q.undef = cq.undef
 	}
 	for k, v := range cp.counts {

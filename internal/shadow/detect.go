@@ -116,7 +116,7 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 		return
 	}
 
-	ulps := r.orc.Ulps(progF, &d.Real, &r.ulpScratch)
+	ulps := r.orc.Ulps(progF, &d.Real)
 	bits := ulp.Bits(ulps)
 	d.Err = int32(bits)
 	if bits > r.maxOpErr {
@@ -282,7 +282,7 @@ func (r *Runtime) checkOutputAt(id int32, typ ir.Type, s *TempMeta) {
 		}
 		return
 	}
-	ulps := r.orc.Ulps(progF, &s.Real, &r.ulpScratch)
+	ulps := r.orc.Ulps(progF, &s.Real)
 	bits := ulp.Bits(ulps)
 	if bits > r.outputMaxErr {
 		r.outputMaxErr = bits

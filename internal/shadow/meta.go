@@ -100,7 +100,7 @@ const (
 // shadowPage is one second-level page, the generation that last touched
 // it, and the index of every cell a run set. Pages survive Runtime.Reset,
 // which clears exactly the set cells and bumps the trie's generation, so
-// the cells' lazily grown big.Float mantissas stay warm across runs.
+// the cells' bigfp mantissa words stay allocated across runs.
 type shadowPage struct {
 	gen   uint64
 	cells [pageSize]MemMeta
@@ -270,8 +270,8 @@ type shadowFrame struct {
 	lockIdx int
 }
 
-// reset prepares a pooled frame for reuse, preserving allocated big.Float
-// mantissas but invalidating all metadata.
+// reset prepares a pooled frame for reuse, keeping allocated bigfp
+// mantissa words but invalidating all metadata.
 func (f *shadowFrame) reset(n int32) {
 	if cap(f.temps) < int(n) {
 		f.temps = make([]TempMeta, n)

@@ -238,7 +238,7 @@ func (o *ddOracle) Int64(x *Value) int64 {
 	return n
 }
 
-func (o *ddOracle) Ulps(computed float64, x *Value, _ *big.Float) uint64 {
+func (o *ddOracle) Ulps(computed float64, x *Value) uint64 {
 	return ulp.Distance(computed, x.Hi+x.Lo)
 }
 

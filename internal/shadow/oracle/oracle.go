@@ -18,15 +18,17 @@ package oracle
 import (
 	"fmt"
 	"math/big"
+
+	"positdebug/internal/bigfp"
 )
 
 // Kind names a shadow-oracle backend.
 type Kind string
 
 const (
-	// BigFP is the arbitrary-precision big.Float oracle (internal/bigfp,
-	// the paper's MPFR stand-in). Its mantissa precision is configurable;
-	// the paper evaluates 128, 256 and 512 bits.
+	// BigFP is the arbitrary-precision oracle (internal/bigfp, the paper's
+	// MPFR stand-in). Its mantissa precision is configurable; the paper
+	// evaluates 128, 256 and 512 bits.
 	BigFP Kind = "bigfp"
 	// DD is the double-double oracle: an unevaluated float64 pair carrying
 	// ~106 significand bits, computed allocation-free with two-sum /
@@ -62,12 +64,13 @@ func Kinds() []Kind { return []Kind{BigFP, DD, Residue} }
 
 // Value is the shadow value of one temporary or one memory cell. It is a
 // plain struct — not an interface — so metadata stays constant-size and
-// pool-friendly: the selected oracle uses either the big.Float (BigFP) or
+// pool-friendly: the selected oracle uses either the bigfp.Float (BigFP) or
 // the float64 pair (DD: Hi+Lo is the unevaluated sum; Residue: Hi is the
 // shadow estimate, Lo the producing operation's rounding residue). The
-// zero Value represents zero under every oracle.
+// zero Value represents zero under every oracle. Values are copied with
+// Oracle.Copy, never by assignment, which would share Big's words.
 type Value struct {
-	Big    big.Float
+	Big    bigfp.Float
 	Hi, Lo float64
 }
 
@@ -75,7 +78,8 @@ type Value struct {
 // creation, the shadow counterparts of every program operation, comparison
 // (branch-flip oracle), the ULP-distance error metric, and serialization
 // for reports. Operations write through pointers so implementations reuse
-// storage (lazily grown mantissas for BigFP, plain fields otherwise).
+// storage (mantissa words allocated on first write for BigFP, plain
+// fields otherwise).
 //
 // Implementations may keep internal scratch state: an Oracle instance
 // serves one runtime on one goroutine at a time, mirroring the runtime's
@@ -87,9 +91,9 @@ type Oracle interface {
 	// precision for BigFP, 106 for DD, 53 for Residue.
 	Precision() uint
 	// EntryBytes estimates the per-metadata-entry storage this oracle
-	// costs beyond the fixed struct overhead — the honest input to the
-	// shadow-memory budget (BigFP: precision/2 for the lazily grown
-	// mantissa; DD: the fixed 16-byte pair; Residue: 8).
+	// costs beyond the fixed struct overhead — the input to the
+	// shadow-memory budget (BigFP: precision/2, scaling with the
+	// mantissa words; DD: the fixed 16-byte pair; Residue: 8).
 	EntryBytes() int64
 
 	// SetFloat64 sets z to the exact value of f (callers guard NaN/Inf).
@@ -123,9 +127,8 @@ type Oracle interface {
 	// wrong-cast oracle.
 	Int64(x *Value) int64
 	// Ulps is the paper's error metric: the ULP distance between the
-	// computed float64 and x rounded to float64. scratch keeps the BigFP
-	// rounding allocation-free; other oracles ignore it.
-	Ulps(computed float64, x *Value, scratch *big.Float) uint64
+	// computed float64 and x rounded to float64.
+	Ulps(computed float64, x *Value) uint64
 	// Format renders x for reports and DAG nodes ('g', 10 digits, on the
 	// float64 rounding — identical formatting across oracles).
 	Format(x *Value) string
@@ -151,9 +154,13 @@ func New(kind Kind, precision uint) (Oracle, error) {
 	case Residue:
 		return &residueOracle{}, nil
 	default:
-		return newBigFPOracle(precision), nil
+		return newBigFP(precision), nil
 	}
 }
+
+// newBigFP constructs New's BigFP oracles. The package's tests swap in the
+// math/big.Float reference oracle to diff whole runs against it.
+var newBigFP = func(prec uint) Oracle { return &bigFPOracle{ctx: bigfp.New(prec)} }
 
 // NominalPrecision reports the significand bits kind would serve at the
 // given bigfp precision without constructing an oracle — the feed for

@@ -82,7 +82,6 @@ func TestDDMatchesBigFPExhaustiveP8(t *testing.T) {
 	cfg := posit.Config8
 	dd := mustNew(t, oracle.DD, 0)
 	bf := mustNew(t, oracle.BigFP, 256)
-	var scratch big.Float
 
 	// Pre-decode the 254 finite, non-NaR ⟨8,0⟩ values (0 is finite;
 	// NaR = 0x80 is skipped — the runtime never feeds NaR operands to
@@ -147,8 +146,8 @@ func TestDDMatchesBigFPExhaustiveP8(t *testing.T) {
 				if math.IsNaN(computed) {
 					continue // program result saturated to NaR (e.g. x/0)
 				}
-				uD := dd.Ulps(computed, &zd, &scratch)
-				uB := bf.Ulps(computed, &zb, &scratch)
+				uD := dd.Ulps(computed, &zd)
+				uB := bf.Ulps(computed, &zb)
 				if uD != uB {
 					t.Fatalf("%s(%v, %v): dd ulps %d, bigfp ulps %d (computed %g)",
 						op.name, a.f, b.f, uD, uB, computed)
@@ -312,16 +311,14 @@ func TestWarmOracleAllocs(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			o := mustNew(t, kind, 0)
 			var x, y, z, w oracle.Value
-			var scratch big.Float
 			o.SetFloat64(&x, 1.375)
 			o.SetFloat64(&y, 0.8125)
-			// Warm up: bigfp grows mantissas and scratch once.
 			o.Mul(&z, &x, &y)
 			o.Add(&z, &z, &x)
 			o.Div(&w, &z, &y)
 			o.Sqrt(&w, &z)
 			o.FMA(&w, &x, &y, &z)
-			_ = o.Ulps(1.1171875, &z, &scratch)
+			_ = o.Ulps(1.1171875, &z)
 			n := testing.AllocsPerRun(100, func() {
 				o.Mul(&z, &x, &y)
 				o.Add(&z, &z, &x)
@@ -336,7 +333,7 @@ func TestWarmOracleAllocs(t *testing.T) {
 				_ = o.Sign(&z)
 				_ = o.Float64(&z)
 				_ = o.Int64(&z)
-				_ = o.Ulps(1.1171875, &z, &scratch)
+				_ = o.Ulps(1.1171875, &z)
 			})
 			if n != 0 {
 				t.Errorf("%s warm arithmetic allocates %v/op, want 0", kind, n)

@@ -118,7 +118,7 @@ func (o *residueOracle) Int64(x *Value) int64 {
 	return int64(math.Trunc(hi))
 }
 
-func (o *residueOracle) Ulps(computed float64, x *Value, _ *big.Float) uint64 {
+func (o *residueOracle) Ulps(computed float64, x *Value) uint64 {
 	return ulp.Distance(computed, x.Hi)
 }
 

@@ -176,18 +176,13 @@ type Runtime struct {
 	branchFlips   int
 	uninstrWrites uint64
 
-	// Scratch big.Floats for operand decoding.
-	sa, sb big.Float
-	// Scratch for allocation-free float64 rounding in error checks.
-	ulpScratch big.Float
 	// Scratch big.Floats bridging oracle values into the 768-bit shadow
 	// quire (and one for the shadow fused product), so quire-carrying
 	// programs stay allocation-free on the warm path.
 	qsA, qsB, qProd big.Float
-	// cpScratch encodes and decodes checkpointed shadow values, which
-	// SaveCheckpoint gathers in cpVals before copying them out.
-	cpScratch bigScratch
-	cpVals    valStore
+	// cpVals gathers SaveCheckpoint's shadow values before they are
+	// copied out.
+	cpVals valStore
 
 	// Observability bindings (see Config.Events / Config.Metrics). Metric
 	// pointers are resolved once in New. checkOp observes into the
@@ -530,7 +525,7 @@ func (r *Runtime) ShadowMemPages() int { return r.mem.pageCount() }
 
 // entryBytes estimates the shadow-memory cost of one MemMeta cell: the
 // struct itself plus the selected oracle's real per-entry footprint —
-// bigfp's lazily grown mantissa scales with Precision, dd is a fixed
+// bigfp's mantissa words scale with Precision, dd is a fixed
 // 16-byte pair, residue a single float64. The estimate only needs to be
 // deterministic and monotone across degradation steps so the budget
 // shrinks when a degraded retry drops precision or switches to a cheaper

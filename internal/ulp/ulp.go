@@ -8,7 +8,7 @@ package ulp
 
 import (
 	"math"
-	"math/big"
+	"math/bits"
 )
 
 // Ordinal maps a float64 onto a signed integer whose natural ordering is
@@ -39,63 +39,6 @@ func Distance(a, b float64) uint64 {
 	return uint64(ob - oa)
 }
 
-// DistanceBig converts the high-precision oracle value to float64 (rounding
-// to nearest; overflow saturates at ±Inf, which maps to the extreme
-// ordinals) and returns the ULP distance to the computed value.
-func DistanceBig(computed float64, oracle *big.Float) uint64 {
-	f, _ := oracle.Float64()
-	return Distance(computed, f)
-}
-
-// DistanceBigScratch is DistanceBig with a caller-provided scratch, so the
-// per-operation error check of the shadow runtime stays allocation-free.
-func DistanceBigScratch(computed float64, oracle, scratch *big.Float) uint64 {
-	return Distance(computed, RoundToFloat64(oracle, scratch))
-}
-
-// RoundToFloat64 rounds x to the nearest float64 exactly like
-// big.Float.Float64, but routes the intermediate rounding through scratch:
-// big.Float.Float64 allocates a fresh mantissa on every call, while here
-// the common case (finite value with a normal-range exponent) reuses
-// scratch's mantissa and performs round-to-nearest-even on integers.
-// Subnormal and overflowing magnitudes take the reference slow path.
-func RoundToFloat64(x, scratch *big.Float) float64 {
-	if x.Sign() == 0 || x.IsInf() {
-		f, _ := x.Float64()
-		return f
-	}
-	exp := x.MantExp(nil) // |x| ∈ [2^(exp−1), 2^exp)
-	if exp < -1021 || exp > 1024 {
-		f, _ := x.Float64() // subnormal or overflowing: rare, keep reference behavior
-		return f
-	}
-	if scratch.Prec() < x.Prec() {
-		scratch.SetPrec(x.Prec())
-	}
-	scratch.SetMantExp(x, 54-exp) // |scratch| ∈ [2^53, 2^54): 53 bits + guard
-	v, acc := scratch.Int64()
-	neg := v < 0
-	u := uint64(v)
-	if neg {
-		u = uint64(-v)
-	}
-	m := u >> 1
-	// RNE: round up on guard set with a nonzero tail (truncated Int64) or an
-	// odd kept mantissa.
-	if u&1 == 1 && (acc != big.Exact || m&1 == 1) {
-		m++
-		if m == 1<<53 {
-			m = 1 << 52
-			exp++
-		}
-	}
-	f := math.Ldexp(float64(m), exp-53)
-	if neg {
-		f = -f
-	}
-	return f
-}
-
 // Bits converts a ULP distance to "bits of error": 0 for a distance of 0 or
 // 1 (correctly rounded), otherwise ⌈log2(d)⌉. The output of a correctly
 // rounded ⟨32,2⟩ operation can still legitimately show up to ~25 bits in
@@ -104,28 +47,5 @@ func Bits(d uint64) int {
 	if d <= 1 {
 		return 0
 	}
-	// ceil(log2(d)) = bit length of d−1.
-	n := 0
-	for v := d - 1; v > 0; v >>= 1 {
-		n++
-	}
-	return n
-}
-
-// RelativeError returns |computed − oracle| / |oracle| as a float64, or
-// +Inf when the oracle is zero and the computed value is not.
-func RelativeError(computed float64, oracle *big.Float) float64 {
-	if oracle.Sign() == 0 {
-		if computed == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	c := new(big.Float).SetPrec(128).SetFloat64(computed)
-	diff := new(big.Float).SetPrec(128).Sub(c, oracle)
-	diff.Abs(diff)
-	den := new(big.Float).SetPrec(128).Abs(oracle)
-	diff.Quo(diff, den)
-	f, _ := diff.Float64()
-	return f
+	return bits.Len64(d - 1) // ⌈log2(d)⌉
 }
