@@ -43,13 +43,13 @@ type execOutcome struct {
 
 func runOnBackend(t *testing.T, prog *positdebug.Program, k backend.Kind, extra ...positdebug.Option) execOutcome {
 	t.Helper()
-	buf := &obs.Buffer{}
+	log := &obs.Log{}
 	opts := append([]positdebug.Option{
 		positdebug.WithBackend(k),
-		positdebug.WithTrace(buf),
+		positdebug.WithTrace(log),
 	}, extra...)
 	res, err := prog.Exec("main", opts...)
-	oc := execOutcome{Trace: mustJSON(t, buf.Events())}
+	oc := execOutcome{Trace: mustJSON(t, log.Events())}
 	if err != nil {
 		oc.Err = err.Error()
 		return oc

@@ -125,11 +125,11 @@ func cmdRecord(args []string) error {
 		return err
 	}
 
-	var buf *obs.SeqBuffer
+	var log *obs.Log
 	var sink obs.Sink
 	if *tracePath != "" {
-		buf = &obs.SeqBuffer{}
-		sink = buf
+		log = &obs.Log{}
+		sink = log
 	}
 	p, err := harness.RecordProfile(harness.ProfileOptions{
 		Kernel:    *kernel,
@@ -146,12 +146,12 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	if buf != nil {
+	if log != nil {
 		w, closeFn, err := outFile(*tracePath)
 		if err != nil {
 			return err
 		}
-		if err := obs.WriteChromeTrace(w, buf.Events()); err != nil {
+		if err := obs.WriteChromeTrace(w, log.Events()); err != nil {
 			closeFn()
 			return err
 		}

@@ -51,13 +51,13 @@ func main(): p32 {
 	}
 	cfg := shadow.DefaultConfig()
 	cfg.ErrBitsThreshold = 10
-	ring := obs.NewRing(64) // keeps only the most recent events
-	res, err := prog.Exec("main", positdebug.WithShadow(cfg), positdebug.WithTrace(ring))
+	log := obs.NewLog(64) // keeps only the most recent events
+	res, err := prog.Exec("main", positdebug.WithShadow(cfg), positdebug.WithTrace(log))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("result:", res.P32())
-	for _, e := range ring.Events() {
+	for _, e := range log.Events() {
 		if e.Kind == obs.EvDetect && e.Detect == "catastrophic-cancellation" {
 			fmt.Println("detected:", e.Detect)
 			break

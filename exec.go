@@ -94,8 +94,8 @@ func WithInjector(inj interp.Injector) Option {
 
 // WithTrace streams structured events (run lifecycle, detections,
 // precision degradation) into the sink. Detection events are not capped by
-// shadow.Config.MaxReports; bound memory with a bounded sink such as
-// obs.NewRing.
+// shadow.Config.MaxReports; bound memory with a bounded log,
+// obs.NewLog(capacity).
 func WithTrace(sink obs.Sink) Option {
 	return func(ec *execConfig) { ec.trace = sink; ec.traceSet = true }
 }

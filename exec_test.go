@@ -50,12 +50,12 @@ func TestExecTraceAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := &obs.Buffer{}
+	log := &obs.Log{}
 	reg := obs.NewRegistry()
-	if _, err := prog.Exec("main", WithTrace(buf), WithMetrics(reg)); err != nil {
+	if _, err := prog.Exec("main", WithTrace(log), WithMetrics(reg)); err != nil {
 		t.Fatal(err)
 	}
-	events := buf.Events()
+	events := log.Events()
 	if len(events) < 3 {
 		t.Fatalf("got %d events, want run-start + detections + run-end", len(events))
 	}

@@ -39,7 +39,7 @@ type FleetTrace struct {
 	// traceparent and onto every coordinator event.
 	TraceID string
 
-	sb     *obs.SeqBuffer
+	log    *obs.Log
 	tr     *obs.Tracer
 	root   *obs.Span // current job's root span (beginJob/endJob)
 	reqSeq uint64
@@ -56,22 +56,22 @@ type FleetTrace struct {
 // deterministically from the job's identity parts (workload, size, seed —
 // anything that names the job).
 func NewFleetTrace(idParts ...string) *FleetTrace {
-	sb := &obs.SeqBuffer{}
+	log := &obs.Log{}
 	return &FleetTrace{
 		TraceID:  obs.DeriveTraceID(idParts...),
-		sb:       sb,
-		tr:       obs.NewTracer(sb),
+		log:      log,
+		tr:       obs.NewTracer(log),
 		byWorker: map[string][]obs.RequestTrace{},
 	}
 }
 
-// emit stamps the fleet trace id and hands the event to the seq buffer.
+// emit stamps the fleet trace id and hands the event to the log.
 func (f *FleetTrace) emit(ev obs.Event) {
 	if f == nil {
 		return
 	}
 	ev.Trace = f.TraceID
-	f.sb.Emit(ev)
+	f.log.Emit(ev)
 }
 
 // beginJob opens the job's root span ("campaign"/"profile"); attempts
@@ -200,7 +200,7 @@ func (f *FleetTrace) Snapshot() (coord []obs.Event, workers []obs.WorkerTrace) {
 	f.wg.Wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	coord = f.sb.Events()
+	coord = f.log.Events()
 	workers = make([]obs.WorkerTrace, 0, len(f.byWorker))
 	for url, reqs := range f.byWorker {
 		workers = append(workers, obs.WorkerTrace{Label: url, Requests: reqs})

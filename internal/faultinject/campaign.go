@@ -546,7 +546,7 @@ func runArch(ctx context.Context, cfg CampaignConfig, arch, fpSrc string) (*Arch
 	// randomness comes from Mix(cfg.Seed, run), not from shared stream
 	// state — so they shard freely across workers. Results are merged by
 	// run index, making the report byte-identical to a sequential sweep.
-	// When tracing, each run fills its own obs.Buffer, drained below in
+	// When tracing, each run fills its own obs.Log, drained below in
 	// run-index order — that is what keeps the event stream byte-identical
 	// too. The golden run above already populated the program's caches, so
 	// every run after it is read-only on the Program.
@@ -627,17 +627,17 @@ func oneRun(ctx context.Context, cfg CampaignConfig, p *archPrep, run int) (rr R
 		positdebug.WithLimits(p.lim),
 		positdebug.WithInjector(seam),
 	}
-	var buf *obs.Buffer
+	var log *obs.Log
 	if cfg.Trace != nil {
-		// Stage this run's events in a private buffer; the campaign merges
-		// buffers in run-index order, stamping the run index.
-		buf = &obs.Buffer{}
-		inj.Events = buf
-		opts = append(opts, positdebug.WithTrace(buf))
+		// Stage this run's events in a private log; the campaign merges
+		// logs in run-index order, stamping the run index.
+		log = &obs.Log{}
+		inj.Events = log
+		opts = append(opts, positdebug.WithTrace(log))
 	}
 	res, err := p.prog.Exec("main", opts...)
-	if buf != nil {
-		rr.events = append([]obs.Event(nil), buf.Events()...)
+	if log != nil {
+		rr.events = log.Events()
 	}
 	rr.Injected = len(inj.Schedule())
 	rr.Schedule = append([]Record(nil), inj.Schedule()...)

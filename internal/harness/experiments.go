@@ -297,10 +297,10 @@ func RunDetectionOracle(bk backend.Kind, kind oracle.Kind, sink obs.Sink, reg *o
 		cfg.OutputThreshold = 35
 		cfg.PrecisionLossThreshold = 8
 		opts := []positdebug.Option{positdebug.WithShadow(cfg), positdebug.WithBackend(bk)}
-		var buf *obs.Buffer
+		var log *obs.Log
 		if sink != nil {
-			buf = &obs.Buffer{}
-			opts = append(opts, positdebug.WithTrace(buf))
+			log = &obs.Log{}
+			opts = append(opts, positdebug.WithTrace(log))
 		}
 		if reg != nil {
 			opts = append(opts, positdebug.WithMetrics(reg))
@@ -327,8 +327,8 @@ func RunDetectionOracle(bk backend.Kind, kind oracle.Kind, sink obs.Sink, reg *o
 			}
 		}
 		oc := detectionOutcome{row: row, sum: sum}
-		if buf != nil {
-			oc.events = append([]obs.Event(nil), buf.Events()...)
+		if log != nil {
+			oc.events = log.Events()
 		}
 		return oc, nil
 	})

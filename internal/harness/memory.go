@@ -55,7 +55,7 @@ func main(n: i64): p32 {
 	for _, n := range iterCounts {
 		// PositDebug runtime (bigfp oracle at 128 bits, the paper's
 		// memory-measurement configuration).
-		scfg := shadow.Config{Tracing: true, MaxReports: 1}.ForOracle(oracle.BigFP, 128)
+		scfg := shadow.Config{Oracle: oracle.BigFP, Precision: 128, Tracing: true, MaxReports: 1}
 		rt, err := shadow.New(inst, scfg)
 		if err != nil {
 			return nil, err

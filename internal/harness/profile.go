@@ -124,21 +124,21 @@ func RecordProfileContext(ctx context.Context, o ProfileOptions) (*profile.Profi
 				positdebug.WithSampling(sample),
 				positdebug.WithBackend(o.Backend),
 			}
-			var buf *obs.Buffer
+			var log *obs.Log
 			if o.Trace != nil {
-				buf = &obs.Buffer{}
+				log = &obs.Log{}
 				opts = append(opts,
-					positdebug.WithTrace(buf),
-					positdebug.WithSpans(obs.NewTracer(buf)))
+					positdebug.WithTrace(log),
+					positdebug.WithSpans(obs.NewTracer(log)))
 			}
 			s.runs++
 			if _, err := prog.Exec("main", opts...); err != nil {
 				return nil, fmt.Errorf("harness: %s run %d: %w", k.Name, i, err)
 			}
-			if buf == nil {
+			if log == nil {
 				return nil, nil
 			}
-			return append([]obs.Event(nil), buf.Events()...), nil
+			return log.Events(), nil
 		})
 	if err != nil {
 		return nil, err

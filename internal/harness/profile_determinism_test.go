@@ -12,7 +12,7 @@ import (
 // canonical profile bytes and the Chrome-trace bytes.
 func recordAt(t *testing.T, workers, sample int) ([]byte, []byte) {
 	t.Helper()
-	buf := &obs.SeqBuffer{}
+	log := &obs.Log{}
 	p, err := RecordProfile(ProfileOptions{
 		Kernel:  "gemm",
 		N:       8,
@@ -20,7 +20,7 @@ func recordAt(t *testing.T, workers, sample int) ([]byte, []byte) {
 		Runs:    4,
 		Workers: workers,
 		Sample:  sample,
-		Trace:   buf,
+		Trace:   log,
 	})
 	if err != nil {
 		t.Fatalf("RecordProfile(workers=%d, sample=%d): %v", workers, sample, err)
@@ -30,7 +30,7 @@ func recordAt(t *testing.T, workers, sample int) ([]byte, []byte) {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var tj bytes.Buffer
-	if err := obs.WriteChromeTrace(&tj, buf.Events()); err != nil {
+	if err := obs.WriteChromeTrace(&tj, log.Events()); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	return pj.Bytes(), tj.Bytes()

@@ -69,35 +69,17 @@ func WriteFleetChromeTrace(w io.Writer, coordLabel string, coord []Event, worker
 		}
 	}
 
-	// Index coordinator span begins/ends by id.
-	type spanPos struct{ begin, end uint64 }
-	coordSpans := map[uint64]*spanPos{}
-	for _, e := range coord {
-		switch e.Kind {
-		case EvSpanBegin:
-			if e.Span != 0 {
-				coordSpans[e.Span] = &spanPos{begin: e.Seq}
-			}
-		case EvSpanEnd:
-			if sp := coordSpans[e.Span]; sp != nil && sp.end == 0 {
-				sp.end = e.Seq
-			}
-		}
-	}
-
 	// Slot width: wide enough that any batch fits inside one coordinator
 	// seq tick.
 	maxBatch := 0
 	for _, wt := range ws {
 		for _, rt := range wt.Requests {
-			if len(rt.Events) > maxBatch {
-				maxBatch = len(rt.Events)
-			}
+			maxBatch = max(maxBatch, len(rt.Events))
 		}
 	}
 	slot := uint64(2 + maxBatch)
 
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
+	tr := newChromeTrace()
 	meta := func(pid int, name string) {
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 			Name: "process_name", Phase: "M", PID: pid, TID: 1,
@@ -114,23 +96,23 @@ func WriteFleetChromeTrace(w io.Writer, coordLabel string, coord []Event, worker
 	// overlapping attempt spans (hedges, concurrent shards) never share a
 	// track unless properly nested — Chrome's "X" rendering stacks by
 	// containment per tid.
-	lanes := newLaneAlloc()
-	for _, e := range coord {
+	begins := map[uint64]uint64{} // coordinator span id → begin seq
+	ends := spanEnds(coord)
+	var lanes laneAlloc
+	for i, e := range coord {
 		switch e.Kind {
 		case EvSpanBegin:
-			sp := coordSpans[e.Span]
-			if sp == nil || sp.end == 0 || sp.end < sp.begin {
+			begins[e.Span] = e.Seq
+			j, ok := ends[i]
+			if !ok {
 				continue // still open at stream end: dropped, like WriteChromeTrace
 			}
-			ts, end := sp.begin*slot, sp.end*slot
+			ts, end := e.Seq*slot, coord[j].Seq*slot
 			ce := chromeEvent{
-				Name: e.Name, Phase: "X", TS: ts, Dur: end - ts,
+				Name: e.Name, Phase: "X", TS: ts, Dur: max(end-ts, 1),
 				PID: coordinatorPID, TID: lanes.assign(ts, end),
+				Args: map[string]string{"span": fmt.Sprint(e.Span)},
 			}
-			if ce.Dur == 0 {
-				ce.Dur = 1
-			}
-			ce.Args = map[string]string{"span": fmt.Sprint(e.Span)}
 			if e.Parent != 0 {
 				ce.Args["parent"] = fmt.Sprint(e.Parent)
 			}
@@ -140,30 +122,29 @@ func WriteFleetChromeTrace(w io.Writer, coordLabel string, coord []Event, worker
 			tr.TraceEvents = append(tr.TraceEvents, ce)
 		case EvSpanEnd:
 		default:
-			ce := chromeEvent{
+			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
 				Name: e.Kind, Phase: "i", Scope: "t",
 				TS: e.Seq * slot, PID: coordinatorPID, TID: 1,
 				Args: instantArgs(e),
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ce)
+			})
 		}
 	}
 
-	// Worker rows. Requests are ordered by their parent attempt's begin
-	// position (then id), which both makes per-pid timestamps monotonic
-	// and keeps the output independent of fetch/arrival order. Local span
-	// ids are rebased to be unique within the pid.
+	// Worker rows, one track per request. Requests are ordered by their
+	// parent attempt's begin position (then id), which both makes per-pid
+	// timestamps monotonic and keeps the output independent of
+	// fetch/arrival order.
 	for wi, wt := range ws {
 		pid := coordinatorPID + 1 + wi
 		reqs := append([]RequestTrace(nil), wt.Requests...)
 		baseOf := make(map[string]uint64, len(reqs))
 		for _, rt := range reqs {
-			sp := coordSpans[rt.Parent]
-			if rt.Parent == 0 || sp == nil {
+			b, ok := begins[rt.Parent]
+			if rt.Parent == 0 || !ok {
 				return fmt.Errorf("fleet trace: rule orphan-parent: request %s from %s: parent span %d not in coordinator stream",
 					rt.Req, wt.Label, rt.Parent)
 			}
-			baseOf[rt.Req] = sp.begin * slot
+			baseOf[rt.Req] = b * slot
 		}
 		sort.Slice(reqs, func(i, j int) bool {
 			bi, bj := baseOf[reqs[i].Req], baseOf[reqs[j].Req]
@@ -177,71 +158,22 @@ func WriteFleetChromeTrace(w io.Writer, coordLabel string, coord []Event, worker
 				return fmt.Errorf("fleet trace: duplicate request %s from %s", reqs[i].Req, wt.Label)
 			}
 		}
-		var idOffset uint64
+		var ids uint64
 		for ti, rt := range reqs {
 			base := baseOf[rt.Req]
-			// End positions of local spans, by local id.
-			ends := map[uint64]int{}
-			var maxID uint64
-			for idx, e := range rt.Events {
-				if e.Kind == EvSpanEnd && e.Span != 0 {
-					if _, ok := ends[e.Span]; !ok {
-						ends[e.Span] = idx
-					}
-				}
-				if e.Span > maxID {
-					maxID = e.Span
-				}
+			// A request-root span's parent lives in the coordinator process.
+			root := map[string]string{"coord_span": fmt.Sprint(rt.Parent)}
+			if rt.Trace != "" {
+				root["trace"] = rt.Trace
 			}
-			for idx, e := range rt.Events {
-				ts := base + 1 + uint64(idx)
-				switch e.Kind {
-				case EvSpanBegin:
-					endIdx, ok := ends[e.Span]
-					if !ok || endIdx < idx {
-						continue
-					}
-					ce := chromeEvent{
-						Name: e.Name, Phase: "X", TS: ts,
-						Dur: uint64(endIdx - idx), PID: pid, TID: ti + 1,
-					}
-					if ce.Dur == 0 {
-						ce.Dur = 1
-					}
-					ce.Args = map[string]string{
-						"span": fmt.Sprint(idOffset + e.Span),
-						"req":  rt.Req,
-					}
-					if e.Parent != 0 {
-						ce.Args["parent"] = fmt.Sprint(idOffset + e.Parent)
-					} else {
-						// Request-root span: its parent lives in the
-						// coordinator process.
-						ce.Args["coord_span"] = fmt.Sprint(rt.Parent)
-						if rt.Trace != "" {
-							ce.Args["trace"] = rt.Trace
-						}
-					}
-					tr.TraceEvents = append(tr.TraceEvents, ce)
-				case EvDetect, EvInject:
-					ce := chromeEvent{
-						Name: e.Kind, Phase: "i", Scope: "t",
-						TS: ts, PID: pid, TID: ti + 1,
-						Args: instantArgs(e),
-					}
-					tr.TraceEvents = append(tr.TraceEvents, ce)
-				}
-			}
-			idOffset += maxID
+			ids = tr.writeTrack(track{
+				pid: pid, tid: ti + 1, events: rt.Events,
+				ts:  func(i int) uint64 { return base + 1 + uint64(i) },
+				req: rt.Req, rootArgs: root,
+			}, ids)
 		}
 	}
-
-	b, err := marshalChrome(&tr)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
+	return tr.writeTo(w)
 }
 
 // instantArgs renders an event's populated fields as Chrome args.
@@ -277,28 +209,36 @@ func instantArgs(e Event) map[string]string {
 	return args
 }
 
-// laneAlloc assigns coordinator spans to tid lanes so that slices on one
-// lane are always properly nested: a span may share a lane only if it is
-// contained in the lane's innermost open span (or the lane is free).
-// Spans must be offered in begin order.
-type laneAlloc struct {
-	open [][]uint64 // per lane, stack of open-span end timestamps
+// nesting is one track's stack of open slice ends, innermost last.
+type nesting []uint64
+
+// open closes every slice that ends by begin, then opens [begin, end)
+// unless it would outlive the innermost slice still open; it reports
+// whether it did. Slices must come in begin order.
+func (n *nesting) open(begin, end uint64) bool {
+	s := *n
+	for len(s) > 0 && s[len(s)-1] <= begin {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && s[len(s)-1] < end {
+		*n = s
+		return false
+	}
+	*n = append(s, end)
+	return true
 }
 
-func newLaneAlloc() *laneAlloc { return &laneAlloc{} }
+// laneAlloc assigns coordinator spans to tid lanes so that slices on one
+// lane always nest: a span takes the first lane it nests on. Spans must
+// be offered in begin order.
+type laneAlloc []nesting
 
 func (l *laneAlloc) assign(begin, end uint64) int {
-	for i := range l.open {
-		stack := l.open[i]
-		for len(stack) > 0 && stack[len(stack)-1] <= begin {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 || stack[len(stack)-1] >= end {
-			l.open[i] = append(stack, end)
+	for i := range *l {
+		if (*l)[i].open(begin, end) {
 			return i + 1
 		}
-		l.open[i] = stack
 	}
-	l.open = append(l.open, []uint64{end})
-	return len(l.open)
+	*l = append(*l, nesting{end})
+	return len(*l)
 }

@@ -2,9 +2,17 @@ package obs
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// -update rewrites the golden files:
+//
+//	go test ./internal/obs -run Golden -update
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	tc := TraceContext{TraceID: DeriveTraceID("polybench/gemm", "42"), SpanID: 0xdeadbeef}
@@ -34,8 +42,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestStartChildFlatSpans(t *testing.T) {
-	sb := &SeqBuffer{}
-	tr := NewTracer(sb)
+	log := &Log{}
+	tr := NewTracer(log)
 	root := tr.StartChild("campaign", 0)
 	a := tr.StartChild("attempt-a", root.ID())
 	b := tr.StartChild("attempt-b", root.ID())
@@ -45,7 +53,7 @@ func TestStartChildFlatSpans(t *testing.T) {
 	b.End()
 	c.End()
 	root.End()
-	evs := sb.Events()
+	evs := log.Events()
 	if len(evs) != 8 {
 		t.Fatalf("got %d events, want 8", len(evs))
 	}
@@ -59,8 +67,8 @@ func TestStartChildFlatSpans(t *testing.T) {
 // fleetFixture builds a small synthetic coordinator stream plus two worker
 // batches — one hedged attempt (overlapping spans) included.
 func fleetFixture() (coord []Event, workers []WorkerTrace) {
-	sb := &SeqBuffer{}
-	tr := NewTracer(sb)
+	log := &Log{}
+	tr := NewTracer(log)
 	root := tr.StartChild("campaign", 0)
 	a1 := tr.StartChild("shard[0,8) @ w1", root.ID())
 	a2 := tr.StartChild("shard[8,16) @ w2", root.ID())
@@ -68,25 +76,25 @@ func fleetFixture() (coord []Event, workers []WorkerTrace) {
 	h := tr.StartChild("shard[0,8) @ w2 (hedge)", root.ID())
 	ev := NewEvent(EvShardDispatch)
 	ev.Name, ev.Addr, ev.Outcome, ev.Req = "shard[0,8)", "w2", "hedge", "c2"
-	sb.Emit(ev)
+	log.Emit(ev)
 	a1.End()
 	h.End()
 	a2.End()
 	root.End()
 
 	workerBatch := func(req string, parent uint64, withDetect bool) RequestTrace {
-		wb := &SeqBuffer{}
-		wtr := NewTracer(wb)
+		wlog := &Log{}
+		wtr := NewTracer(wlog)
 		rs := wtr.Start("request")
 		wtr.Start("compile").End()
 		if withDetect {
 			d := NewEvent(EvDetect)
 			d.Detect = "nar"
-			wb.Emit(d)
+			wlog.Emit(d)
 		}
 		rs.End()
 		// A worker stamps every event of a request with its id.
-		evs := wb.Events()
+		evs := wlog.Events()
 		for i := range evs {
 			evs[i].Req = req
 		}
@@ -97,7 +105,7 @@ func fleetFixture() (coord []Event, workers []WorkerTrace) {
 		workerBatch("c2", h.ID(), false),
 		workerBatch("c3", a2.ID(), false),
 	}}
-	return sb.Events(), []WorkerTrace{w1, w2}
+	return log.Events(), []WorkerTrace{w1, w2}
 }
 
 func TestFleetChromeTraceMergeDeterministic(t *testing.T) {
@@ -131,6 +139,34 @@ func TestFleetChromeTraceMergeDeterministic(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("merged trace missing %s", want)
 		}
+	}
+}
+
+// TestFleetChromeTraceGolden pins the merger's bytes on fleetFixture, so
+// a change to lanes, slot rebasing, span-id shifting or instant args is a
+// golden diff.
+func TestFleetChromeTraceGolden(t *testing.T) {
+	coord, workers := fleetFixture()
+	var got bytes.Buffer
+	if err := WriteFleetChromeTrace(&got, "pdcoord", coord, workers); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "fleet_fixture.chrome.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update): %v", path, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("fleet trace drifted from %s — if the change is intentional, re-run with -update and review the diff\n--- got ---\n%s--- want ---\n%s", path, got.Bytes(), want)
 	}
 }
 

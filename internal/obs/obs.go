@@ -6,9 +6,9 @@
 //
 // Determinism is a first-class constraint, matching internal/parallel's
 // contract: events carry no wall-clock timestamps, and sequence numbers are
-// assigned by the terminal sink, so a parallel campaign that buffers events
-// per run and merges them in run-index order produces a byte-identical
-// trace to a sequential one. Scheduling-dependent events (worker lifecycle)
+// assigned by the terminal sink, so a parallel campaign that stages events
+// in one Log per run and merges them in run-index order produces a
+// byte-identical trace to a sequential one. Scheduling-dependent events (worker lifecycle)
 // are segregated behind explicit opt-ins so the canonical stream stays
 // reproducible across GOMAXPROCS settings.
 package obs
@@ -145,8 +145,8 @@ func NewEvent(kind string) Event {
 }
 
 // Sink consumes events. Implementations must tolerate events arriving from
-// a single goroutine at a time; concurrent producers buffer per shard (see
-// Buffer) and merge deterministically.
+// a single goroutine at a time; concurrent producers stage events in one
+// Log per run and merge them deterministically.
 type Sink interface {
 	Emit(Event)
 }

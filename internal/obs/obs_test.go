@@ -89,12 +89,17 @@ func TestValidateJSONLinesFlightLog(t *testing.T) {
 	}
 }
 
+// TestRingEviction: a bounded log is a ring — it keeps the newest events,
+// oldest first, numbered by their lifetime position. An unbounded log
+// keeps and numbers everything.
 func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
+	r := NewLog(3)
+	var all Log
 	for i := 0; i < 5; i++ {
 		e := NewEvent(EvDetect)
 		e.Inst = int32(i)
 		r.Emit(e)
+		all.Emit(e)
 	}
 	if r.Total() != 5 {
 		t.Fatalf("total = %d, want 5", r.Total())
@@ -112,9 +117,13 @@ func TestRingEviction(t *testing.T) {
 	if evs[0].Seq != 3 || evs[2].Seq != 5 {
 		t.Fatalf("seqs = %d..%d, want 3..5", evs[0].Seq, evs[2].Seq)
 	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("reset: len=%d total=%d", r.Len(), r.Total())
+	if all.Len() != 5 || all.Dropped() != 0 {
+		t.Fatalf("unbounded log: len %d dropped %d, want 5 and 0", all.Len(), all.Dropped())
+	}
+	for i, e := range all.Events() {
+		if e.Seq != uint64(i+1) || e.Inst != int32(i) {
+			t.Fatalf("unbounded events[%d] = seq %d inst %d", i, e.Seq, e.Inst)
+		}
 	}
 }
 

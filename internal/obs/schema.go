@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,9 +40,9 @@ var knownKinds = map[string]bool{
 // closed taxonomy, sequence numbers start at 1 and increase strictly by 1,
 // and per-kind required fields are present. Sequencing is per stream: when
 // the request id changes between lines, a new stream begins and its
-// sequence may start anywhere (a flight log concatenates per-request ring
-// dumps, and a full ring evicted its oldest events) — but within a stream
-// the strict +1 rule holds. Returns the number of valid events, or the
+// sequence may start anywhere (a flight log concatenates per-request
+// dumps, and a full bounded Log evicted its oldest events) — but within a
+// stream the strict +1 rule holds. Returns the number of valid events, or the
 // first violation.
 func ValidateJSONLines(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
@@ -58,7 +59,7 @@ func ValidateJSONLines(r io.Reader) (int, error) {
 			continue
 		}
 		n++
-		dec := json.NewDecoder(newByteReader(line))
+		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		var e Event
 		if err := dec.Decode(&e); err != nil {
@@ -83,8 +84,8 @@ func checkEvent(e Event, prev uint64, newStream bool) error {
 	if !knownKinds[e.Kind] {
 		return fmt.Errorf("unknown kind %q", e.Kind)
 	}
-	// A request-stamped stream may begin at any sequence number (ring
-	// eviction drops its head); unstamped traces must start at 1.
+	// A request-stamped stream may begin at any sequence number (a bounded
+	// Log's eviction drops its head); unstamped traces must start at 1.
 	if newStream && e.Req != "" {
 		if e.Seq == 0 {
 			return fmt.Errorf("seq 0 (must be positive)")
@@ -154,21 +155,4 @@ func checkEvent(e Event, prev uint64, newStream bool) error {
 		}
 	}
 	return nil
-}
-
-// newByteReader avoids importing bytes just for a one-shot reader.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }

@@ -4,21 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Tracer emits causal spans (span-begin/span-end event pairs) into a sink.
 // Span ids are a per-tracer counter in begin order, and the canonical
 // stream carries no wall time, so a tracer fed by a deterministic pipeline
 // produces byte-identical spans regardless of scheduling; parallel sweeps
-// give each run its own tracer over the run's Buffer, exactly like every
-// other event.
+// give each run its own tracer over the run's staging Log, exactly like
+// every other event.
 //
 // A nil *Tracer is valid and inert: Start returns a nil span whose End is
 // a no-op, so call sites can trace unconditionally:
 //
 //	defer tr.Start("compile").End()
 //
-// Not safe for concurrent use — one tracer per goroutine, like Buffer.
+// Not safe for concurrent use — one tracer per goroutine, like Log.
 type Tracer struct {
 	sink  Sink
 	next  uint64
@@ -51,19 +52,14 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil || t.sink == nil {
 		return nil
 	}
-	t.next++
-	id := t.next
 	var parent uint64
 	if n := len(t.stack); n > 0 {
 		parent = t.stack[n-1]
 	}
-	t.stack = append(t.stack, id)
-	e := NewEvent(EvSpanBegin)
-	e.Name = name
-	e.Span = id
-	e.Parent = parent
-	t.sink.Emit(e)
-	return &Span{t: t, id: id, name: name}
+	s := t.StartChild(name, parent)
+	s.flat = false
+	t.stack = append(t.stack, s.id)
+	return s
 }
 
 // StartChild opens a span explicitly parented under parent (0 = root),
@@ -128,96 +124,136 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit,omitempty"`
 }
 
-// WriteChromeTrace converts an event stream into Chrome trace-event JSON
-// loadable in Perfetto or chrome://tracing. Spans become complete ("X")
-// slices, detections and injections become instant ("i") markers.
-// Timestamps are virtual — the event's sequence number, in microsecond
-// ticks — so the output inherits the stream's byte determinism. Tracks
-// (tids) are assigned per distinct (run, req) in first-appearance order.
-// Spans still open at the end of the stream are dropped.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	// Pre-index span ends by id so a single forward pass can emit complete
-	// slices at their begin position (keeping output order deterministic).
-	ends := map[uint64]uint64{} // span id → end seq
-	for _, e := range events {
-		if e.Kind == EvSpanEnd && e.Span != 0 {
-			ends[e.Span] = e.Seq
-		}
-	}
+// newChromeTrace returns an empty trace in millisecond display units.
+func newChromeTrace() chromeTrace {
+	return chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
+}
 
-	tids := map[string]int{}
-	tidOf := func(e Event) int {
-		key := fmt.Sprintf("%d/%s", e.Run, e.Req)
-		if id, ok := tids[key]; ok {
-			return id
-		}
-		id := len(tids) + 1
-		tids[key] = id
-		return id
-	}
-
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	for _, e := range events {
-		switch e.Kind {
-		case EvSpanBegin:
-			end, ok := ends[e.Span]
-			if !ok || end < e.Seq {
-				continue
-			}
-			ce := chromeEvent{
-				Name: e.Name, Phase: "X",
-				TS: e.Seq, Dur: end - e.Seq,
-				PID: 1, TID: tidOf(e),
-			}
-			if ce.Dur == 0 {
-				ce.Dur = 1
-			}
-			args := map[string]string{}
-			if e.Req != "" {
-				args["req"] = e.Req
-			}
-			if e.Parent != 0 {
-				args["parent"] = fmt.Sprint(e.Parent)
-			}
-			if len(args) > 0 {
-				ce.Args = args
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ce)
-		case EvDetect, EvInject:
-			ce := chromeEvent{
-				Name: e.Kind, Phase: "i", Scope: "t",
-				TS: e.Seq, PID: 1, TID: tidOf(e),
-			}
-			args := map[string]string{}
-			if e.Detect != "" {
-				args["detect"] = e.Detect
-			}
-			if e.Pos != "" {
-				args["pos"] = e.Pos
-			}
-			if e.Inst >= 0 {
-				args["inst"] = fmt.Sprint(e.Inst)
-			}
-			if len(args) > 0 {
-				ce.Args = args
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ce)
-		}
-	}
-	b, err := marshalChrome(&tr)
+// writeTo writes the trace as indented JSON.
+func (tr *chromeTrace) writeTo(w io.Writer) error {
+	b, err := json.MarshalIndent(tr, "", " ")
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 
-func marshalChrome(tr *chromeTrace) ([]byte, error) {
-	b, err := json.MarshalIndent(tr, "", " ")
-	if err != nil {
-		return nil, err
+// spanEnds matches every span-begin in events to the first span-end with
+// the same id after it, returning the end's index keyed by the begin's.
+// Spans still open at the end of events are absent.
+func spanEnds(events []Event) map[int]int {
+	open := map[uint64]int{} // span id → index of its unmatched begin
+	ends := map[int]int{}
+	for i, e := range events {
+		switch e.Kind {
+		case EvSpanBegin:
+			if e.Span != 0 {
+				open[e.Span] = i
+			}
+		case EvSpanEnd:
+			if b, ok := open[e.Span]; ok {
+				ends[b] = i
+				delete(open, e.Span)
+			}
+		}
 	}
-	return append(b, '\n'), nil
+	return ends
+}
+
+// track is one row (pid, tid) of a Chrome trace: one run's or one
+// request's events, in their own span-id space.
+type track struct {
+	pid, tid int
+	events   []Event
+	ts       func(i int) uint64 // timeline position of events[i]
+	req      string             // args.req on every slice, when set
+	rootArgs map[string]string  // added to slices without a local parent
+}
+
+// writeTrack appends t's spans as complete ("X") slices and its
+// detections and injections as instant ("i") markers. Span ends are
+// matched within the track, so tracks whose tracers reuse span ids never
+// close each other's spans. Span ids are shifted by base to stay unique
+// within the pid; writeTrack returns the base for the pid's next track.
+// Spans still open at the end of the track are dropped.
+func (tr *chromeTrace) writeTrack(t track, base uint64) uint64 {
+	ends := spanEnds(t.events)
+	next := base
+	for i, e := range t.events {
+		next = max(next, base+e.Span)
+		switch e.Kind {
+		case EvSpanBegin:
+			j, ok := ends[i]
+			if !ok {
+				continue
+			}
+			ce := chromeEvent{
+				Name: e.Name, Phase: "X", TS: t.ts(i),
+				Dur: max(t.ts(j)-t.ts(i), 1), PID: t.pid, TID: t.tid,
+				Args: map[string]string{"span": fmt.Sprint(base + e.Span)},
+			}
+			if t.req != "" {
+				ce.Args["req"] = t.req
+			}
+			if e.Parent != 0 {
+				ce.Args["parent"] = fmt.Sprint(base + e.Parent)
+			} else {
+				for k, v := range t.rootArgs {
+					ce.Args[k] = v
+				}
+			}
+			tr.TraceEvents = append(tr.TraceEvents, ce)
+		case EvDetect, EvInject:
+			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
+				Name: e.Kind, Phase: "i", Scope: "t",
+				TS: t.ts(i), PID: t.pid, TID: t.tid,
+				Args: instantArgs(e),
+			})
+		}
+	}
+	return next
+}
+
+// WriteChromeTrace converts an event stream into Chrome trace-event JSON
+// loadable in Perfetto or chrome://tracing. Each distinct (run, req) is
+// one track (tid), numbered in first-appearance order and written by
+// writeTrack. Timestamps are virtual — the event's sequence number, in
+// microsecond ticks — so the output inherits the stream's byte
+// determinism.
+func WriteChromeTrace(w io.Writer, events []Event) error {
+	type key struct {
+		run int
+		req string
+	}
+	index := map[key]int{}
+	var tracks []track
+	for _, e := range events {
+		switch e.Kind {
+		case EvSpanBegin, EvSpanEnd, EvDetect, EvInject:
+		default:
+			continue // drawn on no track
+		}
+		k := key{e.Run, e.Req}
+		i, ok := index[k]
+		if !ok {
+			i = len(tracks)
+			index[k] = i
+			tracks = append(tracks, track{pid: 1, tid: i + 1, req: e.Req})
+		}
+		tracks[i].events = append(tracks[i].events, e)
+	}
+	tr := newChromeTrace()
+	var base uint64
+	for _, t := range tracks {
+		t.ts = func(i int) uint64 { return t.events[i].Seq }
+		base = tr.writeTrack(t, base)
+	}
+	// Tracks interleave in time; keep the pid's events in timestamp order.
+	sort.SliceStable(tr.TraceEvents, func(i, j int) bool {
+		return tr.TraceEvents[i].TS < tr.TraceEvents[j].TS
+	})
+	return tr.writeTo(w)
 }
 
 // ValidateChromeTrace checks Chrome trace-event JSON structurally,
@@ -239,6 +275,10 @@ func marshalChrome(tr *chromeTrace) ([]byte, error) {
 //     (a worker span's cross-process parent) must name a span id declared
 //     by the coordinator process, pid 1. Single-process traces predating
 //     args.span are exempt.
+//   - "nest": complete slices on one (pid, tid) either nest or are
+//     disjoint; Perfetto stacks a track's slices by containment, so a
+//     slice that outlives the one it starts in is drawn under the wrong
+//     parent. Of two slices that begin together, the outer comes first.
 //
 // Returns the number of trace events.
 func ValidateChromeTrace(r io.Reader) (int, error) {
@@ -253,15 +293,14 @@ func ValidateChromeTrace(r io.Reader) (int, error) {
 	spansByPID := map[int]map[string]bool{}
 	for _, e := range tr.TraceEvents {
 		if id := e.Args["span"]; id != "" {
-			set := spansByPID[e.PID]
-			if set == nil {
-				set = map[string]bool{}
-				spansByPID[e.PID] = set
+			if spansByPID[e.PID] == nil {
+				spansByPID[e.PID] = map[string]bool{}
 			}
-			set[id] = true
+			spansByPID[e.PID][id] = true
 		}
 	}
 
+	rows := map[[2]int]nesting{} // open complete slices by (pid, tid)
 	lastTS := map[int]uint64{}
 	seenPID := map[int]bool{}
 	for i, e := range tr.TraceEvents {
@@ -288,6 +327,15 @@ func ValidateChromeTrace(r io.Reader) (int, error) {
 				i, e.Name, e.TS, lastTS[e.PID], e.PID)
 		}
 		seenPID[e.PID], lastTS[e.PID] = true, e.TS
+		if e.Phase == "X" {
+			row := [2]int{e.PID, e.TID}
+			n := rows[row]
+			if !n.open(e.TS, e.TS+e.Dur) {
+				return i, fmt.Errorf("chrome trace: event %d (%s): rule nest: slice [%d,%d) on pid %d tid %d outlives the slice it starts in, which ends at %d",
+					i, e.Name, e.TS, e.TS+e.Dur, e.PID, e.TID, n[len(n)-1])
+			}
+			rows[row] = n
+		}
 		if set := spansByPID[e.PID]; set != nil {
 			if p := e.Args["parent"]; p != "" && !set[p] {
 				return i, fmt.Errorf("chrome trace: event %d (%s): rule orphan-parent: parent span %s not declared in pid %d",

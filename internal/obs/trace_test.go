@@ -2,12 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
 func TestTracerSpans(t *testing.T) {
-	var buf Buffer
+	var buf Log
 	tr := NewTracer(&buf)
 	outer := tr.Start("exec")
 	inner := tr.Start("shadow-exec")
@@ -40,7 +41,7 @@ func TestNilTracerInert(t *testing.T) {
 }
 
 func TestTracerOutOfOrderEnd(t *testing.T) {
-	var buf Buffer
+	var buf Log
 	tr := NewTracer(&buf)
 	outer := tr.Start("outer")
 	tr.Start("leaked") // never ended
@@ -79,7 +80,7 @@ func TestSpanSchemaRejects(t *testing.T) {
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	var buf Buffer
+	var buf Log
 	tr := NewTracer(&buf)
 	outer := tr.Start("exec")
 	inner := tr.Start("shadow-exec")
@@ -92,15 +93,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	outer.End()
 	tr.Start("dangling") // open span: must be dropped, not crash
 
-	// Assign seqs the way a terminal sink would.
-	events := make([]Event, 0, buf.Len())
-	for i, e := range buf.Events() {
-		e.Seq = uint64(i + 1)
-		events = append(events, e)
-	}
-
 	var out bytes.Buffer
-	if err := WriteChromeTrace(&out, events); err != nil {
+	if err := WriteChromeTrace(&out, buf.Events()); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateChromeTrace(bytes.NewReader(out.Bytes()))
@@ -120,20 +114,15 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 
 func TestChromeTraceDeterministic(t *testing.T) {
 	record := func() string {
-		var buf Buffer
+		var buf Log
 		tr := NewTracer(&buf)
 		for i := 0; i < 3; i++ {
 			s := tr.Start("run")
 			tr.Start("inner").End()
 			s.End()
 		}
-		events := make([]Event, 0, buf.Len())
-		for i, e := range buf.Events() {
-			e.Seq = uint64(i + 1)
-			events = append(events, e)
-		}
 		var out bytes.Buffer
-		if err := WriteChromeTrace(&out, events); err != nil {
+		if err := WriteChromeTrace(&out, buf.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -155,29 +144,93 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 			t.Errorf("accepted invalid chrome trace %s", body)
 		}
 	}
+	// Slice b starts inside a and outlives it on the same track.
+	straddle := `{"traceEvents":[
+		{"name":"a","ph":"X","ts":1,"dur":20,"pid":1,"tid":1},
+		{"name":"b","ph":"X","ts":4,"dur":19,"pid":1,"tid":1}]}`
+	if _, err := ValidateChromeTrace(strings.NewReader(straddle)); err == nil || !strings.Contains(err.Error(), "rule nest") {
+		t.Errorf("straddling slices: want rule nest, got %v", err)
+	}
+	// The same slices nest or sit apart legally: on separate tracks, one
+	// inside the other, or back to back.
+	for _, body := range []string{
+		`{"traceEvents":[
+			{"name":"a","ph":"X","ts":1,"dur":20,"pid":1,"tid":1},
+			{"name":"b","ph":"X","ts":4,"dur":19,"pid":1,"tid":2}]}`,
+		`{"traceEvents":[
+			{"name":"a","ph":"X","ts":1,"dur":20,"pid":1,"tid":1},
+			{"name":"b","ph":"X","ts":4,"dur":17,"pid":1,"tid":1},
+			{"name":"c","ph":"X","ts":21,"dur":3,"pid":1,"tid":1}]}`,
+	} {
+		if _, err := ValidateChromeTrace(strings.NewReader(body)); err != nil {
+			t.Errorf("legal slices rejected: %v\n%s", err, body)
+		}
+	}
 }
 
+// TestChromeTraceTracksPerRun: runs whose tracers each number spans from
+// 1 become one track apiece, and each span closes at its own run's end,
+// not at a later run's end with the same id.
+func TestChromeTraceTracksPerRun(t *testing.T) {
+	var terminal Log
+	for run := 0; run < 3; run++ {
+		var staged Log
+		tr := NewTracer(&staged)
+		outer := tr.Start("exec")
+		tr.Start("shadow-exec").End()
+		tr.Start("report").End()
+		outer.End()
+		for _, e := range staged.Events() {
+			e.Run = run
+			terminal.Emit(e)
+		}
+	}
+	var out bytes.Buffer
+	if err := WriteChromeTrace(&out, terminal.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateChromeTrace(bytes.NewReader(out.Bytes())); err != nil {
+		t.Fatalf("validate: %v\n%s", err, out.String())
+	}
+	var got chromeTrace
+	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	for _, ce := range got.TraceEvents {
+		want := uint64(1)
+		if ce.Name == "exec" {
+			want = 5
+		}
+		if ce.Dur != want || ce.TID != int(ce.TS-1)/6+1 { // six events a run
+			t.Errorf("%s at %d: dur %d tid %d, want dur %d on its run's track", ce.Name, ce.TS, ce.Dur, ce.TID, want)
+		}
+		if spans[ce.Args["span"]] {
+			t.Errorf("span id %s repeats within the pid", ce.Args["span"])
+		}
+		spans[ce.Args["span"]] = true
+	}
+	if len(got.TraceEvents) != 9 {
+		t.Errorf("got %d slices, want 9", len(got.TraceEvents))
+	}
+}
+
+// TestRingDropped: a bounded log counts what it evicts, and Total −
+// Dropped == Len holds throughout.
 func TestRingDropped(t *testing.T) {
-	r := NewRing(2)
+	r := NewLog(2)
 	if r.Dropped() != 0 {
-		t.Fatal("fresh ring reports drops")
+		t.Fatal("fresh log reports drops")
 	}
 	for i := 0; i < 5; i++ {
 		r.Emit(NewEvent(EvRunStart))
+		if r.Total()-r.Dropped() != uint64(r.Len()) {
+			t.Fatalf("after %d emits: total %d − dropped %d != len %d", i+1, r.Total(), r.Dropped(), r.Len())
+		}
 	}
 	if r.Total() != 5 || r.Len() != 2 || r.Dropped() != 3 {
 		t.Errorf("total/len/dropped = %d/%d/%d, want 5/2/3", r.Total(), r.Len(), r.Dropped())
 	}
-	reg := NewRegistry()
-	r.PublishMetrics(reg)
-	if got := reg.Counter("pd_flight_dropped_total").Value(); got != 3 {
-		t.Errorf("dropped metric = %d, want 3", got)
-	}
-	r.Reset()
-	if r.Dropped() != 0 {
-		t.Error("Reset did not clear dropped")
-	}
-	r.PublishMetrics(nil) // must not panic
 }
 
 func TestQuantileEdgeCases(t *testing.T) {

@@ -71,13 +71,3 @@ func TestMapWorkerStatesCancelled(t *testing.T) {
 		t.Fatalf("%d items ran under a pre-cancelled context", ran.Load())
 	}
 }
-
-func TestForEachCtx(t *testing.T) {
-	var ran atomic.Int64
-	if err := ForEachCtx(context.Background(), 50, func(i int) { ran.Add(1) }); err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if ran.Load() != 50 {
-		t.Fatalf("ran %d of 50 items", ran.Load())
-	}
-}

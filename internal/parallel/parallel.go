@@ -131,27 +131,6 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// ForEach invokes fn(i) for every i in [0,n) across min(GOMAXPROCS, n)
-// goroutines. A panic in fn is re-raised in the caller (lowest index wins
-// when several items panic). ForEach returns only after every item ran.
-func ForEach(n int, fn func(i int)) {
-	ForEachN(Workers(n), n, fn)
-}
-
-// ForEachN is ForEach with an explicit worker count; workers ≤ 1 runs
-// sequentially on the calling goroutine.
-func ForEachN(workers, n int, fn func(i int)) {
-	run(nil, workers, n, func(_, i int) { fn(i) })
-}
-
-// ForEachCtx is ForEach under a context: once ctx is cancelled no new
-// items start. It returns ctx.Err() when the sweep was cut short, nil when
-// every item ran.
-func ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	run(ctx.Done(), Workers(n), n, func(_, i int) { fn(i) })
-	return ctx.Err()
-}
-
 // Map computes results[i] = fn(i) for every i in [0,n) across
 // min(GOMAXPROCS, n) goroutines. All items run even if some fail; the
 // returned error is the lowest-index one, so the outcome is independent of

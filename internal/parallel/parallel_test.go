@@ -83,10 +83,11 @@ func TestPanicPropagation(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want lowest-index panic 'boom 7'", workers, r)
 				}
 			}()
-			ForEachN(workers, 30, func(i int) {
+			MapN(workers, 30, func(i int) (int, error) {
 				if i == 7 || i == 21 {
 					panic(fmt.Sprintf("boom %d", i))
 				}
+				return i, nil
 			})
 		}()
 	}
@@ -147,7 +148,7 @@ func TestMapWorkerNewStateError(t *testing.T) {
 // instead: a single worker consumes the cursor strictly in order.
 func TestSequentialInline(t *testing.T) {
 	var order []int
-	ForEachN(1, 10, func(i int) { order = append(order, i) })
+	MapN(1, 10, func(i int) (int, error) { order = append(order, i); return i, nil })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("sequential run out of order: %v", order)

@@ -15,13 +15,13 @@ import (
 )
 
 // flight is one request's observability context: the request id, the span
-// tracer, and (when the recorder is enabled) the bounded ring holding the
+// tracer, and (when the recorder is enabled) the bounded log holding the
 // request's most recent events, each stamped with the id. The tracer and
 // span are nil-safe, so handler code uses them unconditionally.
 type flight struct {
 	id   string
 	tc   obs.TraceContext // cross-process binding from traceparent (zero if none)
-	ring *obs.Ring
+	log  *obs.Log
 	sink obs.Sink
 	tr   *obs.Tracer
 	span *obs.Span // the request-level span, closed at response time
@@ -50,7 +50,7 @@ func traceBinding(r *http.Request) (id string, tc obs.TraceContext) {
 // newFlight builds the request's flight: the coordinator-stamped request
 // id and trace context when the request carries them (so both sides of
 // the wire log the same handles), a locally assigned id otherwise. Every
-// ring event carries the request id and — when the request arrived with a
+// logged event carries the request id and — when the request arrived with a
 // traceparent — the fleet trace id, so a coordinator-side symptom greps
 // straight to the worker-side flight dump.
 func (s *Server) newFlight(r *http.Request) *flight {
@@ -60,13 +60,13 @@ func (s *Server) newFlight(r *http.Request) *flight {
 	}
 	fl := &flight{id: id, tc: tc}
 	if s.cfg.FlightRecorder > 0 {
-		ring := obs.NewRing(s.cfg.FlightRecorder)
+		log := obs.NewLog(s.cfg.FlightRecorder)
 		trace := tc.TraceID
-		fl.ring = ring
+		fl.log = log
 		fl.sink = obs.SinkFunc(func(e obs.Event) {
 			e.Req = id
 			e.Trace = trace
-			ring.Emit(e)
+			log.Emit(e)
 		})
 		fl.tr = obs.NewTracer(fl.sink)
 	}
@@ -79,7 +79,7 @@ func (s *Server) newFlight(r *http.Request) *flight {
 }
 
 // failRun answers an error, closing the request span first so it lands in
-// the ring, and dumps the flight recorder on 5xx — the black-box readout
+// the log, and dumps the flight recorder on 5xx — the black-box readout
 // for the responses worth investigating.
 func (s *Server) failRun(w http.ResponseWriter, fl *flight, code int, kind, msg string) {
 	fl.span.End()
@@ -95,10 +95,10 @@ func (s *Server) failRun(w http.ResponseWriter, fl *flight, code int, kind, msg 
 // Events keep their in-request sequence numbers and carry the request id,
 // so interleaved dumps from concurrent requests still attribute cleanly.
 func (s *Server) dumpFlight(fl *flight) {
-	if fl.ring == nil || s.cfg.FlightLog == nil {
+	if fl.log == nil || s.cfg.FlightLog == nil {
 		return
 	}
-	events := fl.ring.Events()
+	events := fl.log.Events()
 	if len(events) == 0 {
 		return
 	}
@@ -113,19 +113,22 @@ func (s *Server) dumpFlight(fl *flight) {
 	}
 }
 
-// closeFlight publishes the ring's lifetime totals (event and drop counts)
-// into the registry once per request, and retains the completed flight's
-// span batch for GET /debug/trace/{requestID} — the coordinator fetches
-// it after each attempt to assemble the fleet-wide trace.
+// closeFlight adds the log's event and drop counts to
+// pd_flight_events_total and pd_flight_dropped_total once per request, and
+// retains the completed flight's span batch for GET
+// /debug/trace/{requestID} — the coordinator fetches it after each
+// attempt to assemble the fleet-wide trace.
 func (s *Server) closeFlight(fl *flight) {
-	if fl.ring != nil {
-		fl.ring.PublishMetrics(s.reg)
-		if s.traces != nil {
-			s.traces.put(obs.RequestTrace{
-				Req: fl.id, Trace: fl.tc.TraceID, Parent: fl.tc.SpanID,
-				Events: fl.ring.Events(),
-			})
-		}
+	if fl.log == nil {
+		return
+	}
+	s.reg.Counter("pd_flight_events_total").Add(int64(fl.log.Total()))
+	s.reg.Counter("pd_flight_dropped_total").Add(int64(fl.log.Dropped()))
+	if s.traces != nil {
+		s.traces.put(obs.RequestTrace{
+			Req: fl.id, Trace: fl.tc.TraceID, Parent: fl.tc.SpanID,
+			Events: fl.log.Events(),
+		})
 	}
 }
 

@@ -48,7 +48,7 @@ func (s *syncBuf) waitNonEmpty(t *testing.T) string {
 }
 
 // TestFlightDumpOnDetections: a detection-bearing 200 dumps the request's
-// flight ring as schema-valid JSONL, every event stamped with the request
+// flight log as schema-valid JSONL, every event stamped with the request
 // id that the response also carries.
 func TestFlightDumpOnDetections(t *testing.T) {
 	log := &syncBuf{}
@@ -95,7 +95,7 @@ func TestFlightDumpOnDetections(t *testing.T) {
 	}
 }
 
-// TestFlightDumpOn5xx: a resource-exhausted 503 dumps the ring too.
+// TestFlightDumpOn5xx: a resource-exhausted 503 dumps the log too.
 func TestFlightDumpOn5xx(t *testing.T) {
 	log := &syncBuf{}
 	_, ts := newTestServer(t, Config{FlightRecorder: 64, FlightLog: log})
@@ -113,6 +113,29 @@ func TestFlightDumpOn5xx(t *testing.T) {
 	out := log.waitNonEmpty(t)
 	if !strings.Contains(out, `"kind":"run-start"`) {
 		t.Fatalf("flight dump lacks run-start:\n%s", out)
+	}
+}
+
+// TestFlightCountersCountDrops: a flight log smaller than the request's
+// event stream keeps the newest events, and pd_flight_dropped_total counts
+// the evicted ones.
+func TestFlightCountersCountDrops(t *testing.T) {
+	log := &syncBuf{}
+	s, ts := newTestServer(t, Config{FlightRecorder: 4, FlightLog: log})
+	resp, body := postRun(t, ts, RunRequest{Source: workloads.RootCountSource})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	out := log.waitNonEmpty(t)
+	if n := strings.Count(out, "\n"); n != 4 {
+		t.Fatalf("dump holds %d events, want the newest 4:\n%s", n, out)
+	}
+	if _, err := obs.ValidateJSONLines(strings.NewReader(out)); err != nil {
+		t.Fatalf("evicted dump fails schema validation: %v", err)
+	}
+	events := s.reg.Counter("pd_flight_events_total").Value()
+	if dropped := s.reg.Counter("pd_flight_dropped_total").Value(); events <= 4 || dropped != events-4 {
+		t.Fatalf("events %d, dropped %d: want dropped = events − 4 > 0", events, dropped)
 	}
 }
 

@@ -101,9 +101,9 @@ type Config struct {
 	// Metrics receives service and shadow-oracle metrics (default: a
 	// fresh registry, exposed at /metrics).
 	Metrics *obs.Registry
-	// FlightRecorder sizes the per-request flight ring: every request
+	// FlightRecorder sizes the per-request flight log: every request
 	// records its last N observability events (run lifecycle, detections,
-	// causal spans), each stamped with the request id, and the ring is
+	// causal spans), each stamped with the request id, and the log is
 	// dumped as JSONL to FlightLog when the request answers 5xx or
 	// reports detections. 0 disables the recorder.
 	FlightRecorder int
@@ -240,7 +240,7 @@ type Server struct {
 	memUsage func() uint64
 
 	// reqSeq numbers requests; the id rides every event of the request's
-	// flight ring and the X-Request-Id response header.
+	// flight log and the X-Request-Id response header.
 	reqSeq   atomic.Uint64
 	flightMu sync.Mutex // serializes FlightLog dumps
 

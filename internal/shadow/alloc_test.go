@@ -101,7 +101,7 @@ func TestWarmRuntimeAllocsOracles(t *testing.T) {
 // observability enabled but quiet, on both backends.
 func TestWarmRuntimeAllocsEventsAttached(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Events = obs.NewRing(64)
+	cfg.Events = obs.NewLog(64)
 	cfg.Metrics = obs.NewRegistry()
 	_, m := buildPipeline(t, allocSrc, cfg)
 	eachBackend(t, func(t *testing.T, k backend.Kind) {
@@ -123,19 +123,19 @@ func main(): p32 {
 `
 
 // TestWarmRuntimeAllocsRingSinkBounded: with a detection-emitting program
-// and a ring sink, per-run allocations stay bounded — the ring evicts
-// rather than grows, so a long campaign with tracing enabled has constant
+// and a bounded log as the sink, per-run allocations stay bounded — the
+// log evicts rather than grows, so a long campaign with tracing enabled has constant
 // memory. The bound is deliberately loose (event construction does
 // allocate strings); the property under test is boundedness, not zero.
 func TestWarmRuntimeAllocsRingSinkBounded(t *testing.T) {
-	ring := obs.NewRing(8)
+	ring := obs.NewLog(8)
 	cfg := DefaultConfig()
 	cfg.MaxReports = 1
 	cfg.Events = ring
 	_, m := buildPipeline(t, allocDetectSrc, cfg)
 	eachBackend(t, func(t *testing.T, k backend.Kind) {
 		if n := warmAllocsPerRun(t, m, k); n > 500 {
-			t.Errorf("warm %v detecting run with ring sink allocates %v/op, want bounded (<= 500)", k, n)
+			t.Errorf("warm %v detecting run with a bounded log allocates %v/op, want bounded (<= 500)", k, n)
 		}
 		if ring.Len() > 8 {
 			t.Errorf("ring holds %d events, cap 8", ring.Len())

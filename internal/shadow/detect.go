@@ -29,8 +29,8 @@ func (r *Runtime) count(k Kind) {
 
 // emit materializes a detailed report (respecting the cap) and invokes the
 // user callback. The event stream, when bound, sees every detection — it is
-// not subject to MaxReports; a bounded sink (obs.Ring) bounds memory
-// instead.
+// not subject to MaxReports; a bounded sink (obs.NewLog(n)) bounds
+// memory instead.
 func (r *Runtime) emit(k Kind, inst int32, info errInfo) {
 	if r.events != nil {
 		em := r.mod.Meta(inst)

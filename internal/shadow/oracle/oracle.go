@@ -45,8 +45,8 @@ const (
 )
 
 // Parse normalizes a kind string. The empty string selects BigFP — the
-// pre-oracle default, so Precision-only configurations (including configs
-// decoded from old JSON) keep their exact historical behavior.
+// pre-oracle default, so configs decoded from old JSON keep their exact
+// historical behavior.
 func Parse(s string) (Kind, error) {
 	switch Kind(s) {
 	case "", BigFP:

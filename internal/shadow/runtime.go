@@ -20,17 +20,12 @@ type Config struct {
 	// (arbitrary precision, governed by Precision), oracle.DD
 	// (allocation-free double-double, ~106 bits) or oracle.Residue
 	// (float64 estimate + per-op rounding residues, 53 bits). The zero
-	// value selects BigFP, so configurations that only set Precision —
-	// including ones decoded from pre-oracle JSON — keep their exact
-	// historical behavior.
+	// value also selects BigFP (oracle.Parse), so an oracle name missing
+	// from pre-oracle JSON configs keeps meaning bigfp.
 	Oracle oracle.Kind
 	// Precision is the bigfp oracle's mantissa precision in bits (the
 	// paper evaluates 128, 256 and 512; 256 is the default). Other
 	// oracles have fixed precision and ignore it.
-	//
-	// Deprecated: setting Precision alone is the legacy way to choose a
-	// shadow configuration and implies the bigfp oracle. New code should
-	// set Oracle explicitly (see ConfigFor / Config.ForOracle).
 	Precision uint
 	// Tracing enables the DAG metadata (operand pointers, lock-and-key,
 	// timestamps). Disabling it reproduces the paper's "no tracing"
@@ -69,8 +64,9 @@ type Config struct {
 	// depending on the amount of the error" workflow as a library API.
 	BreakOn func(*Report) bool
 	// Events, when set, receives one obs.EvDetect event per detection —
-	// uncapped by MaxReports (use a bounded sink such as obs.Ring to bound
-	// memory). Events carry no timestamps, so the stream is deterministic.
+	// uncapped by MaxReports (use a bounded sink such as obs.NewLog(n) to
+	// bound memory). Events carry no timestamps, so the stream is
+	// deterministic.
 	Events obs.Sink
 	// Metrics, when set, receives counters and histograms: detections by
 	// kind (pd_detections_total{kind=...}), shadowed ops
@@ -88,10 +84,11 @@ type Config struct {
 	Profile *profile.Collector
 }
 
-// DefaultConfig mirrors the paper's default setup: 256-bit shadow
+// DefaultConfig mirrors the paper's default setup: 256-bit bigfp shadow
 // execution with tracing enabled.
 func DefaultConfig() Config {
 	return Config{
+		Oracle:                 oracle.BigFP,
 		Precision:              256,
 		Tracing:                true,
 		ErrBitsThreshold:       45,
@@ -105,13 +102,7 @@ func DefaultConfig() Config {
 // ConfigFor returns DefaultConfig retargeted at the given oracle backend.
 // precision applies to the bigfp oracle only; 0 keeps the 256-bit default.
 func ConfigFor(kind oracle.Kind, precision uint) Config {
-	return DefaultConfig().ForOracle(kind, precision)
-}
-
-// ForOracle returns c retargeted at kind — the migration path off raw
-// Precision-only construction. precision applies to the bigfp oracle only;
-// 0 keeps c.Precision.
-func (c Config) ForOracle(kind oracle.Kind, precision uint) Config {
+	c := DefaultConfig()
 	c.Oracle = kind
 	if precision != 0 {
 		c.Precision = precision
@@ -126,11 +117,6 @@ func (c Config) OracleKind() oracle.Kind {
 		return c.Oracle
 	}
 	return k
-}
-
-// NewOracle constructs the configured oracle instance.
-func (c Config) NewOracle() (oracle.Oracle, error) {
-	return oracle.New(c.Oracle, c.Precision)
 }
 
 const maxLockDepth = 1100
@@ -300,7 +286,7 @@ func New(mod *ir.Module, cfg Config) (*Runtime, error) {
 	if cfg.MaxDAGDepth == 0 {
 		cfg.MaxDAGDepth = 16
 	}
-	orc, err := cfg.NewOracle()
+	orc, err := oracle.New(cfg.Oracle, cfg.Precision)
 	if err != nil {
 		return nil, err
 	}
