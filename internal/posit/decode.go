@@ -30,7 +30,7 @@ func (c Config) Decode(p Bits) Decoded {
 	case Config8:
 		return p8dec[uint8(p)].decoded()
 	case Config32:
-		return decode32(p)
+		return Decode32(p)
 	}
 	return c.genericDecode(p)
 }

@@ -19,11 +19,13 @@ import "math/bits"
 //     are geometrically spaced.
 //   - Config8 Add/Mul are complete 2^16-entry result tables (the whole
 //     function is only 64 KiB), again built from the generic reference.
-//   - Config32 decodes through decode32, the generic algorithm with n=32,
-//     es=2 folded into constants so every field shift is immediate.
+//   - Config32 decodes through Decode32, the generic algorithm with n=32,
+//     es=2 folded into constants so every field shift is immediate, and
+//     its sign and regime branches turned into masks.
 //
 // All entry points stay behind the Config API (Decode/Add/Sub/Mul
-// dispatch on the configuration value), so interp, shadow, the quire and
+// dispatch on the configuration value; Decode32 is also exported for the
+// shadow runtime's memoized decode), so interp, shadow, the quire and
 // the refactorer speed up without source changes. The Generic* methods
 // keep the table-free reference reachable for differential tests and the
 // ablation benchmarks.
@@ -247,49 +249,39 @@ func encode16(neg bool, scale int, sig uint64, sticky bool) Bits {
 	return mag
 }
 
-// decode32 is the generic decoder with n=32, es=2 folded into constants,
+// Decode32 is the generic decoder with n=32, es=2 folded into constants,
 // removing every variable-distance shift from the ⟨32,2⟩ hot path. It
 // matches genericDecode bit for bit on all 2^32 patterns (fuzzed in
-// fast_test.go).
-func decode32(p Bits) Decoded {
-	var d Decoded
+// fast_test.go). It is Config32.Decode without the configuration switch,
+// for callers that already know the type; the contract is Decode's.
+func Decode32(p Bits) Decoded {
+	// Branch-free: the sign becomes a mask that negates, and the regime's
+	// leading bit a mask that picks the run it counts and its k.
 	v := uint64(p) << 32
-	if v>>63 == 1 {
-		d.Neg = true
-		v = -v
-	}
-	rest := v << 1 // low 33 bits zero
-	var run, k int
-	if rest>>63 == 1 {
-		run = bits.LeadingZeros64(^rest) // ≤ 31: the low 33 bits of ^rest are ones
-		k = run - 1
-	} else {
-		run = bits.LeadingZeros64(rest)
-		if run > 31 {
-			run = 31
-		}
-		k = -run
-	}
-	regField := run + 1
-	if regField > 31 {
-		regField = 31 // terminator did not fit
-	}
-	d.RegimeBits = regField
-	d.FracBits = 29 - regField
-	if d.FracBits < 0 {
-		d.FracBits = 0
-	}
+	neg := v >> 63
+	v = (v ^ -neg) + neg  // −v when negative
+	rest := v << 1        // low 33 bits zero
+	ones := -(rest >> 63) // all ones when the regime is a run of ones
+	// A run of ones is at most 31 long (the low 33 bits of ^rest are
+	// ones); a run of zeros is capped at the pattern's 31 bits.
+	run := min(bits.LeadingZeros64(rest^ones), 31)
+	k := int(ones&uint64(run-1) | ^ones&uint64(-run)) // run−1 for ones, −run for zeros
+	regField := min(run+1, 31)                        // the terminator may not fit
 	after := rest << uint(regField)
-	d.Scale = k<<2 + int(after>>62)
-	d.Frac = 1<<63 | after<<2>>1
-	return d
+	return Decoded{
+		Neg:        neg == 1,
+		Scale:      k<<2 + int(after>>62),
+		Frac:       1<<63 | after<<2>>1,
+		RegimeBits: regField,
+		FracBits:   max(29-regField, 0),
+	}
 }
 
 const nar32 = Bits(0x8000_0000)
 
 // add32 is ⟨32,2⟩ addition: the generic exact-sum pipeline fed by the
 // constant-folded decoder. The arithmetic after decoding is GenericAdd's
-// own (addUnpacked + encode), and decode32 matches genericDecode on all
+// own (addUnpacked + encode), and Decode32 matches genericDecode on all
 // 2^32 patterns, so add32 rounds identically to the reference by
 // construction (enforced in fast_test.go).
 func add32(a, b Bits) Bits {
@@ -302,7 +294,7 @@ func add32(a, b Bits) Bits {
 	if b == 0 {
 		return a
 	}
-	return Config32.AddDecoded(decode32(a), decode32(b))
+	return Config32.AddDecoded(Decode32(a), Decode32(b))
 }
 
 // mul32 is ⟨32,2⟩ multiplication; see add32.
@@ -313,7 +305,7 @@ func mul32(a, b Bits) Bits {
 	if a == 0 || b == 0 {
 		return 0
 	}
-	return Config32.MulDecoded(decode32(a), decode32(b))
+	return Config32.MulDecoded(Decode32(a), Decode32(b))
 }
 
 // AddDecoded returns the correctly rounded sum of two pre-decoded posits.

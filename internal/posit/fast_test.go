@@ -123,7 +123,7 @@ func FuzzDecode32(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u uint32) {
 		p := Bits(u)
 		if got, want := Config32.Decode(p), Config32.GenericDecode(p); got != want {
-			t.Fatalf("decode32(%#08x) = %+v, generic %+v", u, got, want)
+			t.Fatalf("Decode32(%#08x) = %+v, generic %+v", u, got, want)
 		}
 	})
 }
@@ -135,14 +135,14 @@ func TestDecode32Sampled(t *testing.T) {
 	for hi := 0; hi < 1<<16; hi++ {
 		p := Bits(uint32(hi) << 16)
 		if got, want := Config32.Decode(p), Config32.GenericDecode(p); got != want {
-			t.Fatalf("decode32(%#08x) = %+v, generic %+v", p, got, want)
+			t.Fatalf("Decode32(%#08x) = %+v, generic %+v", p, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1_000_000; i++ {
 		p := Bits(rng.Uint32())
 		if got, want := Config32.Decode(p), Config32.GenericDecode(p); got != want {
-			t.Fatalf("decode32(%#08x) = %+v, generic %+v", p, got, want)
+			t.Fatalf("Decode32(%#08x) = %+v, generic %+v", p, got, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 // rational oracle across configurations (exhaustive on a dense sample of
 // ⟨8,es⟩ triples, random for wider formats).
 func TestFMAOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		rng := rand.New(rand.NewSource(int64(c.N)*31 + int64(c.ES)))

@@ -188,6 +188,9 @@ func finiteSingles(t *testing.T, c Config, fn func(a Bits)) {
 	}
 }
 
+// oracleConfigs are the configurations every oracle sweep covers. The
+// sweeps (here and TestFMAOracle) share nothing but this read-only list,
+// so each runs in parallel with the others.
 var oracleConfigs = []Config{
 	{N: 8, ES: 0},
 	{N: 8, ES: 1},
@@ -199,6 +202,7 @@ var oracleConfigs = []Config{
 }
 
 func TestAddOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		finitePairs(t, c, func(a, b Bits) {
@@ -216,6 +220,7 @@ func TestAddOracle(t *testing.T) {
 }
 
 func TestSubOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		finitePairs(t, c, func(a, b Bits) {
@@ -233,6 +238,7 @@ func TestSubOracle(t *testing.T) {
 }
 
 func TestMulOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		finitePairs(t, c, func(a, b Bits) {
@@ -250,6 +256,7 @@ func TestMulOracle(t *testing.T) {
 }
 
 func TestDivOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		finitePairs(t, c, func(a, b Bits) {
@@ -270,6 +277,7 @@ func TestDivOracle(t *testing.T) {
 // midpoints of the result's neighbor gaps against the radicand — an exact
 // test even though the root itself is irrational.
 func TestSqrtOracle(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracleConfigs {
 		c := c
 		finiteSingles(t, c, func(a Bits) {
@@ -315,6 +323,7 @@ func TestSqrtOracle(t *testing.T) {
 
 // TestFromFloat64Oracle validates conversion rounding against the oracle.
 func TestFromFloat64Oracle(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range oracleConfigs {
 		for i := 0; i < 20000; i++ {

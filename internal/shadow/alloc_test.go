@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"strings"
 	"testing"
 
 	"positdebug/internal/backend"
@@ -61,10 +62,10 @@ func eachBackend(t *testing.T, f func(t *testing.T, k backend.Kind)) {
 
 // TestWarmRuntimeAllocs pins the per-run allocation count of a warm
 // Runtime+Machine pair at zero on both backends: Reset reuses the
-// shadow-memory trie, frame pool, quire accumulators and counts map in
-// place, the interpreter pools register frames (one pool on the Machine,
-// shared by tree-walk and VM runs), and the load/store/binop path only
-// touches mantissa words allocated on an earlier run.
+// shadow-memory trie, frame pool and quire accumulators in place, the
+// interpreter pools register frames (one pool on the Machine, shared by
+// tree-walk and VM runs), and the load/store/binop path only touches
+// mantissa words allocated on an earlier run.
 func TestWarmRuntimeAllocs(t *testing.T) {
 	_, m := buildPipeline(t, allocSrc, DefaultConfig())
 	eachBackend(t, func(t *testing.T, k backend.Kind) {
@@ -139,6 +140,49 @@ func TestWarmRuntimeAllocsRingSinkBounded(t *testing.T) {
 		}
 		if ring.Len() > 8 {
 			t.Errorf("ring holds %d events, cap 8", ring.Len())
+		}
+	})
+}
+
+// cancelLoopSrc cancels once, then once more on each of N loop
+// iterations, and returns an exact value, so its only detections are
+// the N+1 cancellations.
+const cancelLoopSrc = `
+func main(): p32 {
+	var big: p32 = 16777216.0;
+	var one: p32 = 1.0;
+	var x: p32 = (big + one) - big;
+	var i: i64 = 0;
+	while (i < N) {
+		x = (big + one) - big;
+		i = i + 1;
+	}
+	return one;
+}
+`
+
+// TestWarmRuntimeAllocsReportCap: detections past MaxReports with no
+// event sink, OnError or BreakOn cost no allocation. A warm pair firing
+// 129 cancellations per run with one report kept allocates no more per
+// run than the same pair firing one: nothing formats the program and
+// shadow values of a report that is not kept.
+func TestWarmRuntimeAllocsReportCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops fmt's printers at random, so the kept report's allocations vary by run")
+	}
+	cfg := DefaultConfig()
+	cfg.MaxReports = 1
+	eachBackend(t, func(t *testing.T, k backend.Kind) {
+		var allocs [2]float64
+		for i, n := range []string{"0", "128"} {
+			rt, m := buildPipeline(t, strings.Replace(cancelLoopSrc, "N", n, 1), cfg)
+			allocs[i] = warmAllocsPerRun(t, m, k)
+			if got := rt.Summary().Counts[KindCancellation]; (n == "0") != (got == 1) || got < 1 {
+				t.Fatalf("the %s-iteration loop cancels %d times a run", n, got)
+			}
+		}
+		if allocs[1] > allocs[0] {
+			t.Errorf("warm %v run with 129 detections allocates %v/op, with one %v/op", k, allocs[1], allocs[0])
 		}
 	})
 }

@@ -43,7 +43,7 @@ type checkpoint struct {
 	flipEpoch uint32
 	quires    []cpQuire
 
-	counts        map[Kind]int
+	counts        [KindWrongOutput + 1]int
 	reports       []*Report
 	totalOps      uint64
 	maxOpErr      int
@@ -187,7 +187,7 @@ func (r *Runtime) SaveCheckpoint() (any, bool) {
 		now:           r.now,
 		retValid:      r.retValid,
 		flipEpoch:     r.flipEpoch,
-		counts:        make(map[Kind]int, len(r.counts)),
+		counts:        r.counts,
 		reports:       slices.Clone(r.reports),
 		totalOps:      r.totalOps,
 		maxOpErr:      r.maxOpErr,
@@ -246,9 +246,6 @@ func (r *Runtime) SaveCheckpoint() (any, bool) {
 	cp.vals = valStore{
 		big: s.big, bigs: slices.Clone(s.bigs), words: slices.Clone(s.words),
 		hi: slices.Clone(s.hi), lo: slices.Clone(s.lo),
-	}
-	for k, v := range r.counts {
-		cp.counts[k] = v
 	}
 	for id, c := range r.instErr {
 		if c != nil {
@@ -317,9 +314,9 @@ func (r *Runtime) RestoreCheckpoint(state any) bool {
 		q.acc.Copy(cq.acc)
 		q.undef = cq.undef
 	}
+	r.counts = cp.counts
 	for k, v := range cp.counts {
-		r.counts[k] = v
-		if c := r.metDet[k]; c != nil {
+		if c := r.metDet[k]; c != nil && v != 0 {
 			c.Add(int64(v))
 		}
 	}

@@ -6,18 +6,46 @@ import (
 	"positdebug/internal/interp"
 	"positdebug/internal/ir"
 	"positdebug/internal/obs"
-	"positdebug/internal/posit"
 	"positdebug/internal/profile"
+	"positdebug/internal/shadow/oracle"
 	"positdebug/internal/ulp"
 )
 
-// errInfo carries the data needed to materialize a Report.
+// errInfo carries the data needed to materialize a Report. The program
+// and shadow values stay unformatted (a type and bits, a shadow value)
+// until emit knows an event sink, a kept report, OnError or BreakOn will
+// read them. A branch flip adds its second operand (prog2, real2); a wrong
+// cast has no shadow value but the shadow execution's integer (shadowInt).
 type errInfo struct {
-	errBits int
-	ulps    uint64
-	program string
-	shadow  string
-	root    *TempMeta
+	errBits   int
+	ulps      uint64
+	typ       ir.Type
+	prog      uint64
+	real      *oracle.Value
+	prog2     uint64
+	real2     *oracle.Value
+	shadowInt int64
+	root      *TempMeta
+}
+
+// valueErr is the errInfo of one value t read as typ.
+func valueErr(errBits int, ulps uint64, typ ir.Type, t *TempMeta) errInfo {
+	return errInfo{errBits: errBits, ulps: ulps, typ: typ, prog: t.Prog, real: &t.Real, root: t}
+}
+
+// format renders the program and shadow values of info.
+func (r *Runtime) format(info *errInfo) (program, shadow string) {
+	program = interp.FormatValue(info.typ, info.prog)
+	switch {
+	case info.real2 != nil:
+		program += " vs " + interp.FormatValue(info.typ, info.prog2)
+		shadow = r.orc.Format(info.real) + " vs " + r.orc.Format(info.real2)
+	case info.real != nil:
+		shadow = r.orc.Format(info.real)
+	default:
+		shadow = interp.FormatValue(ir.I64, uint64(info.shadowInt))
+	}
+	return program, shadow
 }
 
 func (r *Runtime) count(k Kind) {
@@ -27,27 +55,33 @@ func (r *Runtime) count(k Kind) {
 	}
 }
 
-// emit materializes a detailed report (respecting the cap) and invokes the
-// user callback. The event stream, when bound, sees every detection — it is
-// not subject to MaxReports; a bounded sink (obs.NewLog(n)) bounds
-// memory instead.
+// emit materializes a detailed report and hands it to the configured
+// readers: the report list (up to MaxReports), OnError and BreakOn, which
+// see every detection whatever the cap. The event stream, when bound, also
+// sees every detection; a bounded sink (obs.NewLog(n)) bounds memory
+// instead. A detection nothing reads formats nothing.
 func (r *Runtime) emit(k Kind, inst int32, info errInfo) {
+	keep := r.cfg.MaxReports == 0 || len(r.reports) < r.cfg.MaxReports
+	report := keep || r.cfg.OnError != nil || r.cfg.BreakOn != nil
+	if r.events == nil && !report {
+		return
+	}
+	program, shadow := r.format(&info)
+	meta := r.mod.Meta(inst)
 	if r.events != nil {
-		em := r.mod.Meta(inst)
 		e := obs.NewEvent(obs.EvDetect)
 		e.Detect = k.String()
 		e.Inst = inst
-		e.Func = em.Func
-		e.Pos = metaPos(em)
+		e.Func = meta.Func
+		e.Pos = metaPos(meta)
 		e.ErrBits = info.errBits
-		e.Program = info.program
-		e.Shadow = info.shadow
+		e.Program = program
+		e.Shadow = shadow
 		r.events.Emit(e)
 	}
-	if r.cfg.OnError == nil && r.cfg.MaxReports > 0 && len(r.reports) >= r.cfg.MaxReports {
+	if !report {
 		return
 	}
-	meta := r.mod.Meta(inst)
 	rep := &Report{
 		Kind:    k,
 		Inst:    inst,
@@ -56,13 +90,13 @@ func (r *Runtime) emit(k Kind, inst int32, info errInfo) {
 		Text:    meta.Text,
 		ErrBits: info.errBits,
 		ULPs:    info.ulps,
-		Program: info.program,
-		Shadow:  info.shadow,
+		Program: program,
+		Shadow:  shadow,
 	}
 	if r.cfg.Tracing && info.root != nil {
 		rep.DAG = r.buildDAG(info.root)
 	}
-	if r.cfg.MaxReports == 0 || len(r.reports) < r.cfg.MaxReports {
+	if keep {
 		r.reports = append(r.reports, rep)
 	}
 	if r.cfg.OnError != nil {
@@ -82,30 +116,30 @@ func (r *Runtime) emit(k Kind, inst int32, info errInfo) {
 func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMeta) {
 	pd := d.pvalFor(typ)
 	progF := pd.f
+	// The operands' decodes, fetched once for the checks that read them:
+	// the exception test, cancellation and precision loss. A nil operand
+	// has none.
+	var pa, pb *pval
+	if pd.undef() || subLike || typ.IsPosit() {
+		if ta != nil {
+			pa = ta.pvalFor(typ)
+		}
+		if tb != nil {
+			pb = tb.pvalFor(typ)
+		}
+	}
 
 	// Exceptions first: the program produced NaR/NaN/Inf from operands
 	// that were still finite. (NaR flowing through later operations is the
 	// same exception, not a new one.)
-	if pd.undef {
-		opsWereFinite := true
-		if ta != nil && ta.pvalFor(typ).undef {
-			opsWereFinite = false
-		}
-		if tb != nil && tb.pvalFor(typ).undef {
-			opsWereFinite = false
-		}
-		if opsWereFinite {
+	if pd.undef() {
+		if (pa == nil || !pa.undef()) && (pb == nil || !pb.undef()) {
 			r.count(KindNaR)
 			if r.prof != nil {
 				r.prof.Checked(id, 64)
 				r.prof.Detect(id, profile.DetectNaR, 0)
 			}
-			r.emit(KindNaR, id, errInfo{
-				errBits: 64,
-				program: interp.FormatValue(typ, d.Prog),
-				shadow:  r.orc.Format(&d.Real),
-				root:    d,
-			})
+			r.emit(KindNaR, id, valueErr(64, 0, typ, d))
 			d.Err = 64
 		}
 		return
@@ -131,55 +165,34 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 
 	// Catastrophic cancellation (§3.4): cancelled leading bits AND the
 	// computed result at least a factor of ε=2 away from the real result.
-	if subLike && ta != nil && tb != nil && !ta.Undef && !tb.Undef {
-		if cb := cancelled(ta.pvalFor(typ), tb.pvalFor(typ), pd); cb > 0 && factorTwoOff(progF, r.orc.Float64(&d.Real), r.orc.Sign(&d.Real)) {
+	if subLike && pa != nil && pb != nil && !ta.Undef && !tb.Undef {
+		if cb := cancelled(pa, pb, pd); cb > 0 && factorTwoOff(progF, r.orc.Float64(&d.Real), r.orc.Sign(&d.Real)) {
 			r.count(KindCancellation)
 			if r.prof != nil {
 				r.prof.Detect(id, profile.DetectCancellation, cb)
 			}
-			r.emit(KindCancellation, id, errInfo{
-				errBits: bits, ulps: ulps,
-				program: interp.FormatValue(typ, d.Prog),
-				shadow:  r.orc.Format(&d.Real),
-				root:    d,
-			})
+			r.emit(KindCancellation, id, valueErr(bits, ulps, typ, d))
 			return
 		}
 	}
 
 	if typ.IsPosit() {
-		cfg := typ.PositConfig()
-		pb := posit.Bits(d.Prog)
 		// Saturation: the operation produced maxpos/minpos magnitude while
 		// the real value disagrees — a silently hidden overflow/underflow.
-		if (cfg.IsMaxMag(pb) || cfg.IsMinMag(pb)) && bits > 0 {
+		if bits > 0 && saturated(typ, d.Prog) {
 			r.count(KindSaturation)
 			if r.prof != nil {
 				r.prof.Detect(id, profile.DetectSaturation, 0)
 			}
-			r.emit(KindSaturation, id, errInfo{
-				errBits: bits, ulps: ulps,
-				program: interp.FormatValue(typ, d.Prog),
-				shadow:  r.orc.Format(&d.Real),
-				root:    d,
-			})
+			r.emit(KindSaturation, id, valueErr(bits, ulps, typ, d))
 			return
 		}
 		// Loss of precision bits: the result's regime grew past both
 		// operands', shrinking the fraction beyond the threshold (§3.4).
-		if ta != nil && r.cfg.PrecisionLossThreshold > 0 {
-			var ptb *pval
-			if tb != nil {
-				ptb = tb.pvalFor(typ)
-			}
-			if lost := fracLost(pd, ta.pvalFor(typ), ptb); lost >= r.cfg.PrecisionLossThreshold {
+		if pa != nil && r.cfg.PrecisionLossThreshold > 0 {
+			if lost := fracLost(pd, pa, pb); lost >= r.cfg.PrecisionLossThreshold {
 				r.count(KindPrecisionLoss)
-				r.emit(KindPrecisionLoss, id, errInfo{
-					errBits: bits, ulps: ulps,
-					program: interp.FormatValue(typ, d.Prog),
-					shadow:  r.orc.Format(&d.Real),
-					root:    d,
-				})
+				r.emit(KindPrecisionLoss, id, valueErr(bits, ulps, typ, d))
 				return
 			}
 		}
@@ -187,28 +200,37 @@ func (r *Runtime) checkOp(id int32, typ ir.Type, subLike bool, d, ta, tb *TempMe
 
 	if r.cfg.ErrBitsThreshold > 0 && bits >= r.cfg.ErrBitsThreshold {
 		r.count(KindHighError)
-		r.emit(KindHighError, id, errInfo{
-			errBits: bits, ulps: ulps,
-			program: interp.FormatValue(typ, d.Prog),
-			shadow:  r.orc.Format(&d.Real),
-			root:    d,
-		})
+		r.emit(KindHighError, id, valueErr(bits, ulps, typ, d))
 	}
+}
+
+// saturated reports whether the posit pattern bits of typ has magnitude
+// maxpos or minpos: Config.IsMaxMag || IsMinMag on the bits alone. Only a
+// pattern whose sign bit is its top set bit is negated, as Abs does, so
+// NaR and patterns with bits above the width match neither.
+func saturated(typ ir.Type, bits uint64) bool {
+	n := typ.PositConfig().N
+	mask := uint64(1)<<n - 1
+	mag := bits
+	if bits>>(n-1) == 1 {
+		mag = -bits & mask
+	}
+	return mag == 1 || mag == mask>>1
 }
 
 // cancelled computes cbits = max(exp(a), exp(b)) − exp(result): the number
 // of leading bits an additive operation cancelled. Zero, NaR, NaN and Inf
-// operands (pval.zero) have nothing to cancel; a zero result from nonzero
+// operands (pval.zero()) have nothing to cancel; a zero result from nonzero
 // operands cancels everything (returns a large count).
 func cancelled(pa, pb, pr *pval) int {
-	if pa.zero || pb.zero {
+	if pa.zero() || pb.zero() {
 		return 0 // nothing to cancel
 	}
 	top := pa.exp
 	if pb.exp > top {
 		top = pb.exp
 	}
-	if pr.zero {
+	if pr.zero() {
 		return 64
 	}
 	return int(top - pr.exp)
@@ -238,29 +260,29 @@ func factorTwoOff(computed, shadowF float64, shadowSign int) bool {
 
 // fracLost computes how many fraction bits the result pr lost relative to
 // its best operand when its regime grew (tapered-precision loss). Zero and
-// NaR values (pval.zero) have no geometry and are skipped; pb may be nil.
+// NaR values (pval.zero()) have no geometry and are skipped; pb may be nil.
 func fracLost(pr, pa, pb *pval) int {
-	if pr.zero {
+	if pr.zero() {
 		return 0
 	}
 	bestFrac := -1
 	maxReg := 0
-	if !pa.zero {
-		bestFrac = int(pa.fbits)
-		maxReg = int(pa.rbits)
+	if !pa.zero() {
+		bestFrac = pa.fbits()
+		maxReg = pa.rbits()
 	}
-	if pb != nil && !pb.zero {
-		if int(pb.fbits) > bestFrac {
-			bestFrac = int(pb.fbits)
+	if pb != nil && !pb.zero() {
+		if pb.fbits() > bestFrac {
+			bestFrac = pb.fbits()
 		}
-		if int(pb.rbits) > maxReg {
-			maxReg = int(pb.rbits)
+		if pb.rbits() > maxReg {
+			maxReg = pb.rbits()
 		}
 	}
-	if bestFrac < 0 || int(pr.rbits) <= maxReg {
+	if bestFrac < 0 || pr.rbits() <= maxReg {
 		return 0
 	}
-	return bestFrac - int(pr.fbits)
+	return bestFrac - pr.fbits()
 }
 
 // checkOutputAt applies the output threshold to printed/returned values.
@@ -271,12 +293,7 @@ func (r *Runtime) checkOutputAt(id int32, typ ir.Type, s *TempMeta) {
 	}
 	if math.IsNaN(progF) || math.IsInf(progF, 0) {
 		r.count(KindWrongOutput)
-		r.emit(KindWrongOutput, id, errInfo{
-			errBits: 64,
-			program: interp.FormatValue(typ, s.Prog),
-			shadow:  r.orc.Format(&s.Real),
-			root:    s,
-		})
+		r.emit(KindWrongOutput, id, valueErr(64, 0, typ, s))
 		if r.outputMaxErr < 64 {
 			r.outputMaxErr = 64
 		}
@@ -289,11 +306,6 @@ func (r *Runtime) checkOutputAt(id int32, typ ir.Type, s *TempMeta) {
 	}
 	if r.cfg.OutputThreshold > 0 && bits >= r.cfg.OutputThreshold {
 		r.count(KindWrongOutput)
-		r.emit(KindWrongOutput, id, errInfo{
-			errBits: bits, ulps: ulps,
-			program: interp.FormatValue(typ, s.Prog),
-			shadow:  r.orc.Format(&s.Real),
-			root:    s,
-		})
+		r.emit(KindWrongOutput, id, valueErr(bits, ulps, typ, s))
 	}
 }

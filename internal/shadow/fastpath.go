@@ -32,24 +32,48 @@ var _ interp.FastShadow = (*Runtime)(nil)
 
 // pval is the single-decode view of one program value: everything the
 // detection pass (checkOp and its helpers) derives from the (type, bits)
-// pair. It is embedded in every TempMeta and MemMeta, so the posit decode
-// is stored in compacted fields (32 bytes total) rather than a full
-// posit.Decoded; decoded() rebuilds the struct on the stack for the
-// fused-arithmetic consumers.
+// pair. It is embedded in every TempMeta and MemMeta as whole words (24
+// bytes): the float64 conversion, the posit fraction, and the exponent
+// beside one uint32 that packs the precision-loss geometry, the type and
+// four flags. set writes every word in place; decoded() rebuilds the
+// posit.Decoded on the stack for the fused-arithmetic consumers.
 type pval struct {
 	f    float64 // interp.ToFloat64(typ, bits), bit-exact
 	frac uint64  // decoded fraction; valid iff posit, finite, nonzero
 	exp  int32   // binary exponent of f (math.Ilogb) == decoded Scale for posits
-	// rbits/fbits are the precision-loss geometry: RegimeBits/FracBits of
-	// Decode(Abs(bits)) — decoders negate first, so Decode and Decode∘Abs
-	// agree on everything but the sign.
-	rbits uint8
-	fbits uint8
-	neg   bool
-	typ   uint8 // the ir.Type this decode was computed for (cache key)
-	zero  bool  // the value is 0, NaN or ±Inf: no exponent to cancel
-	undef bool  // NaN or ±Inf (the posit NaR pattern)
-	ok    bool  // set once computed; zero pval is never a valid decode
+	// meta packs, from the low byte up: RegimeBits and FracBits of
+	// Decode(Abs(bits)) (decoders negate first, so Decode and Decode∘Abs
+	// agree on everything but the sign), the ir.Type the decode was
+	// computed for, and the pv* flags.
+	meta uint32
+}
+
+const (
+	pvFbitsShift = 8
+	pvTypeShift  = 16
+
+	pvOK    = 1 << 24 // set once computed; the zero pval is never a valid decode
+	pvZero  = 1 << 25 // the value is 0, NaN or ±Inf: no exponent to cancel
+	pvUndef = 1 << 26 // NaN or ±Inf (the posit NaR pattern)
+	pvNeg   = 1 << 27 // a negative posit
+
+	// pvKey selects the memo key's type and pvOK: is tests both in one
+	// masked compare.
+	pvKey = 0xff<<pvTypeShift | pvOK
+)
+
+func (p *pval) rbits() int   { return int(uint8(p.meta)) }
+func (p *pval) fbits() int   { return int(uint8(p.meta >> pvFbitsShift)) }
+func (p *pval) typ() ir.Type { return ir.Type(uint8(p.meta >> pvTypeShift)) }
+func (p *pval) ok() bool     { return p.meta&pvOK != 0 }
+func (p *pval) zero() bool   { return p.meta&pvZero != 0 }
+func (p *pval) undef() bool  { return p.meta&pvUndef != 0 }
+func (p *pval) neg() bool    { return p.meta&pvNeg != 0 }
+
+// is reports whether p, memoized for the bits key, is the decode of bits
+// read as typ.
+func (p *pval) is(key uint64, typ ir.Type, bits uint64) bool {
+	return key == bits && p.meta&pvKey == uint32(typ)<<pvTypeShift|pvOK
 }
 
 // decoded rebuilds the posit.Decoded this pval was computed from, the
@@ -57,55 +81,73 @@ type pval struct {
 // superinstructions.
 func (p *pval) decoded() posit.Decoded {
 	return posit.Decoded{
-		Neg: p.neg, Scale: int(p.exp), Frac: p.frac,
-		RegimeBits: int(p.rbits), FracBits: int(p.fbits),
+		Neg: p.neg(), Scale: int(p.exp), Frac: p.frac,
+		RegimeBits: p.rbits(), FracBits: p.fbits(),
 	}
 }
 
-// computePval decodes (typ, bits) once. For posits this is the only
-// Decode; float64/float32/int64 conversions are cheap bit casts plus one
-// Ilogb.
-func computePval(typ ir.Type, bits uint64) pval {
+// set decodes (typ, bits) into p, overwriting every word. ⟨32,2⟩ decodes
+// through posit.Decode32, ⟨8,0⟩ and ⟨16,1⟩ through their tables; this is
+// the only posit Decode a value gets. Every other type has no posit
+// geometry, and its exponent comes from its float64 conversion's bits.
+func (p *pval) set(typ ir.Type, bits uint64) {
+	meta := uint32(typ)<<pvTypeShift | pvOK
 	switch typ {
+	case ir.F64:
+		p.setFloat(math.Float64frombits(bits), meta)
+	case ir.F32:
+		p.setFloat(float64(math.Float32frombits(uint32(bits))), meta)
 	case ir.P8, ir.P16, ir.P32:
 		cfg := typ.PositConfig()
-		pb := posit.Bits(bits)
-		if pb == 0 {
-			return pval{typ: uint8(typ), zero: true, ok: true}
-		}
-		if cfg.IsNaR(pb) {
-			return pval{f: math.NaN(), typ: uint8(typ), zero: true, undef: true, ok: true}
-		}
-		d := cfg.Decode(pb)
-		// float64(d.Frac) is a positive double with unbiased exponent 63
-		// (or 64 when the 53-bit rounding carries out), so Ldexp(·, Scale-63)
-		// reduces to adding Scale-63 to the exponent field: posit scales are
-		// bounded (|Scale| ≤ 120 for n ≤ 32), the sum stays strictly inside
-		// the normal range, and the bit-add is exact — no Ldexp call.
-		f := math.Float64frombits(math.Float64bits(float64(d.Frac)) +
-			uint64(int64(d.Scale-63))<<52)
-		if d.Neg {
-			f = -f
-		}
-		// Frac ∈ [2^63, 2^64) makes |f| ∈ [2^Scale, 2^(Scale+1)), and every
-		// n ≤ 32 posit is a normal double, so Ilogb(f) == Scale exactly.
-		return pval{
-			f: f, frac: d.Frac, exp: int32(d.Scale),
-			rbits: uint8(d.RegimeBits), fbits: uint8(d.FracBits),
-			neg: d.Neg, typ: uint8(typ), ok: true,
+		switch pb := posit.Bits(bits); {
+		case pb == 0:
+			*p = pval{meta: meta | pvZero}
+		case pb == cfg.NaR():
+			*p = pval{f: math.NaN(), meta: meta | pvZero | pvUndef}
+		case typ == ir.P32:
+			p.setPosit(posit.Decode32(pb), meta)
+		default:
+			p.setPosit(cfg.Decode(pb), meta)
 		}
 	default:
-		f := interp.ToFloat64(typ, bits)
-		p := pval{f: f, typ: uint8(typ), ok: true}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			p.zero, p.undef = true, true
-		} else if f == 0 {
-			p.zero = true
-		} else {
-			p.exp = int32(math.Ilogb(f))
-		}
-		return p
+		p.setFloat(interp.ToFloat64(typ, bits), meta)
 	}
+}
+
+// setPosit fills p from the decode of a finite nonzero posit.
+func (p *pval) setPosit(d posit.Decoded, meta uint32) {
+	// For n ≤ 32 a posit has at most 27 fraction bits below Frac's hidden
+	// bit 63, so Frac's low 11 bits are zero and its bits 62..11 are the
+	// double's mantissa field exactly, and |Scale| ≤ 120 keeps the exponent
+	// field Scale+1023 normal: f is assembled from its fields, exact, with
+	// no conversion or Ldexp, and Ilogb(f) == Scale.
+	fb := uint64(d.Scale+1023)<<52 | d.Frac<<1>>12
+	if d.Neg {
+		fb |= 1 << 63
+		meta |= pvNeg
+	}
+	p.f, p.frac, p.exp = math.Float64frombits(fb), d.Frac, int32(d.Scale)
+	p.meta = meta | uint32(d.RegimeBits) | uint32(d.FracBits)<<pvFbitsShift
+}
+
+// setFloat fills p from a value's float64 conversion. A normal double's
+// exponent field is its Ilogb; only subnormals (f64 values below 2^-1022)
+// call math.Ilogb.
+func (p *pval) setFloat(f float64, meta uint32) {
+	b := math.Float64bits(f)
+	exp := int32(b>>52) & 0x7ff
+	switch {
+	case exp == 0x7ff: // NaN or ±Inf
+		exp = 0
+		meta |= pvZero | pvUndef
+	case exp != 0:
+		exp -= 1023
+	case b<<1 == 0: // ±0
+		meta |= pvZero
+	default:
+		exp = int32(math.Ilogb(f))
+	}
+	p.f, p.frac, p.exp, p.meta = f, 0, exp, meta
 }
 
 // pvalFor returns the decoded view of t.Prog read as typ, memoized on the
@@ -113,8 +155,8 @@ func computePval(typ ir.Type, bits uint64) pval {
 // to Prog by any path — regular hooks included — simply miss rather than
 // serve stale data.
 func (t *TempMeta) pvalFor(typ ir.Type) *pval {
-	if !t.pv.ok || t.pvBits != t.Prog || t.pv.typ != uint8(typ) {
-		t.pv = computePval(typ, t.Prog)
+	if !t.pv.is(t.pvBits, typ, t.Prog) {
+		t.pv.set(typ, t.Prog)
 		t.pvBits = t.Prog
 	}
 	return &t.pv
@@ -150,7 +192,7 @@ func (r *Runtime) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, b
 	pb := tb.pvalFor(typ)
 	var res posit.Bits
 	switch {
-	case pa.undef || pb.undef:
+	case pa.undef() || pb.undef():
 		res = cfg.NaR()
 	case kind == ir.BinMul:
 		if aVal == 0 || bVal == 0 {

@@ -90,49 +90,74 @@ func fracBitsLost(cfg posit.Config, resBits uint64, ta, tb *TempMeta) int {
 	return bestFrac - dr.FracBits
 }
 
-// checkPval asserts every pval field against the slow derivation it
-// replaces: ToFloat64 for the conversion, valueExp for the cancellation
-// exponent, Decode(Abs) for the precision-loss geometry.
+// checkPval asserts every pval accessor against the slow derivation it
+// replaces: ToFloat64 for the conversion, math.Ilogb for the cancellation
+// exponent, Decode for the fraction, scale and sign, and Decode(Abs) for
+// the precision-loss geometry. set starts from a pval full of garbage, so
+// a word it fails to overwrite shows. For posits it also holds the
+// bit-level saturation test to IsMaxMag || IsMinMag.
 func checkPval(t *testing.T, typ ir.Type, bits uint64) {
 	t.Helper()
-	pv := computePval(typ, bits)
+	pv := pval{f: 1, frac: ^uint64(0), exp: -1, meta: ^uint32(0)}
+	pv.set(typ, bits)
 	slowF := interp.ToFloat64(typ, bits)
 	if math.Float64bits(pv.f) != math.Float64bits(slowF) {
 		t.Fatalf("%v %#x: f = %v (%#x), ToFloat64 = %v (%#x)",
 			typ, bits, pv.f, math.Float64bits(pv.f), slowF, math.Float64bits(slowF))
 	}
-	slowExp, slowZero := valueExp(typ, bits)
-	if pv.zero != slowZero {
-		t.Fatalf("%v %#x: zero = %v, valueExp zero = %v", typ, bits, pv.zero, slowZero)
+	if !pv.ok() || pv.typ() != typ || !pv.is(bits, typ, bits) {
+		t.Fatalf("%v %#x: ok = %v, typ = %v, is = %v", typ, bits, pv.ok(), pv.typ(), pv.is(bits, typ, bits))
 	}
-	if !slowZero && int(pv.exp) != slowExp {
-		t.Fatalf("%v %#x: exp = %d, valueExp = %d", typ, bits, pv.exp, slowExp)
+	if other := typ%ir.P32 + 1; pv.is(bits, other, bits) || pv.is(bits+1, typ, bits) {
+		t.Fatalf("%v %#x: the memo also answers for %v or for other bits", typ, bits, other)
 	}
-	if undef := math.IsNaN(slowF) || math.IsInf(slowF, 0); pv.undef != undef {
-		t.Fatalf("%v %#x: undef = %v, want %v", typ, bits, pv.undef, undef)
+	undef := math.IsNaN(slowF) || math.IsInf(slowF, 0)
+	if pv.undef() != undef {
+		t.Fatalf("%v %#x: undef = %v, want %v", typ, bits, pv.undef(), undef)
 	}
+	if zero := slowF == 0 || undef; pv.zero() != zero {
+		t.Fatalf("%v %#x: zero = %v, want %v", typ, bits, pv.zero(), zero)
+	}
+	wantExp := 0
+	if !pv.zero() {
+		wantExp = math.Ilogb(slowF)
+	}
+	if int(pv.exp) != wantExp {
+		t.Fatalf("%v %#x: exp = %d, want %d", typ, bits, pv.exp, wantExp)
+	}
+	var want posit.Decoded // no posit geometry: every field zero
 	if typ.IsPosit() {
 		cfg := typ.PositConfig()
 		pb := posit.Bits(bits)
 		if pb != 0 && !cfg.IsNaR(pb) {
-			d := cfg.Decode(cfg.Abs(pb))
-			if int(pv.fbits) != d.FracBits || int(pv.rbits) != d.RegimeBits {
-				t.Fatalf("%v %#x: geometry (%d,%d), Decode(Abs) (%d,%d)",
-					typ, bits, pv.fbits, pv.rbits, d.FracBits, d.RegimeBits)
-			}
-			// The reconstructed decode must be the literal Decode result:
-			// FastBinP32 feeds it to AddDecoded and MulDecoded, where
-			// Frac/Scale/Neg all matter, not just the geometry fields.
-			if want := cfg.Decode(pb); pv.decoded() != want {
-				t.Fatalf("%v %#x: decoded() = %+v, want %+v", typ, bits, pv.decoded(), want)
+			want = cfg.Decode(pb)
+			abs := cfg.Decode(cfg.Abs(pb))
+			if want.RegimeBits != abs.RegimeBits || want.FracBits != abs.FracBits {
+				t.Fatalf("%v %#x: Decode and Decode(Abs) disagree on the geometry", typ, bits)
 			}
 		}
+		if got, slow := saturated(typ, bits), cfg.IsMaxMag(pb) || cfg.IsMinMag(pb); got != slow {
+			t.Fatalf("%v %#x: saturated = %v, IsMaxMag || IsMinMag = %v", typ, bits, got, slow)
+		}
+	}
+	if pv.neg() != want.Neg || pv.frac != want.Frac || pv.rbits() != want.RegimeBits || pv.fbits() != want.FracBits {
+		t.Fatalf("%v %#x: (neg, frac, rbits, fbits) = (%v, %#x, %d, %d), want (%v, %#x, %d, %d)",
+			typ, bits, pv.neg(), pv.frac, pv.rbits(), pv.fbits(),
+			want.Neg, want.Frac, want.RegimeBits, want.FracBits)
+	}
+	// The reconstructed decode must be the literal Decode result:
+	// FastBinP32 feeds it to AddDecoded and MulDecoded, where
+	// Frac/Scale/Neg all matter, not just the geometry fields.
+	if typ.IsPosit() && !pv.zero() && pv.decoded() != want {
+		t.Fatalf("%v %#x: decoded() = %+v, want %+v", typ, bits, pv.decoded(), want)
 	}
 }
 
 // TestPvalMatchesSlowDerivations checks the single-decode view against the
-// raw-decode references: exhaustively for ⟨8,0⟩ and ⟨16,1⟩,
-// and over structured + random patterns for ⟨32,2⟩, f32, f64 and i64.
+// raw-decode references: exhaustively for ⟨8,0⟩ and ⟨16,1⟩, and over
+// special and random patterns for ⟨32,2⟩, f32, f64 and i64 (zeros,
+// infinities, NaNs, subnormals and the smallest normals among the IEEE
+// specials).
 func TestPvalMatchesSlowDerivations(t *testing.T) {
 	for b := uint64(0); b < 1<<8; b++ {
 		checkPval(t, ir.P8, b)
@@ -140,20 +165,35 @@ func TestPvalMatchesSlowDerivations(t *testing.T) {
 	for b := uint64(0); b < 1<<16; b++ {
 		checkPval(t, ir.P16, b)
 	}
-	specials := []uint64{
-		0, 0x80000000, // zero, NaR
-		1, 0x7fffffff, // minpos, maxpos
-		0xffffffff, 0x80000001, // -minpos, -maxpos
-		0x40000000, 0xc0000000, // ±1
-		math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)),
-		math.Float64bits(math.Inf(-1)), math.Float64bits(0.1),
-		1 << 63, ^uint64(0),
+	specials := map[ir.Type][]uint64{
+		ir.P32: {
+			0, 0x80000000, // zero, NaR
+			1, 0xffffffff, // ±minpos
+			0x7fffffff, 0x80000001, // ±maxpos
+			2, 0x7ffffffe, 0xc0000001, // next to them
+			0x40000000, 0xc0000000, // ±1
+		},
+		ir.F64: {
+			0, 1 << 63, // ±0
+			math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+			math.Float64bits(math.NaN()), 0x7ff0000000000001, 0xfff8000000000000,
+			1, 0x000fffffffffffff, 0x8000000000000001, 0x800fffffffffffff, // subnormals
+			0x0010000000000000, 0x8010000000000000, // ±smallest normal
+			math.Float64bits(0.1), math.Float64bits(-3), math.Float64bits(math.MaxFloat64),
+		},
+		ir.F32: {
+			0, 0x80000000, // ±0
+			0x7f800000, 0xff800000, 0x7fc00000, 0x7f800001, 0xffc00000, // ±Inf, NaNs
+			1, 0x007fffff, 0x80000001, 0x807fffff, // subnormals
+			0x00800000, 0x80800000, // ±smallest normal
+			0x3f800000, 0xc0400000, 0x7f7fffff, // 1, −3, max
+		},
+		ir.I64: {0, 1, 1 << 63, ^uint64(0), 1<<53 + 1},
 	}
-	for _, b := range specials {
-		checkPval(t, ir.P32, b&0xffffffff)
-		checkPval(t, ir.F32, b&0xffffffff)
-		checkPval(t, ir.F64, b)
-		checkPval(t, ir.I64, b)
+	for typ, bs := range specials {
+		for _, b := range bs {
+			checkPval(t, typ, b)
+		}
 	}
 	rng := xorshift(0x9e3779b97f4a7c15)
 	for i := 0; i < 200000; i++ {
@@ -162,6 +202,9 @@ func TestPvalMatchesSlowDerivations(t *testing.T) {
 		checkPval(t, ir.F32, b&0xffffffff)
 		checkPval(t, ir.F64, b)
 		checkPval(t, ir.I64, b)
+		// Subnormals are rare among random bits: clear both exponents.
+		checkPval(t, ir.F32, b&0x807fffff)
+		checkPval(t, ir.F64, b&0x800fffffffffffff)
 	}
 }
 
@@ -203,8 +246,8 @@ func TestFastCheckOpByteIdentical(t *testing.T) {
 				}
 				pd, pa, pb := td.pvalFor(typ), ta.pvalFor(typ), tb.pvalFor(typ)
 				f := interp.ToFloat64(typ, td.Prog)
-				if undef := math.IsNaN(f) || math.IsInf(f, 0); pd.undef != undef {
-					t.Fatalf("%v %#x: undef = %v, want %v", typ, td.Prog, pd.undef, undef)
+				if undef := math.IsNaN(f) || math.IsInf(f, 0); pd.undef() != undef {
+					t.Fatalf("%v %#x: undef = %v, want %v", typ, td.Prog, pd.undef(), undef)
 				}
 				if got, want := cancelled(pa, pb, pd), cancelledBits(typ, ta.Prog, tb.Prog, td.Prog); got != want {
 					t.Fatalf("%v %#x − %#x = %#x: cancelled %d, want %d", typ, ta.Prog, tb.Prog, td.Prog, got, want)
@@ -271,19 +314,20 @@ func TestFastCheckOpByteIdentical(t *testing.T) {
 }
 
 // memoErr reports a memoized decode a read could serve (ok, and keyed on
-// the bits the cell holds) that differs from a fresh computePval of its
-// (bits, type) key.
+// the bits the cell holds) that differs from a fresh decode of its (bits,
+// type) key.
 func memoErr(pv *pval, pvBits, prog uint64) error {
-	if !pv.ok || pvBits != prog {
+	if !pv.ok() || pvBits != prog {
 		return nil
 	}
-	got, want := *pv, computePval(ir.Type(pv.typ), pvBits)
+	got, want := *pv, pval{}
+	want.set(pv.typ(), pvBits)
 	// f may be NaN: compare it by its bits, the rest by value.
 	fg, fw := math.Float64bits(got.f), math.Float64bits(want.f)
 	got.f, want.f = 0, 0
 	if fg != fw || got != want {
 		return fmt.Errorf("memo of %#x as %v is %+v (f %#x), want %+v (f %#x)",
-			pvBits, ir.Type(pv.typ), got, fg, want, fw)
+			pvBits, pv.typ(), got, fg, want, fw)
 	}
 	return nil
 }
@@ -304,7 +348,7 @@ type MemoChecker struct {
 // check compares one memoized decode a read could serve with a fresh one;
 // loc and at name where it sits (a register or a cell address).
 func (c *MemoChecker) check(event string, id int32, loc string, at uint64, pv *pval, pvBits, prog uint64) {
-	if !pv.ok || pvBits != prog {
+	if !pv.ok() || pvBits != prog {
 		return
 	}
 	c.Checked++

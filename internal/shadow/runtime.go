@@ -43,7 +43,7 @@ type Config struct {
 	// must lose (while growing its regime) to be reported.
 	PrecisionLossThreshold int
 	// MaxReports caps the number of detailed reports kept (counts are
-	// always complete).
+	// always complete; OnError, BreakOn and Events see every detection).
 	MaxReports int
 	// MaxDAGDepth caps DAG traversal depth (0 uses the default of 16).
 	MaxDAGDepth int
@@ -153,7 +153,7 @@ type Runtime struct {
 
 	quires map[ir.Type]*shadowQuire
 
-	counts        map[Kind]int
+	counts        [KindWrongOutput + 1]int // detections by kind
 	reports       []*Report
 	totalOps      uint64
 	flushedOps    uint64
@@ -297,7 +297,6 @@ func New(mod *ir.Module, cfg Config) (*Runtime, error) {
 		cpVals: valStore{big: orc.Kind() == oracle.BigFP},
 		mem:    newShadowMem(mod.GlobalBase + mod.GlobalSize + interp.DefaultStackSize),
 		quires: map[ir.Type]*shadowQuire{},
-		counts: map[Kind]int{},
 		events: cfg.Events,
 		prof:   cfg.Profile,
 	}
@@ -443,8 +442,8 @@ func (r *Runtime) foldMetrics() {
 	}
 }
 
-// Reset clears all state at the start of a run. It reuses the shadow-memory
-// trie, the frame pool, the quire accumulators and the counts map in place,
+// Reset clears all state at the start of a run. It reuses the
+// shadow-memory trie, the frame pool and the quire accumulators in place,
 // so a Runtime run repeatedly on one machine reaches a steady state with
 // no per-run allocation beyond the reports it emits.
 func (r *Runtime) Reset() {
@@ -463,7 +462,7 @@ func (r *Runtime) Reset() {
 		q.acc.SetInt64(0)
 		q.undef = false
 	}
-	clear(r.counts)
+	r.counts = [KindWrongOutput + 1]int{}
 	// Summaries hand out the reports slice, so start a fresh one rather
 	// than truncating the backing array a previous caller may still hold.
 	r.reports = nil
@@ -479,9 +478,11 @@ func (r *Runtime) Reset() {
 // Summary returns the aggregated detections of the last run.
 func (r *Runtime) Summary() *Summary {
 	r.foldMetrics()
-	counts := make(map[Kind]int, len(r.counts))
+	counts := map[Kind]int{}
 	for k, v := range r.counts {
-		counts[k] = v
+		if v != 0 {
+			counts[Kind(k)] = v
+		}
 	}
 	return &Summary{
 		Counts:               counts,
@@ -821,9 +822,8 @@ func (r *Runtime) Cmp(id int32, pred ir.CmpPred, typ ir.Type, a, b int32, aVal, 
 	r.count(KindBranchFlip)
 	r.emit(KindBranchFlip, id, errInfo{
 		errBits: maxInt(ta.Err, tb.Err),
-		program: interp.FormatValue(typ, aVal) + " vs " + interp.FormatValue(typ, bVal),
-		shadow:  r.orc.Format(&ta.Real) + " vs " + r.orc.Format(&tb.Real),
-		root:    pickRoot(ta, tb),
+		typ:     typ, prog: aVal, real: &ta.Real, prog2: bVal, real2: &tb.Real,
+		root: pickRoot(ta, tb),
 	})
 	r.resyncAfterFlip()
 }
@@ -885,7 +885,7 @@ func (r *Runtime) castImpl(id int32, from, to ir.Type, dst, src int32, dstVal, s
 		r.totalOps++
 		// A NaR, NaN or Inf source is the exception counted where it arose;
 		// its bits read as the destination type may look finite.
-		if !s.pvalFor(from).undef {
+		if !s.pvalFor(from).undef() {
 			r.checkOp(id, to, false, d, s, nil)
 		}
 	case from.IsNumeric() && to == ir.I64:
@@ -898,9 +898,8 @@ func (r *Runtime) castImpl(id int32, from, to ir.Type, dst, src int32, dstVal, s
 			r.count(KindWrongCast)
 			r.emit(KindWrongCast, id, errInfo{
 				errBits: int(s.Err),
-				program: interp.FormatValue(ir.I64, dstVal),
-				shadow:  interp.FormatValue(ir.I64, uint64(shadowInt)),
-				root:    s,
+				typ:     ir.I64, prog: dstVal, shadowInt: shadowInt,
+				root: s,
 			})
 		}
 	case from == ir.I64 && to.IsNumeric():
@@ -979,12 +978,11 @@ func (r *Runtime) Load(id int32, typ ir.Type, dst int32, addr uint32, bits uint6
 	if !typ.IsPosit() {
 		return
 	}
-	if mm.pv.ok && mm.pvBits == d.Prog && mm.pv.typ == uint8(typ) {
+	if mm.pv.is(mm.pvBits, typ, d.Prog) {
 		d.pv, d.pvBits = mm.pv, mm.pvBits
 		return
 	}
-	pv := d.pvalFor(typ)
-	mm.pv, mm.pvBits = *pv, d.pvBits
+	mm.pv, mm.pvBits = *d.pvalFor(typ), d.Prog
 }
 
 // seedMemFromProgram re-seeds the set cell mm from the program's bits.
@@ -1034,7 +1032,7 @@ func (r *Runtime) Store(id int32, typ ir.Type, addr uint32, src int32, bits uint
 		r.checkOp(id, typ, false, &tmp, nil, nil)
 		mm.Err = tmp.Err
 	}
-	if typ.IsPosit() && s.pv.ok && s.pvBits == mm.Prog && s.pv.typ == uint8(typ) {
+	if typ.IsPosit() && s.pv.is(s.pvBits, typ, mm.Prog) {
 		mm.pv, mm.pvBits = s.pv, s.pvBits
 	}
 }

@@ -678,7 +678,52 @@ func TestBreakOn(t *testing.T) {
 			t.Fatal("execution must have stopped before the comparison")
 		}
 	})
+	// BreakOn sees every detection whatever MaxReports keeps: a predicate
+	// matching the second of two cancellations stops there with no cap
+	// and with a cap of one report. The cap only decides how many reports
+	// the summary keeps.
+	second := func(r *Report) bool { return r.Kind == KindCancellation && strings.HasPrefix(r.Pos, "6:") }
+	for _, max := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.MaxReports = max
+		cfg.BreakOn = second
+		t.Run(fmt.Sprintf("MaxReports=%d", max), func(t *testing.T) {
+			eachBackend(t, func(t *testing.T, k backend.Kind) {
+				rt, m := buildPipeline(t, twoCancelSrc, cfg)
+				m.Backend = k
+				_, err := m.Run("main")
+				var stopped *interp.Stopped
+				if !errorsAs(err, &stopped) {
+					t.Fatalf("want *interp.Stopped, got %v", err)
+				}
+				if rep, ok := stopped.Reason.(*Report); !ok || !second(rep) {
+					t.Fatalf("breakpoint payload: %#v", stopped.Reason)
+				}
+				sum := rt.Summary()
+				kept := 2
+				if max == 1 {
+					kept = 1
+				}
+				if sum.Counts[KindCancellation] != 2 || len(sum.Reports) != kept {
+					t.Fatalf("%d cancellations and %d reports kept, want 2 and %d",
+						sum.Counts[KindCancellation], len(sum.Reports), kept)
+				}
+			})
+		})
+	}
 }
+
+// twoCancelSrc cancels twice, on lines 5 and 6, with nothing else to
+// report.
+const twoCancelSrc = `
+func main(): p32 {
+	var big: p32 = 16777216.0;
+	var one: p32 = 1.0;
+	var x: p32 = (big + one) - big;
+	var y: p32 = (big + one) - big;
+	return one;
+}
+`
 
 func errorsAs(err error, target **interp.Stopped) bool {
 	s, ok := err.(*interp.Stopped)
