@@ -486,9 +486,9 @@ func TestBackendDiffProfile(t *testing.T) {
 }
 
 // TestBackendDiffSampledInjection exercises the two seams the VM must keep
-// working: the shadow runtime's sampling gate (FastBinP32 included) and
-// the machine's fault injector (which must see identical dynamic
-// instruction streams to corrupt identically), alone and combined.
+// working: the shadow runtime's sampling gate and the machine's fault
+// injector (which must see identical dynamic instruction streams to
+// corrupt identically), alone and combined.
 func TestBackendDiffSampledInjection(t *testing.T) {
 	k, _ := workloads.KernelByName("gemm")
 	src, err := positdebug.RefactorToPosit(k.Source(6))
@@ -547,10 +547,10 @@ func main(): p16 {
 // TestBackendDiffInjectionMatrix crosses every fault kind with each
 // injectable op class alone, in occurrence mode (the first and the middle
 // eligible event) and in rate mode capped at three faults, on a ⟨32,2⟩
-// kernel, an f64 kernel and a ⟨16,1⟩ program. The VM computes the ⟨32,2⟩
-// ops itself while the injector is live and returns them to FastBinP32
-// once it is spent, so value, summary and reports, trace events,
-// candidate count and fault schedule must all match the tree-walker's.
+// kernel, an f64 kernel and a ⟨16,1⟩ program. Both backends deliver every
+// event through its Hooks method whether the injector is live or spent,
+// so value, summary and reports, trace events, candidate count and fault
+// schedule must all match the tree-walker's.
 func TestBackendDiffInjectionMatrix(t *testing.T) {
 	gemm, _ := workloads.KernelByName("gemm")
 	p32, err := positdebug.RefactorToPosit(gemm.Source(6))
@@ -629,12 +629,11 @@ func TestBackendDiffInjectionMatrix(t *testing.T) {
 }
 
 // TestBackendDiffSampledSuite runs every detection-suite program sampled at
-// several strides on both backends. The shadow runtime gates FastBinP32
-// exactly like its Hooks compute methods, so the VM runs sampled ⟨32,2⟩
-// ops through the fused superinstruction path; this test pins
-// that the runtime's take() decisions and skip semantics (stale metadata,
-// program result still computed) are byte-identical to the tree-walker's,
-// detection verdicts included.
+// several strides on both backends. The shadow runtime gates each Hooks
+// compute method, and the VM runs sampled ops through the fused
+// superinstructions; this test pins that the runtime's take() decisions
+// and skip semantics (stale metadata, program result still computed) are
+// byte-identical to the tree-walker's, detection verdicts included.
 func TestBackendDiffSampledSuite(t *testing.T) {
 	for _, p := range workloads.Suite() {
 		p := p

@@ -72,11 +72,10 @@ type Hooks interface {
 // the machine announces the corruption to hooks implementing
 // InjectionObserver before it delivers the corrupted event.
 //
-// Every event an injector may corrupt reaches the generic Hooks method on
-// both backends; while the injector is live, the VM's ⟨32,2⟩
-// superinstructions therefore compute in the VM instead of FastShadow.
-// After each hit the machine asks Spent; once it reports true, neither
-// backend consults the injector again until the next run.
+// Every event an injector may corrupt reaches its Hooks method on both
+// backends, whether or not an injector is live. After each hit the machine
+// asks Spent; once it reports true, neither backend consults the injector
+// again until the next run.
 type Injector interface {
 	// Reset is called at the start of every Machine.Run, so a rerun (or a
 	// precision-degraded retry) replays the same schedule.

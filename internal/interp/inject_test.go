@@ -2,90 +2,60 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"positdebug/internal/backend"
 	"positdebug/internal/ir"
-	"positdebug/internal/posit"
 )
 
-// deliveryHooks records how each value-producing shadow event reaches the
-// runtime — through its Hooks method or FastShadow's FastBinP32 — and logs
-// those events, plus injection announcements, in order.
+// deliveryHooks counts the value-producing shadow events by Hooks method —
+// Bin by type and kind too — and logs them, plus injection announcements,
+// in order.
 type deliveryHooks struct {
 	NopHooks
-	calls map[string]int // calls by delivery path and event
+	calls map[string]int
 	log   []string
 }
 
 func (h *deliveryHooks) Reset() { h.calls, h.log = map[string]int{}, nil }
 
-func (h *deliveryHooks) on(fast bool, name string, id int32) {
-	if fast {
-		name = "fast " + name
-	}
+func (h *deliveryHooks) on(name string, id int32) {
 	h.calls[name]++
 	h.log = append(h.log, fmt.Sprintf("%s %d", name, id))
 }
 
 func (h *deliveryHooks) Const(id int32, typ ir.Type, dst int32, bits uint64) {
-	h.on(false, "Const", id)
+	h.on("Const", id)
 }
 
 func (h *deliveryHooks) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, dstVal, aVal, bVal uint64) {
-	h.on(false, "Bin", id)
+	h.on("Bin "+typ.String()+kind.String(), id)
 }
 
 func (h *deliveryHooks) Un(id int32, kind ir.UnKind, typ ir.Type, dst, a int32, dstVal, aVal uint64) {
-	h.on(false, "Un", id)
+	h.on("Un", id)
 }
 
 func (h *deliveryHooks) Cast(id int32, from, to ir.Type, dst, src int32, dstVal, srcVal uint64) {
-	h.on(false, "Cast", id)
+	h.on("Cast", id)
 }
 
 func (h *deliveryHooks) Load(id int32, typ ir.Type, dst int32, addr uint32, bits uint64) {
-	h.on(false, "Load", id)
+	h.on("Load", id)
 }
 
 func (h *deliveryHooks) Store(id int32, typ ir.Type, addr uint32, src int32, bits uint64) {
-	h.on(false, "Store", id)
+	h.on("Store", id)
 }
 
 func (h *deliveryHooks) PostCall(id int32, typ ir.Type, dst int32, bits uint64) {
-	h.on(false, "PostCall", id)
-}
-
-func (h *deliveryHooks) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64 {
-	h.on(true, "BinP32", id)
-	x, y := posit.Bits(aVal), posit.Bits(bVal)
-	switch kind {
-	case ir.BinAdd:
-		return uint64(posit.Config32.Add(x, y))
-	case ir.BinSub:
-		return uint64(posit.Config32.Sub(x, y))
-	default:
-		return uint64(posit.Config32.Mul(x, y))
-	}
+	h.on("PostCall", id)
 }
 
 func (h *deliveryHooks) ObserveInjection(id int32, op ir.Op, typ ir.Type, before, after uint64) {
 	h.log = append(h.log, fmt.Sprintf("inject %d", id))
-}
-
-// normalized is the log with the delivery path erased: the event stream
-// both backends must agree on.
-func (h *deliveryHooks) normalized() string {
-	out := make([]string, len(h.log))
-	for i, e := range h.log {
-		out[i] = pathless(e)
-	}
-	return strings.Join(out, "\n")
-}
-
-func pathless(e string) string {
-	return strings.Replace(strings.TrimPrefix(e, "fast "), "BinP32 ", "Bin ", 1)
 }
 
 // scriptInjector flips the low bit of the events at the given 1-based
@@ -93,18 +63,22 @@ func pathless(e string) string {
 type scriptInjector struct {
 	hits      []int64
 	seen      int64 // Mutate calls this run: the candidate count
+	stream    []string
 	fired     int
 	spent     bool // Spent has reported true
 	lateCalls int  // Mutate calls after that
 }
 
-func (j *scriptInjector) Reset() { j.seen, j.fired, j.spent, j.lateCalls = 0, 0, false, 0 }
+func (j *scriptInjector) Reset() {
+	j.seen, j.stream, j.fired, j.spent, j.lateCalls = 0, nil, 0, false, 0
+}
 
 func (j *scriptInjector) Mutate(id int32, op ir.Op, typ ir.Type, bits uint64) (uint64, bool) {
 	if j.spent {
 		j.lateCalls++
 	}
 	j.seen++
+	j.stream = append(j.stream, fmt.Sprintf("%v %v %d %#x", op, typ, id, bits))
 	if j.fired < len(j.hits) && j.hits[j.fired] == j.seen {
 		j.fired++
 		return bits ^ 1, true
@@ -147,11 +121,11 @@ func main(): p32 {
 }
 `
 
-// TestInjectorDeliveryRule pins the delivery rule against an uninjected VM
-// run of the same program: ⟨32,2⟩ ops use FastBinP32 exactly while no
-// injector is live, every other event goes through its Hooks method, a
-// hit's event follows its announcement, a spent injector is never
-// consulted again, and both backends show the injector the same event
+// TestInjectorDeliveryRule pins the delivery rule: every value-producing
+// event, ⟨32,2⟩ add/sub/mul included, reaches its Hooks method on both
+// backends, with or without a live injector, in the order of an uninjected
+// run; each hit's event follows its announcement; a spent injector is
+// never consulted again; and both backends show the injector the same
 // stream.
 func TestInjectorDeliveryRule(t *testing.T) {
 	mod := instrumentForTest(compile(t, deliverySrc))
@@ -171,10 +145,15 @@ func TestInjectorDeliveryRule(t *testing.T) {
 	}
 
 	base, want := run(backend.VM, nil)
-	for _, name := range []string{"fast BinP32", "Bin", "Un", "Const", "Cast", "Load", "Store"} {
+	for _, name := range []string{"Bin p32+", "Bin p32-", "Bin p32*", "Bin p16*", "Bin f64*",
+		"Un", "Const", "Cast", "Load", "Store", "PostCall"} {
 		if base.calls[name] == 0 {
 			t.Fatalf("program reaches no %s event: %v", name, base.calls)
 		}
+	}
+	if tw, _ := run(backend.Treewalk, nil); !slices.Equal(tw.log, base.log) {
+		t.Fatalf("uninjected event streams diverged\nvm:\n%s\ntreewalk:\n%s",
+			strings.Join(base.log, "\n"), strings.Join(tw.log, "\n"))
 	}
 	probe := &scriptInjector{}
 	run(backend.VM, probe)
@@ -201,16 +180,21 @@ func TestInjectorDeliveryRule(t *testing.T) {
 		if vmInj.seen != wantSeen || twInj.seen != wantSeen {
 			t.Errorf("hits %v: candidates vm %d, treewalk %d, want %d", hits, vmInj.seen, twInj.seen, wantSeen)
 		}
+		if !slices.Equal(vmInj.stream, twInj.stream) {
+			t.Errorf("hits %v: injector streams diverged\nvm:\n%s\ntreewalk:\n%s", hits,
+				strings.Join(vmInj.stream, "\n"), strings.Join(twInj.stream, "\n"))
+		}
 		if vmInj.lateCalls != 0 || twInj.lateCalls != 0 {
 			t.Errorf("hits %v: Mutate called after Spent (vm %d, treewalk %d times)", hits, vmInj.lateCalls, twInj.lateCalls)
 		}
-		if vh.normalized() != th.normalized() {
-			t.Errorf("hits %v: event streams diverged\nvm:\n%s\ntreewalk:\n%s", hits, vh.normalized(), th.normalized())
+		if !slices.Equal(vh.log, th.log) {
+			t.Errorf("hits %v: event streams diverged\nvm:\n%s\ntreewalk:\n%s", hits,
+				strings.Join(vh.log, "\n"), strings.Join(th.log, "\n"))
 		}
 
-		// Aligned with the uninjected run, the ⟨32,2⟩ ops report through
-		// Bin exactly while the injector is live, and each hit's event
-		// follows its announcement.
+		// Aligned with the uninjected run, every event arrives through the
+		// same Hooks method whether the injector is live or spent, and
+		// each hit's event follows its announcement.
 		i, injects, hitID := 0, 0, ""
 		for _, e := range vh.log {
 			if id, ok := strings.CutPrefix(e, "inject "); ok {
@@ -222,18 +206,13 @@ func TestInjectorDeliveryRule(t *testing.T) {
 			}
 			b := base.log[i]
 			i++
-			live := len(hits) == 0 || injects < len(hits)
-			switch {
-			case hitID != "":
-				if strings.HasPrefix(e, "fast ") || pathless(e) != pathless(b) || !strings.HasSuffix(e, " "+hitID) {
-					t.Errorf("hits %v: announcement of %s followed by %q, want the generic form of %q", hits, hitID, e, b)
-				}
-				hitID = ""
-			case live && e != strings.Replace(b, "fast BinP32 ", "Bin ", 1):
-				t.Errorf("hits %v: live injector delivered %q, want %q", hits, e, b)
-			case !live && e != b:
-				t.Errorf("hits %v: spent injector delivered %q, want %q", hits, e, b)
+			if e != b {
+				t.Errorf("hits %v: event %d is %q, want %q", hits, i, e, b)
 			}
+			if hitID != "" && !strings.HasSuffix(e, " "+hitID) {
+				t.Errorf("hits %v: announcement of %s followed by %q", hits, hitID, e)
+			}
+			hitID = ""
 		}
 		if i != len(base.log) || injects != len(hits) {
 			t.Errorf("hits %v: %d events and %d announcements, want %d and %d", hits, i, injects, len(base.log), len(hits))

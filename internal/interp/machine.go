@@ -41,9 +41,7 @@ type Machine struct {
 	Mod   *ir.Module
 	Hooks Hooks
 	// Injector, when set, corrupts values at the shadow events of
-	// instrumented code (fault injection; see Injector). While it is live
-	// the ⟨32,2⟩ superinstructions compute in the VM and deliver through
-	// Hooks instead of FastShadow.
+	// instrumented code (fault injection; see Injector).
 	Injector Injector
 	Out      io.Writer // print destination; nil discards
 	MaxSteps int64     // instruction budget; 0 means DefaultMaxSteps
@@ -64,10 +62,6 @@ type Machine struct {
 	// reset, letting VM runs zero only the dirty region. Tree-walk runs
 	// poison it to "whole stack dirty".
 	lowWater uint32
-	// fastHooks is non-nil when the current VM run's hooks implement
-	// FastShadow; the ⟨32,2⟩ add/sub/mul superinstructions then run
-	// through it whenever no injector is live.
-	fastHooks FastShadow
 	// inj is the injector the current run still consults: Injector at run
 	// start, nil once it reports Spent.
 	inj Injector
@@ -362,10 +356,6 @@ func (m *Machine) RunContext(ctx context.Context, name string, lim Limits, args 
 		if chunk, cerr = m.ensureChunk(); cerr != nil {
 			return 0, cerr
 		}
-	}
-	m.fastHooks = nil
-	if useVM {
-		m.fastHooks, _ = m.Hooks.(FastShadow)
 	}
 	if lim.Timeout > 0 {
 		m.deadline = time.Now().Add(lim.Timeout)

@@ -10,24 +10,6 @@ import (
 	"positdebug/internal/posit"
 )
 
-// FastShadow is an optional interface a Hooks implementation may satisfy to
-// take over the ⟨32,2⟩ add/sub/mul superinstructions: FastBinP32 computes
-// and returns the program result itself (bit-identical to
-// Config32.Add/Sub/Mul) and delivers the Bin event in the same call, which
-// lets the runtime reuse its memoized operand decodes for both the
-// arithmetic and the detection pass. kind is one of BinAdd/BinSub/BinMul.
-//
-// The machine binds FastShadow on every VM run whose Hooks value implements
-// it. While an Injector is live, the ⟨32,2⟩ superinstructions compute their
-// result in the VM, where the injector can see it, and deliver it through
-// Hooks.Bin; FastBinP32 resumes once the injector is Spent. Every other
-// event, on both backends, goes through its Hooks method. Sampling and
-// latency timing live inside the shadow runtime, which gates FastBinP32
-// exactly like Bin, so sampled runs keep the fused path.
-type FastShadow interface {
-	FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64
-}
-
 // Compile lowers mod to the fused bytecode the VM backend executes.
 // bytecode.Compile verifies the chunk before returning it, so execution
 // never sees an unverified program. Execution only reads a chunk, so one
@@ -398,7 +380,6 @@ func (m *Machine) vmLeaveGuarded() (pv any) {
 // unwind.
 func (m *Machine) vmLoop(ch *bytecode.Module) (uint64, error) {
 	maxSteps := m.vmMaxSteps()
-	fh := m.fastHooks
 	// checkAt is the last step before the next one stepCheck can trip on
 	// (the budget or the next poll), so the loop pays one comparison per
 	// op. It is computed from the step count, which only grows, so it is
@@ -635,36 +616,19 @@ frames:
 				m.Hooks.Bin(in.ID, ir.BinMul, ir.P16, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			case bytecode.OpFusedAddP32:
 				av, bv := regs[in.A], regs[in.B]
-				if fh != nil && m.inj == nil {
-					// One dispatch covers arithmetic, codec fast path, and
-					// shadow bookkeeping: the shadow runtime computes the
-					// program result from its memoized operand decodes —
-					// bit-identical to Config32.Add — so the ⟨32,2⟩ bits are
-					// decoded exactly once per operand.
-					regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinAdd, in.Dst, in.A, in.B, av, bv)
-				} else {
-					regs[in.Dst] = uint64(posit.Config32.Add(posit.Bits(av), posit.Bits(bv)))
-					m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-					m.Hooks.Bin(in.ID, ir.BinAdd, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
-				}
+				regs[in.Dst] = uint64(posit.Config32.Add(posit.Bits(av), posit.Bits(bv)))
+				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
+				m.Hooks.Bin(in.ID, ir.BinAdd, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			case bytecode.OpFusedSubP32:
 				av, bv := regs[in.A], regs[in.B]
-				if fh != nil && m.inj == nil {
-					regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinSub, in.Dst, in.A, in.B, av, bv)
-				} else {
-					regs[in.Dst] = uint64(posit.Config32.Sub(posit.Bits(av), posit.Bits(bv)))
-					m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-					m.Hooks.Bin(in.ID, ir.BinSub, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
-				}
+				regs[in.Dst] = uint64(posit.Config32.Sub(posit.Bits(av), posit.Bits(bv)))
+				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
+				m.Hooks.Bin(in.ID, ir.BinSub, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			case bytecode.OpFusedMulP32:
 				av, bv := regs[in.A], regs[in.B]
-				if fh != nil && m.inj == nil {
-					regs[in.Dst] = fh.FastBinP32(in.ID, ir.BinMul, in.Dst, in.A, in.B, av, bv)
-				} else {
-					regs[in.Dst] = uint64(posit.Config32.Mul(posit.Bits(av), posit.Bits(bv)))
-					m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
-					m.Hooks.Bin(in.ID, ir.BinMul, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
-				}
+				regs[in.Dst] = uint64(posit.Config32.Mul(posit.Bits(av), posit.Bits(bv)))
+				m.vmMutate(in.ID, ir.OpShadowBin, ir.P32, regs, in.Dst)
+				m.Hooks.Bin(in.ID, ir.BinMul, ir.P32, in.Dst, in.A, in.B, regs[in.Dst], av, bv)
 			case bytecode.OpFusedBin:
 				av, bv := regs[in.A], regs[in.B]
 				v, err := binEvalN(f.Name, ir.BinKind(in.K), ir.Type(in.T), av, bv)

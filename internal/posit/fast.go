@@ -294,7 +294,7 @@ func add32(a, b Bits) Bits {
 	if b == 0 {
 		return a
 	}
-	return Config32.AddDecoded(Decode32(a), Decode32(b))
+	return Config32.encode(addUnpacked(Decode32(a), Decode32(b)))
 }
 
 // mul32 is ⟨32,2⟩ multiplication; see add32.
@@ -305,24 +305,13 @@ func mul32(a, b Bits) Bits {
 	if a == 0 || b == 0 {
 		return 0
 	}
-	return Config32.MulDecoded(Decode32(a), Decode32(b))
+	return Config32.encode(mulUnpacked(Decode32(a), Decode32(b)))
 }
 
-// AddDecoded returns the correctly rounded sum of two pre-decoded posits.
-// Both operands must be finite and nonzero (a Decoded is only defined for
-// such patterns); callers that cache decodes — the shadow runtime's fused
-// superinstruction path — handle the NaR/zero cases on the raw bits first.
-// Subtraction is AddDecoded with the subtrahend's Neg flipped: decoders
-// negate before extracting fields, so Decode(Neg(p)) differs from
-// Decode(p) only in Neg.
-func (c Config) AddDecoded(da, db Decoded) Bits {
-	return c.encode(addUnpacked(da, db))
-}
-
-// MulDecoded returns the correctly rounded product of two pre-decoded
-// posits; the same operand contract as AddDecoded applies. The body is
-// GenericMul's own post-decode arithmetic.
-func (c Config) MulDecoded(da, db Decoded) Bits {
+// mulUnpacked computes the exact product of two decoded posits, both
+// finite and nonzero, in unrounded form: GenericMul's own post-decode
+// arithmetic, as addUnpacked is GenericAdd's.
+func mulUnpacked(da, db Decoded) unrounded {
 	hi, lo := bits.Mul64(da.Frac, db.Frac)
 	scale := da.Scale + db.Scale
 	// Product of [2^63,2^64) significands lies in [2^126,2^128).
@@ -332,10 +321,10 @@ func (c Config) MulDecoded(da, db Decoded) Bits {
 		hi = hi<<1 | lo>>63
 		lo <<= 1
 	}
-	return c.encode(unrounded{
+	return unrounded{
 		neg:    da.Neg != db.Neg,
 		scale:  scale,
 		frac:   hi,
 		sticky: lo != 0,
-	})
+	}
 }

@@ -23,24 +23,16 @@ import (
 // decoders built from it — negate before extracting fields, so
 // Decode(p) and Decode(Abs(p)) agree on all geometry, and for n ≤ 32
 // every finite posit converts to float64 exactly with Ilogb(f) == Scale.
-//
-// This file also implements interp.FastShadow, the VM's ⟨32,2⟩
-// add/sub/mul superinstruction, which computes the program result from the
-// same memoized operand decodes.
-
-var _ interp.FastShadow = (*Runtime)(nil)
 
 // pval is the single-decode view of one program value: everything the
 // detection pass (checkOp and its helpers) derives from the (type, bits)
-// pair. It is embedded in every TempMeta and MemMeta as whole words (24
-// bytes): the float64 conversion, the posit fraction, and the exponent
-// beside one uint32 that packs the precision-loss geometry, the type and
-// four flags. set writes every word in place; decoded() rebuilds the
-// posit.Decoded on the stack for the fused-arithmetic consumers.
+// pair. It is embedded in every TempMeta and MemMeta as two words (16
+// bytes): the float64 conversion, and the exponent beside one uint32 that
+// packs the precision-loss geometry, the type and three flags. set writes
+// every word in place.
 type pval struct {
-	f    float64 // interp.ToFloat64(typ, bits), bit-exact
-	frac uint64  // decoded fraction; valid iff posit, finite, nonzero
-	exp  int32   // binary exponent of f (math.Ilogb) == decoded Scale for posits
+	f   float64 // interp.ToFloat64(typ, bits), bit-exact
+	exp int32   // binary exponent of f (math.Ilogb) == decoded Scale for posits
 	// meta packs, from the low byte up: RegimeBits and FracBits of
 	// Decode(Abs(bits)) (decoders negate first, so Decode and Decode∘Abs
 	// agree on everything but the sign), the ir.Type the decode was
@@ -55,7 +47,6 @@ const (
 	pvOK    = 1 << 24 // set once computed; the zero pval is never a valid decode
 	pvZero  = 1 << 25 // the value is 0, NaN or ±Inf: no exponent to cancel
 	pvUndef = 1 << 26 // NaN or ±Inf (the posit NaR pattern)
-	pvNeg   = 1 << 27 // a negative posit
 
 	// pvKey selects the memo key's type and pvOK: is tests both in one
 	// masked compare.
@@ -68,22 +59,11 @@ func (p *pval) typ() ir.Type { return ir.Type(uint8(p.meta >> pvTypeShift)) }
 func (p *pval) ok() bool     { return p.meta&pvOK != 0 }
 func (p *pval) zero() bool   { return p.meta&pvZero != 0 }
 func (p *pval) undef() bool  { return p.meta&pvUndef != 0 }
-func (p *pval) neg() bool    { return p.meta&pvNeg != 0 }
 
 // is reports whether p, memoized for the bits key, is the decode of bits
 // read as typ.
 func (p *pval) is(key uint64, typ ir.Type, bits uint64) bool {
 	return key == bits && p.meta&pvKey == uint32(typ)<<pvTypeShift|pvOK
-}
-
-// decoded rebuilds the posit.Decoded this pval was computed from, the
-// operand form AddDecoded/MulDecoded consume in the fused-arithmetic
-// superinstructions.
-func (p *pval) decoded() posit.Decoded {
-	return posit.Decoded{
-		Neg: p.neg(), Scale: int(p.exp), Frac: p.frac,
-		RegimeBits: p.rbits(), FracBits: p.fbits(),
-	}
 }
 
 // set decodes (typ, bits) into p, overwriting every word. ⟨32,2⟩ decodes
@@ -124,9 +104,8 @@ func (p *pval) setPosit(d posit.Decoded, meta uint32) {
 	fb := uint64(d.Scale+1023)<<52 | d.Frac<<1>>12
 	if d.Neg {
 		fb |= 1 << 63
-		meta |= pvNeg
 	}
-	p.f, p.frac, p.exp = math.Float64frombits(fb), d.Frac, int32(d.Scale)
+	p.f, p.exp = math.Float64frombits(fb), int32(d.Scale)
 	p.meta = meta | uint32(d.RegimeBits) | uint32(d.FracBits)<<pvFbitsShift
 }
 
@@ -147,7 +126,7 @@ func (p *pval) setFloat(f float64, meta uint32) {
 	default:
 		exp = int32(math.Ilogb(f))
 	}
-	p.f, p.frac, p.exp, p.meta = f, 0, exp, meta
+	p.f, p.exp, p.meta = f, exp, meta
 }
 
 // pvalFor returns the decoded view of t.Prog read as typ, memoized on the
@@ -160,83 +139,4 @@ func (t *TempMeta) pvalFor(typ ir.Type) *pval {
 		t.pvBits = t.Prog
 	}
 	return &t.pv
-}
-
-// FastBinP32 implements interp.FastShadow: the ⟨32,2⟩ add/sub/mul
-// superinstruction hands the base arithmetic to the runtime too, so the
-// operands' memoized decodes feed AddDecoded/MulDecoded directly instead
-// of being re-derived from the raw bits inside Config32.Add/Sub/Mul. The
-// special cases run on the raw bits exactly as the Config32 entry points
-// do, so the returned result is bit-identical by construction
-// (fastpath_test.go drives the equivalence over random and special
-// operands).
-func (r *Runtime) FastBinP32(id int32, kind ir.BinKind, dst, a, b int32, aVal, bVal uint64) uint64 {
-	if !r.take(id) {
-		return skippedP32(kind, aVal, bVal)
-	}
-	t0 := r.startTimer()
-	const typ = ir.P32
-	cfg := posit.Config32
-	// ensure(a); ensure(b) with the frame fetched once — this runs once
-	// per fused arithmetic op, so the repeated frames[len-1] indirection
-	// inside temp() is worth hoisting.
-	temps := r.frames[len(r.frames)-1].temps
-	ta, tb := &temps[a], &temps[b]
-	if !ta.written || ta.Prog != aVal {
-		r.initFromProgram(ta, typ, aVal)
-	}
-	if !tb.written || tb.Prog != bVal {
-		r.initFromProgram(tb, typ, bVal)
-	}
-	pa := ta.pvalFor(typ)
-	pb := tb.pvalFor(typ)
-	var res posit.Bits
-	switch {
-	case pa.undef() || pb.undef():
-		res = cfg.NaR()
-	case kind == ir.BinMul:
-		if aVal == 0 || bVal == 0 {
-			res = 0
-		} else {
-			res = cfg.MulDecoded(pa.decoded(), pb.decoded())
-		}
-	case kind == ir.BinAdd:
-		switch {
-		case aVal == 0:
-			res = posit.Bits(bVal)
-		case bVal == 0:
-			res = posit.Bits(aVal)
-		default:
-			res = cfg.AddDecoded(pa.decoded(), pb.decoded())
-		}
-	default: // ir.BinSub: Add(a, Neg(b)); Decode(Neg(b)) is Decode(b) with Neg flipped
-		switch {
-		case aVal == 0:
-			res = cfg.Neg(posit.Bits(bVal))
-		case bVal == 0:
-			res = posit.Bits(aVal)
-		default:
-			db := pb.decoded()
-			db.Neg = !db.Neg
-			res = cfg.AddDecoded(pa.decoded(), db)
-		}
-	}
-	r.binCore(id, kind, typ, dst, uint64(res), ta, tb)
-	r.stopTimer(id, t0)
-	return uint64(res)
-}
-
-// skippedP32 computes the program result of a sampled-out FastBinP32 —
-// bit-identical to Config32's arithmetic — leaving shadow metadata
-// untouched, as a skipped Bin on the tree-walker does.
-func skippedP32(kind ir.BinKind, aVal, bVal uint64) uint64 {
-	a, b := posit.Bits(aVal), posit.Bits(bVal)
-	switch kind {
-	case ir.BinAdd:
-		return uint64(posit.Config32.Add(a, b))
-	case ir.BinSub:
-		return uint64(posit.Config32.Sub(a, b))
-	default: // BinMul — the only other fused kind
-		return uint64(posit.Config32.Mul(a, b))
-	}
 }

@@ -312,11 +312,11 @@ func New(mod *ir.Module, cfg Config) (*Runtime, error) {
 }
 
 // SetSampling sets the sampling stride: every nth dynamic instance of each
-// static compute instruction (Bin, Un, Cast, FMA, QVal and FastBinP32) is
-// shadowed and the rest are skipped, cutting shadow cost roughly
-// by n. n ≤ 1 shadows everything. Structural events (constants, moves,
-// comparisons, memory, calls, prints, quire accumulation) always run, so
-// metadata propagation and the branch-flip and output oracles stay exact.
+// static compute instruction (Bin, Un, Cast, FMA and QVal) is shadowed
+// and the rest are skipped, cutting shadow cost roughly by n. n ≤ 1
+// shadows everything. Structural events (constants, moves, comparisons,
+// memory, calls, prints, quire accumulation) always run, so metadata
+// propagation and the branch-flip and output oracles stay exact.
 //
 // The decision is a pure function of (static id, per-id occurrence count),
 // and the counts reset every run, so a sampled run shadows the same
@@ -709,14 +709,6 @@ func (r *Runtime) Bin(id int32, kind ir.BinKind, typ ir.Type, dst, a, b int32, d
 	t0 := r.startTimer()
 	ta := r.ensure(a, typ, aVal)
 	tb := r.ensure(b, typ, bVal)
-	r.binCore(id, kind, typ, dst, dstVal, ta, tb)
-	r.stopTimer(id, t0)
-}
-
-// binCore is Bin past operand resolution: FastBinP32 has already ensured
-// the operand temps (it needed their decodes to compute the result), so it
-// enters here directly rather than re-running ensure.
-func (r *Runtime) binCore(id int32, kind ir.BinKind, typ ir.Type, dst int32, dstVal uint64, ta, tb *TempMeta) {
 	d := r.temp(dst)
 
 	undef := ta.Undef || tb.Undef
@@ -747,6 +739,7 @@ func (r *Runtime) binCore(id int32, kind ir.BinKind, typ ir.Type, dst int32, dst
 	}
 	r.totalOps++
 	r.checkOp(id, typ, opSub(kind), d, ta, tb)
+	r.stopTimer(id, t0)
 }
 
 func opSub(kind ir.BinKind) bool { return kind == ir.BinSub || kind == ir.BinAdd }
@@ -848,8 +841,10 @@ func (r *Runtime) resyncAfterFlip() {
 		}
 		typ := r.typeOfInst(t.Inst)
 		if typ == ir.Void {
-			// Unknown producer: re-seed from the recorded program bits
-			// assuming the dominant posit type; conservative but safe.
+			// Unknown producer: there is no type to re-decode t.Prog as,
+			// so the temporary keeps its metadata. One seeded from the
+			// program (Inst -1) already agrees with its bits, and ensure
+			// re-seeds it if the register changes.
 			continue
 		}
 		r.initFromProgram(t, typ, t.Prog)
@@ -1074,10 +1069,6 @@ func (r *Runtime) PreCall(callee *ir.Func, args []int32, argVals []uint64) {
 func (r *Runtime) Ret(typ ir.Type, src int32, bits uint64) {
 	r.retValid = false
 	if src < 0 || !typ.IsNumeric() {
-		if len(r.frames) == 1 {
-			// Entry function returning a non-numeric value: nothing to do.
-			r.retValid = false
-		}
 		return
 	}
 	s := r.ensure(src, typ, bits)
@@ -1094,7 +1085,7 @@ func (r *Runtime) Ret(typ ir.Type, src int32, bits uint64) {
 	r.retValid = true
 	if len(r.frames) == 1 {
 		// The entry function's return is a program output.
-		r.checkOutput(typ, s)
+		r.checkOutputAt(s.Inst, typ, s)
 	}
 }
 
@@ -1132,10 +1123,6 @@ func (r *Runtime) Print(id int32, typ ir.Type, src int32, bits uint64) {
 	}
 	s := r.ensure(src, typ, bits)
 	r.checkOutputAt(id, typ, s)
-}
-
-func (r *Runtime) checkOutput(typ ir.Type, s *TempMeta) {
-	r.checkOutputAt(s.Inst, typ, s)
 }
 
 // FMA performs the fused multiply-add in the shadow execution: at the
