@@ -21,7 +21,9 @@ type Options struct {
 // Each shadow event is fused with the base instruction beside it into one
 // superinstruction. The instrumentation pass always places them together;
 // a shadow event cut off from its base is a compile error naming the
-// event. Only a call's sh.precall and sh.postcall stay standalone.
+// event. Only a call's sh.precall and sh.postcall stay standalone. Base
+// pairs (fuseBase) are fused too, wherever a shadow pair does not claim
+// their second instruction.
 func Compile(mod *ir.Module, _ Options) (*Module, error) {
 	out := &Module{
 		GlobalBase:  mod.GlobalBase,
@@ -72,7 +74,16 @@ func compileFunc(out *Module, f *ir.Func) (*Func, error) {
 		for i := 0; i < len(instrs); {
 			in := &instrs[i]
 			if i+1 < len(instrs) {
-				if fused, ok := fusePair(in, &instrs[i+1]); ok {
+				fused, ok := fusePair(in, &instrs[i+1])
+				if !ok {
+					// A base pair never takes the base half of a shadow pair.
+					fused, ok = fuseBase(in, &instrs[i+1])
+					if ok && i+2 < len(instrs) {
+						_, shadow := fusePair(&instrs[i+1], &instrs[i+2])
+						ok = !shadow
+					}
+				}
+				if ok {
 					emit(fused, int32(bi), i)
 					i += 2
 					continue
@@ -333,6 +344,49 @@ func fusePair(a, b *ir.Instr) (Inst, bool) {
 		in := mk(OpFusedFMA)
 		in.A, in.B, in.Imm = a.Args[0], a.Args[1], uint64(uint32(a.Args[2]))
 		return in, true
+	}
+	return Inst{}, false
+}
+
+// fuseBase recognizes a base pair: an address or constant that the next
+// instruction reads, as the address of a 4- or 8-byte load or store, or as
+// one operand of an i64 add or mul. The fused op keeps the first
+// instruction's register as A (B for the arithmetic, whose other operand
+// moves to A: both ops commute).
+func fuseBase(a, b *ir.Instr) (Inst, bool) {
+	r := a.Dst
+	wide := b.Type.Size() == 4 || b.Type.Size() == 8
+	in := Inst{K: uint8(b.Type.Size()), Dst: b.Dst, A: r, B: -1, ID: -1, Imm: a.Imm}
+	switch a.Op {
+	case ir.OpFrameAddr:
+		switch {
+		case b.Op == ir.OpLoad && b.A == r && wide:
+			in.Op = OpLoadFrame
+			return in, true
+		case b.Op == ir.OpStore && b.A == r && wide:
+			in.Op, in.Dst, in.B = OpStoreFrame, -1, b.B
+			return in, true
+		}
+	case ir.OpConst, ir.OpGlobalAddr:
+		switch {
+		case b.Op == ir.OpLoad && b.A == r && wide:
+			in.Op = OpLoadAbs
+			return in, true
+		case b.Op == ir.OpBin && b.Type == ir.I64 && (b.A == r || b.B == r):
+			switch ir.BinKind(b.Kind) {
+			case ir.BinAdd:
+				in.Op = OpAddImmI64
+			case ir.BinMul:
+				in.Op = OpMulImmI64
+			default:
+				return Inst{}, false
+			}
+			in.K, in.A, in.B = 0, b.A, r
+			if b.A == r {
+				in.A = b.B
+			}
+			return in, true
+		}
 	}
 	return Inst{}, false
 }

@@ -104,6 +104,15 @@ func (m *Module) instBody(in *Inst) string {
 	case OpShPostCall:
 		return fmt.Sprintf("%s.%s r%d%s", op, t, in.Dst, idSuffix)
 
+	case OpLoadFrame:
+		return fmt.Sprintf("%s.%d r%d, [r%d = fp+%d]", op, in.K, in.Dst, in.A, in.Imm)
+	case OpStoreFrame:
+		return fmt.Sprintf("%s.%d [r%d = fp+%d], r%d", op, in.K, in.A, in.Imm, in.B)
+	case OpLoadAbs:
+		return fmt.Sprintf("%s.%d r%d, [r%d = %#x]", op, in.K, in.Dst, in.A, in.Imm)
+	case OpAddImmI64, OpMulImmI64:
+		return fmt.Sprintf("%s r%d, r%d, r%d = %#x", op, in.Dst, in.A, in.B, in.Imm)
+
 	case OpFusedConst:
 		return fmt.Sprintf("%s.%s r%d, %#x%s", op, t, in.Dst, in.Imm, idSuffix)
 	case OpFusedMov:

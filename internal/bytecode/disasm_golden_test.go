@@ -94,6 +94,11 @@ func allOpcodesModule() *bytecode.Module {
 		ins(bytecode.OpFMA, bytecode.Inst{T: p32, Dst: 3, A: 1, B: 2, Imm: 1, ID: -1}),
 		ins(bytecode.OpShPreCall, bytecode.Inst{A: 0, B: 2, Imm: 0, ID: -1}),
 		ins(bytecode.OpShPostCall, bytecode.Inst{T: p32, Dst: 3, ID: 8}),
+		ins(bytecode.OpLoadFrame, bytecode.Inst{K: 8, Dst: 3, A: 1, B: -1, Imm: 16, ID: -1}),
+		ins(bytecode.OpStoreFrame, bytecode.Inst{K: 4, Dst: -1, A: 1, B: 2, Imm: 24, ID: -1}),
+		ins(bytecode.OpLoadAbs, bytecode.Inst{K: 4, Dst: 3, A: 1, B: -1, Imm: 0x10, ID: -1}),
+		ins(bytecode.OpAddImmI64, bytecode.Inst{Dst: 3, A: 1, B: 2, Imm: 1, ID: -1}),
+		ins(bytecode.OpMulImmI64, bytecode.Inst{Dst: 3, A: 1, B: 2, Imm: 8, ID: -1}),
 		ins(bytecode.OpFusedConst, bytecode.Inst{T: p32, Dst: 1, Imm: 0x4000_0000, ID: 0}),
 		ins(bytecode.OpFusedMov, bytecode.Inst{T: p32, Dst: 2, A: 1, ID: 1}),
 		ins(bytecode.OpFusedAddP16, bytecode.Inst{T: p16, Dst: 3, A: 1, B: 2, ID: 2}),

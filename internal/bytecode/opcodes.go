@@ -12,14 +12,18 @@
 //     covers arithmetic, the LUT codec fast path, and shadow bookkeeping.
 //     Only a call's shadow events (sh.precall, sh.postcall) stay
 //     standalone.
+//   - Five base pairs, an address or constant and the instruction after it
+//     that uses it, are fused the same way (ldf, stf, ldc, addi.i64,
+//     muli.i64), so a local read through its frame slot, a global read or
+//     a constant operand costs one dispatch, not two.
 //   - Every instruction carries a position-table entry mapping its pc back
 //     to the (block, index) of the ir.Instr it came from, so structured
 //     fault reports and the file:line:col profiler keep their coordinates.
 //
-// Fused instructions cost two interpreter steps (they stand for two IR
-// instructions); everything else costs one. That keeps step budgets,
-// deadline polling cadence and campaign classifications byte-identical to
-// the tree-walking oracle.
+// Fused instructions, shadow pairs and base pairs alike, cost two
+// interpreter steps (they stand for two IR instructions); everything else
+// costs one. That keeps step budgets, deadline polling cadence and campaign
+// classifications byte-identical to the tree-walking oracle.
 package bytecode
 
 // Op enumerates VM opcodes. The fused superinstructions form a contiguous
@@ -92,9 +96,23 @@ const (
 	OpShPreCall  // A = callee, B = arg count, Imm = arg-pool offset
 	OpShPostCall // Dst (−1 void)
 
-	// Fused superinstructions: one dispatch executes the base operation and
-	// delivers its shadow event. Each stands for two IR instructions and
-	// costs two steps. Keep this block contiguous and last.
+	// Two-step superinstructions: each stands for two adjacent IR
+	// instructions of one block and costs two steps. Keep this block
+	// contiguous and last.
+	//
+	// Base pairs: the first instruction writes an address or a constant
+	// that the second reads. The fused op still writes the first one's
+	// register (A, or B for the arithmetic), so registers and checkpoints
+	// hold what they would after the two IR instructions. The first half
+	// never traps. Widths (K) are 4 or 8.
+	OpLoadFrame  // ldf: Dst ← mem[A ← fp + Imm]
+	OpStoreFrame // stf: mem[A ← fp + Imm] ← B
+	OpLoadAbs    // ldc: Dst ← mem[A ← Imm]; a const or a global's address
+	OpAddImmI64  // addi.i64: Dst ← A + (B ← Imm)
+	OpMulImmI64  // muli.i64: Dst ← A · (B ← Imm)
+
+	// Shadow pairs: one dispatch executes the base operation and delivers
+	// its shadow event.
 	OpFusedConst
 	OpFusedMov
 	OpFusedAddP16 // the paper-hot pairs get named superinstructions:
@@ -120,9 +138,9 @@ const (
 	opMax
 )
 
-// FusedFirst is the first fused superinstruction; ops ≥ FusedFirst cost two
-// steps.
-const FusedFirst = OpFusedConst
+// FusedFirst is the first two-step superinstruction; ops ≥ FusedFirst cost
+// two steps.
+const FusedFirst = OpLoadFrame
 
 // NumOps is the number of defined opcodes (golden tests iterate it).
 const NumOps = int(opMax)
@@ -182,6 +200,12 @@ var opNames = [...]string{
 
 	OpShPreCall:  "sh.precall",
 	OpShPostCall: "sh.postcall",
+
+	OpLoadFrame:  "ldf",
+	OpStoreFrame: "stf",
+	OpLoadAbs:    "ldc",
+	OpAddImmI64:  "addi.i64",
+	OpMulImmI64:  "muli.i64",
 
 	OpFusedConst:  "const+sh",
 	OpFusedMov:    "mov+sh",

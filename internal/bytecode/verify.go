@@ -118,6 +118,12 @@ func verifyInst(m *Module, f *Func, pc int) error {
 		}
 		return fmt.Errorf("bad width %d", k)
 	}
+	wide := func(k uint8) error {
+		if k != 4 && k != 8 {
+			return fmt.Errorf("bad base-pair width %d", k)
+		}
+		return nil
+	}
 	pool := func(off uint64, n int32) error {
 		if n < 0 || off > uint64(len(m.Args)) || uint64(n) > uint64(len(m.Args))-off {
 			return fmt.Errorf("arg pool [%d,%d+%d) out of range [0,%d)", off, off, n, len(m.Args))
@@ -206,6 +212,13 @@ func verifyInst(m *Module, f *Func, pc int) error {
 		return err2(callee(in.A), pool(in.Imm, in.B))
 	case OpShPostCall:
 		return err2(typ(in.T), optReg(in.Dst), id(in.ID))
+
+	case OpLoadFrame, OpLoadAbs:
+		return err2(wide(in.K), reg(in.Dst), reg(in.A))
+	case OpStoreFrame:
+		return err2(wide(in.K), reg(in.A), reg(in.B))
+	case OpAddImmI64, OpMulImmI64:
+		return err2(reg(in.Dst), reg(in.A), reg(in.B))
 
 	case OpFusedConst:
 		return err2(typ(in.T), reg(in.Dst), id(in.ID))

@@ -1,13 +1,16 @@
 package interp
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"positdebug/internal/backend"
+	"positdebug/internal/bytecode"
 	"positdebug/internal/instrument"
 	"positdebug/internal/ir"
 )
@@ -189,5 +192,74 @@ func TestInternalFaultPositionsAgree(t *testing.T) {
 				t.Errorf("LeaveFunc #%d: fault at block %d, instr %d of %s, want its ret", at, ref.Block, ref.Index, want)
 			}
 		}
+	}
+}
+
+// TestVMFirstHalfBasePairs runs the first half of each base pair, as
+// vmCheck does when a check trips on the pair's second step, and requires
+// it to write the first instruction's register and nothing else: no other
+// register, no memory, no low-water mark, no step. A check that trips there
+// ends the run, and nothing reads that register afterwards, so no run-level
+// test can tell a missing first half apart.
+func TestVMFirstHalfBasePairs(t *testing.T) {
+	mod := compile(t, `
+func main(): i64 {
+	var a: i64 = 1;
+	var b: i64 = 2;
+	return a * b + 3;
+}`)
+	m := New(mod)
+	ch, err := m.ensureChunk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.sp = uint32(len(m.mem))
+	if err := m.vmPush(ch, mod.FuncIdx["main"], nil); err != nil {
+		t.Fatal(err)
+	}
+	fr := m.vmFrames[0]
+	if fr.f.NumRegs < 3 {
+		t.Fatalf("main has %d registers, want at least 3", fr.f.NumRegs)
+	}
+	regs := m.vmRegs[fr.rb : fr.rb+int(fr.f.NumRegs)]
+	fp := uint64(fr.fp)
+	gb := uint64(ch.GlobalBase)
+	cases := []struct {
+		in   bytecode.Inst
+		reg  int32 // the first instruction's register
+		want uint64
+	}{
+		{bytecode.Inst{Op: bytecode.OpLoadFrame, K: 8, Dst: 1, A: 0, B: -1, Imm: 8}, 0, fp + 8},
+		{bytecode.Inst{Op: bytecode.OpStoreFrame, K: 8, Dst: -1, A: 0, B: 1, Imm: 8}, 0, fp + 8},
+		{bytecode.Inst{Op: bytecode.OpLoadAbs, K: 4, Dst: 1, A: 0, B: -1, Imm: gb}, 0, gb},
+		{bytecode.Inst{Op: bytecode.OpAddImmI64, Dst: 2, A: 0, B: 1, Imm: 5}, 1, 5},
+		{bytecode.Inst{Op: bytecode.OpMulImmI64, Dst: 2, A: 0, B: 1, Imm: 7}, 1, 7},
+	}
+	for _, tc := range cases {
+		t.Run(tc.in.Op.String(), func(t *testing.T) {
+			for i := range regs {
+				regs[i] = 0xdead_0000 + uint64(i)
+			}
+			// Stale bits in the slot a load would read and a low-water mark a
+			// store would move: a first half that ran its second would show.
+			m.mem[fr.fp+8] = 0x5a
+			m.lowWater = uint32(len(m.mem))
+			m.steps = 41
+			mem := slices.Clone(m.mem)
+			want := slices.Clone(regs)
+			want[tc.reg] = tc.want
+			if err := m.vmFirstHalf(ch, fr.f, &tc.in, regs); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(regs, want) {
+				t.Errorf("registers %#x, want %#x", regs, want)
+			}
+			if !bytes.Equal(m.mem, mem) {
+				t.Error("the first half wrote memory")
+			}
+			if m.lowWater != uint32(len(m.mem)) || m.steps != 41 {
+				t.Errorf("lowWater %d, steps %d; want %d, 41", m.lowWater, m.steps, len(m.mem))
+			}
+		})
 	}
 }

@@ -592,6 +592,57 @@ frames:
 				}
 				m.Hooks.PostCall(in.ID, ir.Type(in.T), in.Dst, bits)
 
+			// Base pairs: the first half writes its register, then the
+			// second reads it. The first half never traps, so a trap in the
+			// second keeps both steps, as it does on the tree-walker.
+			case bytecode.OpLoadFrame:
+				av := uint64(fp) + in.Imm
+				regs[in.A] = av
+				a, sz := uint32(av), uint32(in.K)
+				if a < ch.GlobalBase || uint64(a)+uint64(sz) > uint64(len(m.mem)) {
+					return 0, m.memTrap(f.Name, sz, a)
+				}
+				if sz == 8 {
+					regs[in.Dst] = binary.LittleEndian.Uint64(m.mem[a:])
+				} else {
+					regs[in.Dst] = uint64(binary.LittleEndian.Uint32(m.mem[a:]))
+				}
+			case bytecode.OpLoadAbs:
+				regs[in.A] = in.Imm
+				a, sz := uint32(in.Imm), uint32(in.K)
+				if a < ch.GlobalBase || uint64(a)+uint64(sz) > uint64(len(m.mem)) {
+					return 0, m.memTrap(f.Name, sz, a)
+				}
+				if sz == 8 {
+					regs[in.Dst] = binary.LittleEndian.Uint64(m.mem[a:])
+				} else {
+					regs[in.Dst] = uint64(binary.LittleEndian.Uint32(m.mem[a:]))
+				}
+			case bytecode.OpStoreFrame:
+				// A is written before B is read, so storing the slot's own
+				// address stores it.
+				av := uint64(fp) + in.Imm
+				regs[in.A] = av
+				a, sz := uint32(av), uint32(in.K)
+				if a < ch.GlobalBase || uint64(a)+uint64(sz) > uint64(len(m.mem)) {
+					return 0, m.memTrap(f.Name, sz, a)
+				}
+				if sb := ch.GlobalBase + ch.GlobalSize; a+sz > sb && a < m.lowWater {
+					m.lowWater = a
+				}
+				if sz == 8 {
+					binary.LittleEndian.PutUint64(m.mem[a:], regs[in.B])
+				} else {
+					binary.LittleEndian.PutUint32(m.mem[a:], uint32(regs[in.B]))
+				}
+			case bytecode.OpAddImmI64:
+				// B is written before A is read, so c+c reads c twice.
+				regs[in.B] = in.Imm
+				regs[in.Dst] = uint64(int64(regs[in.A]) + int64(in.Imm))
+			case bytecode.OpMulImmI64:
+				regs[in.B] = in.Imm
+				regs[in.Dst] = uint64(int64(regs[in.A]) * int64(in.Imm))
+
 			case bytecode.OpFusedConst:
 				regs[in.Dst] = in.Imm
 				m.vmMutate(in.ID, ir.OpShadowConst, ir.Type(in.T), regs, in.Dst)
@@ -815,6 +866,12 @@ func (m *Machine) vmCheck(ch *bytecode.Module, f *bytecode.Func, pc int, regs []
 // step trips (vmCheck). The second half is never executed.
 func (m *Machine) vmFirstHalf(ch *bytecode.Module, f *bytecode.Func, in *bytecode.Inst, regs []uint64) error {
 	switch in.Op {
+	case bytecode.OpLoadFrame, bytecode.OpStoreFrame:
+		regs[in.A] = uint64(m.vmFrames[len(m.vmFrames)-1].fp) + in.Imm
+	case bytecode.OpLoadAbs:
+		regs[in.A] = in.Imm
+	case bytecode.OpAddImmI64, bytecode.OpMulImmI64:
+		regs[in.B] = in.Imm
 	case bytecode.OpFusedConst:
 		regs[in.Dst] = in.Imm
 	case bytecode.OpFusedMov:
