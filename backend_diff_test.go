@@ -218,7 +218,8 @@ func TestBackendDiffKernels(t *testing.T) {
 // window so limits trip at every offset relative to the VM's fused
 // superinstruction boundaries, and requires the structured
 // ResourceExhausted errors to match field-for-field. This pins the
-// fused-pair step-accounting split (base op at s+1, shadow at s+2).
+// fused-pair step-accounting split (first half at s+1, second at s+2),
+// for shadow pairs and base pairs alike.
 func TestBackendDiffStepLimits(t *testing.T) {
 	k, _ := workloads.KernelByName("gemm")
 	src, err := positdebug.RefactorToPosit(k.Source(4))

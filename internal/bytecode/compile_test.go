@@ -130,3 +130,24 @@ func TestBaseFusion(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyBasePairWidths: the VM reads and writes a base pair's memory
+// at width 8 or else 4, so the verifier must refuse any other width.
+func TestVerifyBasePairWidths(t *testing.T) {
+	for _, op := range []bytecode.Op{bytecode.OpLoadFrame, bytecode.OpStoreFrame, bytecode.OpLoadAbs} {
+		for _, k := range []uint8{0, 1, 2, 4, 8, 16} {
+			m := &bytecode.Module{Funcs: []*bytecode.Func{{
+				Name: "f", NumRegs: 4,
+				Code: []bytecode.Inst{
+					{Op: op, K: k, Dst: 2, A: 1, B: 3, ID: -1},
+					{Op: bytecode.OpRet, Dst: -1, A: -1, B: -1, ID: -1},
+				},
+				Pos: make([]bytecode.Pos, 2),
+			}}}
+			err := bytecode.Verify(m)
+			if ok := k == 4 || k == 8; ok != (err == nil) {
+				t.Errorf("%v width %d: Verify returned %v", op, k, err)
+			}
+		}
+	}
+}

@@ -860,10 +860,11 @@ func (m *Machine) vmCheck(ch *bytecode.Module, f *bytecode.Func, pc int, regs []
 	return nil
 }
 
-// vmFirstHalf executes only the first IR instruction of a fused pair — the
-// base operation, or for sh.ret+ret the shadow event — reproducing exactly
-// what the tree-walker would have run before a check on the pair's second
-// step trips (vmCheck). The second half is never executed.
+// vmFirstHalf executes only the first IR instruction of a fused pair — a
+// shadow pair's base operation, a base pair's address or constant, or for
+// sh.ret+ret the shadow event — reproducing exactly what the tree-walker
+// would have run before a check on the pair's second step trips (vmCheck).
+// The second half is never executed.
 func (m *Machine) vmFirstHalf(ch *bytecode.Module, f *bytecode.Func, in *bytecode.Inst, regs []uint64) error {
 	switch in.Op {
 	case bytecode.OpLoadFrame, bytecode.OpStoreFrame:
